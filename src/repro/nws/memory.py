@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-import warnings
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +125,12 @@ class MemoryStore:
     def publish(self, series: str, time: float, value: float) -> None:
         """Append one measurement to ``series``.
 
-        Timestamps must be non-decreasing per series (the NWS rejects
-        out-of-order reports).
+        Timestamps must be finite and non-decreasing per series (the NWS
+        rejects out-of-order reports); :meth:`fetch` and :meth:`tail`
+        rely on that order.
         """
+        time, value = float(time), float(value)
+        _check_time(series, time)
         with self._lock:
             times = self._times.setdefault(series, [])
             values = self._values.setdefault(series, [])
@@ -136,8 +139,8 @@ class MemoryStore:
                     f"out-of-order measurement for {series!r}: "
                     f"{time} after {times[-1]}"
                 )
-            times.append(float(time))
-            values.append(float(value))
+            times.append(time)
+            values.append(value)
             counter = self._obs_publishes.get(series)
             if counter is None:
                 counter = self._registry.counter(
@@ -163,10 +166,7 @@ class MemoryStore:
                 if path is None:
                     path = self.directory / f"{_safe(series)}.jsonl"
                     self._journal_paths[series] = path
-                self._journal.append(
-                    path,
-                    _encode_sample(float(time), float(value)),
-                )
+                self._journal.append(path, _encode_sample(time, value))
 
     # --------------------------------------------------------------- fetch
 
@@ -185,12 +185,13 @@ class MemoryStore:
         start: float = -np.inf,
         stop: float = np.inf,
         limit: int | None = None,
-        since: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) for ``series``, newest-retained window.
 
         The keyword names match :meth:`repro.nws.client.NWSClient.fetch`
-        exactly -- one fetch signature across the whole stack.
+        exactly -- one fetch signature across the whole stack.  The
+        window is found by bisection on the sorted timestamps and only
+        it is copied, so a fetch costs O(log n + window), not O(n).
 
         Parameters
         ----------
@@ -200,34 +201,54 @@ class MemoryStore:
             Only samples with ``t <= stop``.
         limit:
             At most this many *most recent* samples (applied after the
-            time window).
-        since:
-            Deprecated alias for ``start`` (pre-redesign drift).
+            time window); must be >= 1.
 
         Raises
         ------
         SeriesUnavailable
             The series was never published here, or has been forgotten
             (a :class:`LookupError`, deliberately not ``KeyError``).
+        ValueError
+            ``limit`` is below 1.
         """
-        if since is not None:
-            warnings.warn(
-                "MemoryStore.fetch(since=...) is deprecated; use start=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            start = since
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
         with self._lock:
-            if series not in self._times:
+            times = self._times.get(series)
+            if times is None:
                 raise SeriesUnavailable(series, sorted(self._times))
-            times = np.asarray(self._times[series])
-            values = np.asarray(self._values[series])
+            if start <= stop:
+                lo, hi = bisect_left(times, start), bisect_right(times, stop)
+            else:  # inverted or NaN bounds: nothing satisfies both
+                lo = hi = 0
+            if limit is not None:
+                lo = max(lo, hi - limit)
+            times, values = times[lo:hi], self._values[series][lo:hi]
         self._obs_fetches.inc()
-        keep = (times >= start) & (times <= stop)
-        times, values = times[keep], values[keep]
-        if limit is not None and times.size > limit:
-            times, values = times[-limit:], values[-limit:]
-        return times, values
+        return np.array(times, dtype=np.float64), np.array(values, dtype=np.float64)
+
+    def tail(self, series: str, offset: int) -> tuple[int, float, list[float]]:
+        """``(retained count, newest time, values[offset:])`` in one read.
+
+        The forecaster's incremental read: it needs only the samples it
+        has not consumed yet, plus the count and newest stamp that
+        describe them, taken atomically.  Costs O(len - offset).  The
+        newest time is NaN for an empty series.
+
+        Raises
+        ------
+        SeriesUnavailable
+            As :meth:`fetch`.
+        """
+        with self._lock:
+            times = self._times.get(series)
+            if times is None:
+                raise SeriesUnavailable(series, sorted(self._times))
+            newest = times[-1] if times else math.nan
+            fresh = self._values[series][offset:]
+            count = len(times)
+        self._obs_fetches.inc()
+        return count, newest, fresh
 
     def as_trace(self, series: str, host: str = "", method: str = "") -> TraceSeries:
         """The retained history as a :class:`~repro.trace.series.TraceSeries`."""
@@ -252,6 +273,8 @@ class MemoryStore:
             raise ValueError(
                 f"times/values length mismatch: {len(times)} != {len(values)}"
             )
+        for t in times:
+            _check_time(series, t)
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError(f"replacement history for {series!r} is unordered")
         if len(times) > self.capacity:
@@ -320,7 +343,9 @@ class MemoryStore:
         aftermath of a crash mid-append -- are skipped and tallied in
         ``repro_memory_corrupt_journal_lines_total`` rather than aborting
         the recovery: a partial history is strictly more useful to the
-        forecasters than none.
+        forecasters than none.  So are lines whose time is non-finite or
+        earlier than the last accepted one, which :meth:`publish` would
+        have rejected.
 
         Raises
         ------
@@ -350,6 +375,10 @@ class MemoryStore:
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     # Journal corruption (torn write, bad field): count the
                     # line and keep going -- recovery is best-effort.
+                    self._obs_corrupt.inc()
+                    continue
+                if not math.isfinite(t) or (times and t < times[-1]):
+                    # Would break the sorted-times invariant fetch bisects.
                     self._obs_corrupt.inc()
                     continue
                 times.append(t)
@@ -417,6 +446,11 @@ class MemoryStore:
             self.directory / _CATALOG_NAME,
             {"version": 1, "series": dict(sorted(self._catalog.items()))},
         )
+
+
+def _check_time(series: str, time: float) -> None:
+    if not math.isfinite(time):
+        raise ValueError(f"non-finite measurement time for {series!r}: {time}")
 
 
 def _safe(name: str) -> str:

@@ -121,11 +121,13 @@ Memory (``repro.nws.memory``):
 * ``repro_memory_publishes_total`` (counter; label ``series``).
 * ``repro_memory_evictions_total`` (counter) -- samples dropped at the
   capacity bound.
-* ``repro_memory_fetches_total`` (counter).
+* ``repro_memory_fetches_total`` (counter) -- reads served: window
+  fetches and forecaster tail reads.
 * ``repro_memory_recoveries_total`` / ``repro_memory_recovered_samples_total``
   (counters) -- journal recoveries.
 * ``repro_memory_corrupt_journal_lines_total`` (counter) -- truncated or
-  unparsable journal lines skipped during recovery.
+  unparsable journal lines, and lines with a non-finite or decreasing
+  time, skipped during recovery.
 * ``repro_memory_journal_checkpoints_total`` (counter) -- journals
   atomically rewritten to the retained history (retention compaction
   and ``replace``), bounding on-disk journal growth.

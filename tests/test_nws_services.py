@@ -99,14 +99,6 @@ class TestMemoryStore:
         times, _ = mem.fetch("s", limit=2)
         np.testing.assert_allclose(times, [8.0, 9.0])
 
-    def test_fetch_since_alias_deprecated(self):
-        mem = MemoryStore()
-        for i in range(10):
-            mem.publish("s", float(i), float(i))
-        with pytest.warns(DeprecationWarning, match="since"):
-            times, _ = mem.fetch("s", since=5.0)
-        assert times[0] == 5.0
-
     def test_unknown_series_rejected(self):
         with pytest.raises(SeriesUnavailable, match="nope"):
             MemoryStore().fetch("nope")
