@@ -1,5 +1,6 @@
 #!/bin/sh
-# One-shot quality gate: ruff (if installed) + domain lint + tests.
+# One-shot quality gate: ruff (if installed) + domain lint + tests +
+# committed report artifacts + benchmarks.
 #
 # Usage: scripts/check.sh            (from the repository root)
 # Exits non-zero on the first failing stage.
@@ -21,6 +22,13 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint src/repro \
 
 echo "==> pytest"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q
+
+echo "==> committed report artifacts match a fresh default report"
+report_dir=$(mktemp -d)
+trap 'rm -rf "$report_dir"' EXIT
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli report "$report_dir" \
+    --no-cache --jobs 2 >/dev/null
+diff -r --exclude=cache --exclude=bench --exclude=lint-cache "$report_dir" artifacts
 
 echo "==> observability overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \

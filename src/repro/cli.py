@@ -77,6 +77,7 @@ go to stderr so stdout stays byte-stable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -611,8 +612,30 @@ def _cmd_live(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
+def _nws_system(args, command: str):
+    """The validated ``NWSSystem`` behind ``obs`` / ``profile nws``.
+
+    Returns None after printing one line to stderr when the profiles are
+    missing, unknown or repeated, or ``--hours`` is negative or not
+    finite; the caller exits 2.
+    """
     from repro.nws import NWSSystem
+
+    profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
+    if not profiles:
+        error = "no profiles given"
+    elif not math.isfinite(args.hours) or args.hours < 0.0:
+        error = f"--hours must be finite and non-negative, got {args.hours}"
+    else:
+        try:
+            return NWSSystem(profiles, seed=args.seed)
+        except ValueError as exc:
+            error = str(exc)
+    print(f"nws-repro {command}: {error}", file=sys.stderr)
+    return None
+
+
+def _cmd_obs(args) -> int:
     from repro.obs import (
         MetricsRegistry,
         Tracer,
@@ -623,15 +646,13 @@ def _cmd_obs(args) -> int:
     )
     from repro.obs.dashboard import render_dashboard
 
-    profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
-    if not profiles:
-        print("nws-repro obs: no profiles given", file=sys.stderr)
-        return 2
     registry = MetricsRegistry()
     with installed(registry):
         # The registry must be live while the system is built: components
         # bind their metric handles at construction time.
-        system = NWSSystem(profiles, seed=args.seed)
+        system = _nws_system(args, "obs")
+        if system is None:
+            return 2
         tracer = Tracer(clock=lambda: system.clock)
         with traced(tracer):
             system.advance(args.hours * 3600.0)
@@ -753,14 +774,10 @@ def _cmd_profile(args) -> int:
 
     registry = MetricsRegistry()
     if args.target == "nws":
-        from repro.nws import NWSSystem
-
-        profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
-        if not profiles:
-            print("nws-repro profile: no profiles given", file=sys.stderr)
-            return 2
         with installed(registry):
-            system = NWSSystem(profiles, seed=args.seed)
+            system = _nws_system(args, "profile")
+            if system is None:
+                return 2
             tracer = Tracer(clock=lambda: system.clock)
             with traced(tracer):
                 system.advance(args.hours * 3600.0)

@@ -14,8 +14,7 @@
 Execution goes through :class:`repro.runner.Runner` (parallel workers +
 content-addressed on-disk cache); table/figure generators all share the
 uniform ``(runner, config)`` signature and fall back to the process-wide
-default runner.  ``run_host``, ``Testbed`` and ``Testbed.run(s)`` remain
-as deprecated shims for one release.
+default runner.
 
 Every entry point takes ``seed`` and duration parameters and is
 deterministic given them.
@@ -28,10 +27,7 @@ from repro.experiments.figures import figure1, figure2, figure3, figure4
 from repro.experiments.smp import SmpResult, smp_study, smp_sweep
 from repro.experiments.testbed import (
     HostRun,
-    Testbed,
     TestbedConfig,
-    clear_run_cache,
-    run_host,
     simulate_host,
 )
 
@@ -42,15 +38,12 @@ __all__ = [
     "HostRun",
     "SmpResult",
     "TableResult",
-    "Testbed",
     "TestbedConfig",
-    "clear_run_cache",
     "figure1",
     "figure2",
     "figure3",
     "figure4",
     "run_chaos",
-    "run_host",
     "simulate_host",
     "smp_study",
     "smp_sweep",

@@ -8,15 +8,12 @@ ground-truth observations.
 
 Execution, memoization and on-disk caching live in :mod:`repro.runner`:
 :class:`repro.runner.Runner` is the one entry point for running hosts
-(optionally in parallel, optionally persisted).  The historical entry
-points -- :func:`run_host`, :meth:`Testbed.run`, :meth:`Testbed.runs` --
-remain as thin deprecated shims over the default runner.
+(optionally in parallel, optionally persisted).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -43,10 +40,7 @@ from repro.workload.profiles import build_host, profile_names
 __all__ = [
     "TestbedConfig",
     "HostRun",
-    "Testbed",
     "simulate_host",
-    "run_host",
-    "clear_run_cache",
     "DAY",
 ]
 
@@ -245,109 +239,3 @@ def simulate_host(name: str, config: TestbedConfig | None = None) -> HostRun:
         series=series,
         observations=suite.test_observations,
     )
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims (one release of grace; use repro.runner.Runner instead)
-# ---------------------------------------------------------------------------
-
-
-def clear_run_cache(*, disk: bool = False, cache_dir=None) -> int:
-    """Drop memoized runs; optionally also the on-disk cache.
-
-    Two distinct stores exist:
-
-    * the **in-process memo** of the default runner (what historical
-      ``run_host`` callers shared) -- always cleared, costs nothing to
-      rebuild but one simulation per key;
-    * the **on-disk cache** (``artifacts/cache/`` by default) that
-      persists results across interpreters -- only touched when
-      ``disk=True``.
-
-    Note that explicitly constructed :class:`repro.runner.Runner`
-    instances keep their own memos; clear those via
-    ``runner.clear_memory()`` / ``runner.clear_disk()``.
-
-    Parameters
-    ----------
-    disk:
-        Also delete every on-disk entry under ``cache_dir``.
-    cache_dir:
-        On-disk cache root (default ``artifacts/cache``).
-
-    Returns
-    -------
-    int
-        Number of on-disk entries removed (0 when ``disk`` is False).
-    """
-    from repro.runner import DEFAULT_CACHE_DIR, ResultCache, default_runner
-
-    default_runner().clear_memory()
-    if disk:
-        return ResultCache(cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR).clear()
-    return 0
-
-
-def run_host(name: str, config: TestbedConfig | None = None) -> HostRun:
-    """Deprecated: use :meth:`repro.runner.Runner.run`.
-
-    Delegates to the process-wide default runner, preserving the
-    historical memoization semantics (same config -> same object back).
-    """
-    warnings.warn(
-        "run_host() is deprecated; use repro.runner.Runner.run(hosts, config) "
-        "(or repro.runner.default_runner().run(...) for the shared memo)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runner import default_runner
-
-    return default_runner().run_one(name, config)
-
-
-class Testbed:
-    """Deprecated facade over the full six-host testbed under one config.
-
-    Use :class:`repro.runner.Runner` instead::
-
-        runs = Runner().run(None, config)   # all hosts, table order
-
-    Iterating still yields :class:`HostRun` objects in the paper's table
-    order, via the default runner.
-    """
-
-    __test__ = False  # not a pytest test class
-
-    def __init__(self, config: TestbedConfig | None = None):
-        self.config = config if config is not None else TestbedConfig()
-
-    @property
-    def host_names(self) -> list[str]:
-        return profile_names()
-
-    def run(self, name: str) -> HostRun:
-        """Deprecated: run (or fetch) one host via the default runner."""
-        warnings.warn(
-            "Testbed.run() is deprecated; use repro.runner.Runner.run(host, config)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.runner import default_runner
-
-        return default_runner().run_one(name, self.config)
-
-    def runs(self) -> list[HostRun]:
-        """Deprecated: run (or fetch) every host via the default runner."""
-        warnings.warn(
-            "Testbed.runs() is deprecated; use repro.runner.Runner.run(None, config)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.runner import default_runner
-
-        result = default_runner().run(None, self.config)
-        assert isinstance(result, list)
-        return result
-
-    def __iter__(self):
-        return iter(self.runs())

@@ -4,7 +4,9 @@ The test suite checks *results*; this package checks *invariants the
 results silently depend on*: bit-reproducible simulations, fraction-typed
 availability values, and the exact streaming-forecaster protocol of
 paper Section 3.  See :mod:`repro.lint.rules` for the rule catalogue and
-:mod:`repro.lint.contracts` for the runtime counterparts.
+:mod:`repro.lint.contracts` for the runtime counterparts.  Once callers
+have moved to a new entry point, the old one is deleted rather than
+policed by a rule.
 
 Programmatic use::
 

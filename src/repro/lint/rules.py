@@ -37,19 +37,6 @@ paper's results depend on:
     silently loses its interval), and instrumented packages
     (``repro.sim``, ``repro.nws``, ``repro.core``) must not ``print()``
     -- output flows through the metrics registry and exporters.
-``CACHE001``
-    Runner discipline: monitored runs go through
-    :class:`repro.runner.Runner`, which layers memoization, the
-    content-addressed on-disk cache and parallel execution.  Importing
-    or calling ``run_host`` directly (outside ``repro.runner`` and the
-    deprecated shims themselves) silently bypasses all three.
-``VEC001``
-    Backtesting discipline: experiment code replays whole series, so it
-    must go through :func:`repro.core.mixture.forecast_series` (which
-    dispatches to the vectorized batch engine) rather than hand-rolling
-    a :class:`~repro.core.mixture.ForecasterBank` or per-sample
-    update/forecast loops -- those silently fall back to the slow
-    streaming path and skip the ``repro_forecast_*`` telemetry.
 ``VEC002``
     Simulation entry discipline: experiment, example and benchmark code
     enters the simulation via
@@ -74,13 +61,6 @@ paper's results depend on:
     inventory of the :mod:`repro.obs` package docstring, so the
     inventory stays the single complete catalogue of what a running
     system exports.
-``API001``
-    Service API discipline: outside :mod:`repro.nws` itself, nothing
-    imports or constructs ``MemoryStore`` / ``ForecasterService``
-    directly -- a hand-built data plane bypasses tenancy, the
-    ``repro_server_*`` metrics and the keyword-normalized
-    :class:`repro.nws.client.NWSClient` facade, which is the one public
-    way in (``in_process`` / ``for_system`` / ``connect``).
 ``DUR001``
     Durability discipline: persistence writes inside :mod:`repro.nws`
     must go through :mod:`repro.nws.durable` (``atomic_replace_bytes`` /
@@ -111,12 +91,9 @@ __all__ = [
     "HeapStabilityRule",
     "SwallowedErrorRule",
     "ObservabilityRule",
-    "CacheBypassRule",
-    "VectorizedBacktestRule",
     "SimulationEntryRule",
     "ResilienceRule",
     "MetricInventoryRule",
-    "ServiceFacadeRule",
     "DurabilityRule",
 ]
 
@@ -633,141 +610,6 @@ class ObservabilityRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# CACHE001 -- runner discipline (no direct run_host use)
-# --------------------------------------------------------------------------
-
-#: Modules that legitimately define or re-export run_host (the shims).
-_RUN_HOST_HOMES = ("repro.experiments.testbed", "repro.experiments")
-
-#: Package allowed to reach the simulation layer directly.
-_RUNNER_PREFIX = "repro.runner"
-
-
-@register
-class CacheBypassRule(Rule):
-    rule_id = "CACHE001"
-    title = "monitored runs go through repro.runner, not run_host directly"
-    rationale = (
-        "direct run_host() use bypasses the parallel runner and the "
-        "content-addressed result cache; call Runner.run (or "
-        "repro.runner.default_runner().run) instead"
-    )
-
-    def _allowed(self, module: str) -> bool:
-        return module in _RUN_HOST_HOMES or (
-            module == _RUNNER_PREFIX or module.startswith(_RUNNER_PREFIX + ".")
-        )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if self._allowed(ctx.module):
-            return
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.level == 0
-                and node.module in _RUN_HOST_HOMES
-            ):
-                for name in node.names:
-                    if name.name == "run_host":
-                        yield ctx.finding(
-                            node,
-                            self.rule_id,
-                            "direct run_host import bypasses the runner's "
-                            "memo, disk cache and parallelism; use "
-                            "repro.runner.Runner.run instead",
-                        )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is None or "." not in dotted:
-                    continue  # bare run_host() is caught at its import
-                full = _resolve(dotted, aliases)
-                if full in tuple(f"{home}.run_host" for home in _RUN_HOST_HOMES):
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"{full}() bypasses the runner's memo, disk cache "
-                        "and parallelism; use repro.runner.Runner.run instead",
-                    )
-
-
-# --------------------------------------------------------------------------
-# VEC001 -- vectorized backtesting discipline in experiments
-# --------------------------------------------------------------------------
-
-#: Modules that export ForecasterBank (what an experiment would import).
-_BANK_HOMES = ("repro.core.mixture", "repro.core")
-
-
-def _loop_method_receivers(loop: ast.AST, method: str) -> set[str]:
-    """Names ``x`` for which ``x.<method>(...)`` is called inside ``loop``."""
-    receivers: set[str] = set()
-    for node in ast.walk(loop):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == method
-            and isinstance(node.func.value, ast.Name)
-        ):
-            receivers.add(node.func.value.id)
-    return receivers
-
-
-@register
-class VectorizedBacktestRule(Rule):
-    rule_id = "VEC001"
-    title = "experiments backtest via forecast_series, not hand-rolled loops"
-    rationale = (
-        "forecast_series dispatches to the vectorized batch engine "
-        "(bit-identical, >= 10x faster) and records repro_forecast_* "
-        "telemetry; a hand-rolled ForecasterBank update/forecast loop "
-        "gets neither"
-    )
-    scope = ("repro.experiments",)
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.level == 0
-                and node.module in _BANK_HOMES
-            ):
-                for name in node.names:
-                    if name.name == "ForecasterBank":
-                        yield ctx.finding(
-                            node,
-                            self.rule_id,
-                            "experiments must not drive a ForecasterBank "
-                            "by hand; replay the series through "
-                            "forecast_series instead",
-                        )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is None or "." not in dotted:
-                    continue  # a bare ForecasterBank() is caught at import
-                full = _resolve(dotted, aliases)
-                if full in tuple(f"{home}.ForecasterBank" for home in _BANK_HOMES):
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"{full}() hand-rolls the mixture; replay the "
-                        "series through forecast_series instead",
-                    )
-            elif isinstance(node, (ast.For, ast.While)):
-                updated = _loop_method_receivers(node, "update")
-                forecasted = _loop_method_receivers(node, "forecast")
-                for receiver in sorted(updated & forecasted):
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"per-sample {receiver}.update()/.forecast() loop "
-                        "re-implements the streaming backtest; use "
-                        "forecast_series (batch engine) instead",
-                    )
-
-
-# --------------------------------------------------------------------------
 # VEC002 -- simulation entry discipline (no direct run_until)
 # --------------------------------------------------------------------------
 
@@ -1008,74 +850,6 @@ class MetricInventoryRule(Rule):
                     f"metric {name!r} is missing from the metrics inventory "
                     "in the repro.obs package docstring; document it there",
                 )
-
-
-# --------------------------------------------------------------------------
-# API001 -- service API discipline (no direct data-plane construction)
-# --------------------------------------------------------------------------
-
-#: Modules that export the data-plane constructors (what a bypass would
-#: import them from).
-_DATA_PLANE_HOMES = ("repro.nws.memory", "repro.nws.forecaster", "repro.nws")
-
-#: The constructors the client facade owns.
-_DATA_PLANE_NAMES = ("MemoryStore", "ForecasterService")
-
-#: Package whose modules legitimately build the data plane: the service
-#: layer itself (ServiceCore, NWSSystem, the transports and shims).
-_NWS_PREFIX = "repro.nws"
-
-
-@register
-class ServiceFacadeRule(Rule):
-    rule_id = "API001"
-    title = "service access goes through NWSClient, not raw data-plane parts"
-    rationale = (
-        "a hand-built MemoryStore or ForecasterService bypasses tenancy, "
-        "the service metrics and the keyword-normalized client API; "
-        "construct an NWSClient (in_process/for_system/connect) and let "
-        "ServiceCore own the triple"
-    )
-
-    def _allowed(self, module: str) -> bool:
-        return module == _NWS_PREFIX or module.startswith(_NWS_PREFIX + ".")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if self._allowed(ctx.module):
-            return
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.level == 0
-                and node.module in _DATA_PLANE_HOMES
-            ):
-                for name in node.names:
-                    if name.name in _DATA_PLANE_NAMES:
-                        yield ctx.finding(
-                            node,
-                            self.rule_id,
-                            f"importing {name.name} outside repro.nws "
-                            "bypasses the client API; use "
-                            "NWSClient.in_process()/connect() instead",
-                        )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is None or "." not in dotted:
-                    continue  # a bare call is caught at its import
-                full = _resolve(dotted, aliases)
-                if full in tuple(
-                    f"{home}.{name}"
-                    for home in _DATA_PLANE_HOMES
-                    for name in _DATA_PLANE_NAMES
-                ):
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"{full}() builds the data plane by hand, skipping "
-                        "tenancy and service metrics; construct an "
-                        "NWSClient and let ServiceCore own the triple",
-                    )
 
 
 # --------------------------------------------------------------------------

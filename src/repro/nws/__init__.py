@@ -13,11 +13,12 @@ FGCS '98) has four component kinds:
 This subpackage reproduces that architecture both in-process and as a
 long-running service:
 
-* :class:`~repro.nws.system.NWSSystem` wires a whole monitored grid of
-  simulated hosts together (sensors publishing into a
-  :class:`~repro.nws.memory.MemoryStore`, discovery through a
-  :class:`~repro.nws.nameserver.NameServer`, predictions from the
-  :class:`~repro.nws.forecaster.ForecasterService`).
+* :class:`~repro.nws.system.NWSSystem` monitors a grid of simulated
+  hosts: one sensor per host publishes into, and registers with, a
+  tenant of a :class:`~repro.nws.service.ServiceCore`, which owns the
+  :class:`~repro.nws.memory.MemoryStore`,
+  :class:`~repro.nws.nameserver.NameServer` and
+  :class:`~repro.nws.forecaster.ForecasterService`.
 * :class:`~repro.nws.client.NWSClient` is the **one public API** over
   all of it: the same keyword-normalized ``publish`` / ``fetch`` /
   ``query`` / ``register`` surface whether the transport executes a

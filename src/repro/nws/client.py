@@ -102,22 +102,6 @@ class InProcessTransport:
         """A transport over a brand-new single-tenant core."""
         return cls(ServiceCore(**core_kwargs))
 
-    @classmethod
-    def for_system(cls, system) -> "InProcessTransport":
-        """A transport over an existing :class:`~repro.nws.system.NWSSystem`.
-
-        Adopts the system's memory, forecaster and name server as the
-        default tenant, so queries through the client hit exactly the
-        state the simulation is filling.
-        """
-        core = ServiceCore.adopt(
-            system.memory,
-            system.forecaster,
-            system.nameserver,
-            clock=lambda: system.clock,
-        )
-        return cls(core)
-
     def publish(self, tenant, series, time, value):
         return self.core.publish(tenant, series, time, value)
 
@@ -320,8 +304,8 @@ class NWSClient:
     """The redesigned public API: one facade, two transports.
 
     Construct via the classmethods --
-    :meth:`in_process` (own a fresh core), :meth:`for_system` (query a
-    running :class:`~repro.nws.system.NWSSystem`) or :meth:`connect`
+    :meth:`in_process` (own a fresh core, or query an existing one such
+    as a running :class:`~repro.nws.system.NWSSystem`'s) or :meth:`connect`
     (HTTP to a :class:`~repro.nws.server.ForecastServer`) -- or pass any
     transport explicitly.  A client is bound to one tenant;
     :meth:`for_tenant` derives a sibling on the same transport.
@@ -361,11 +345,6 @@ class NWSClient:
             else InProcessTransport.fresh(**core_kwargs)
         )
         return cls(transport, tenant=tenant)
-
-    @classmethod
-    def for_system(cls, system, *, tenant: str = DEFAULT_TENANT) -> "NWSClient":
-        """A client over a live simulated NWS deployment."""
-        return cls(InProcessTransport.for_system(system), tenant=tenant)
 
     @classmethod
     def connect(

@@ -40,7 +40,7 @@ class SensorHost:
     Parameters
     ----------
     profile:
-        Testbed profile name (e.g. ``"thing1"``).
+        Profile name from the testbed (e.g. ``"thing1"``).
     nameserver / memory:
         The NWS services to attach to.
     seed:

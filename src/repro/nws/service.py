@@ -169,18 +169,6 @@ class TenantState:
         # concurrent register/refresh calls never share a temp file.
         self.registration_lock = threading.Lock()
 
-    @classmethod
-    def adopt(cls, name, memory, forecaster, nameserver) -> "TenantState":
-        """Wrap pre-built components (an existing deployment) as a tenant."""
-        state = cls.__new__(cls)
-        state.name = name
-        state.memory = memory
-        state.forecaster = forecaster
-        state.nameserver = nameserver
-        state.lock = threading.Lock()
-        state.registration_lock = threading.Lock()
-        return state
-
 
 class ServiceCore:
     """Every forecast-service operation, transport-agnostic.
@@ -249,34 +237,6 @@ class ServiceCore:
                 {"state_version": STATE_VERSION, "tenants": sorted(names)},
             )
         self._init_obs()
-
-    @classmethod
-    def adopt(
-        cls,
-        memory,
-        forecaster,
-        nameserver,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        clock=None,
-        retention: RetentionPolicy | None = None,
-    ) -> "ServiceCore":
-        """A core serving one pre-built NWS triple as ``tenant``.
-
-        The bridge from the old API to the new: an
-        :class:`~repro.nws.system.NWSSystem`'s memory, forecaster and
-        name server become a tenant the client (or a server) can address
-        without copying any state.
-        """
-        core = cls.__new__(cls)
-        core.clock = clock if clock is not None else (lambda: 0.0)
-        core.retention = retention
-        core.directory = None
-        core._tenants = {
-            tenant: TenantState.adopt(tenant, memory, forecaster, nameserver)
-        }
-        core._init_obs()
-        return core
 
     @classmethod
     def restore(

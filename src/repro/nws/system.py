@@ -1,45 +1,49 @@
 """NWSSystem: a complete monitored grid behind the NWS service protocol.
 
-Wires a name server, a memory, a forecaster service and one
-:class:`~repro.nws.sensorhost.SensorHost` per requested profile -- the
+A thin sensor harness over one :class:`~repro.nws.service.ServiceCore`
+tenant: the core owns the name server, memory and forecaster service,
+and one :class:`~repro.nws.sensorhost.SensorHost` per requested profile
+publishes into that tenant and registers with its name server -- the
 in-process equivalent of deploying the NWS across a departmental grid.
 Clients interact exactly as the paper's schedulers did: discover CPU
 sensors through the name server, then ask the forecaster for availability
-predictions with error bars.
+predictions with error bars, through :meth:`NWSSystem.client`.
 
 A :class:`~repro.faults.plan.FaultPlan` can be installed at construction:
 each host compiles the plan with a stream seeded from ``(seed,
-host_index)``, so faulted runs stay bit-reproducible.  The forecaster
-service is wired to the system clock with a staleness horizon of three
-measurement periods (the registration TTL): a host that stops publishing
-keeps being forecast from last-known-good data, stale-marked with widened
-error bars.
+host_index)``, so faulted runs stay bit-reproducible.  The core is wired
+to the system clock with a staleness horizon of three measurement
+periods (the registration TTL): a host that stops publishing keeps being
+forecast from last-known-good data, stale-marked with widened error
+bars.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import seed_entropy
-from repro.nws.forecaster import ForecastReport, ForecasterService
-from repro.nws.memory import MemoryStore
-from repro.nws.nameserver import NameServer
+from repro.nws.client import NWSClient
 from repro.nws.sensorhost import SensorHost
+from repro.nws.service import DEFAULT_TENANT, ServiceCore
 from repro.obs.tracing import get_tracer
+from repro.workload.profiles import HOST_PROFILES
 
 __all__ = ["NWSSystem"]
 
 
 class NWSSystem:
-    """Name server + memory + forecaster + sensors over simulated hosts.
+    """Sensors over simulated hosts, publishing into one service tenant.
 
     Parameters
     ----------
     profiles:
-        Testbed profile per monitored machine (repeats allowed).
+        Distinct testbed profiles, one per monitored machine.  Each host
+        publishes under ``cpu.<profile>.<method>``, so a repeated profile
+        is rejected with ``ValueError``, as is an unknown one.
     seed:
         Root seed (int, int sequence, or anything
         ``np.random.SeedSequence`` accepts); each host gets an
@@ -48,8 +52,6 @@ class NWSSystem:
         Sensor cadence.
     memory_capacity:
         Per-series retention (default one day of 10 s samples).
-    memory_directory:
-        Optional persistence directory for the memory journal.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` compiled per host;
         None (default) installs no fault hooks at all.
@@ -66,29 +68,40 @@ class NWSSystem:
         seed=0,
         measure_period: float = 10.0,
         memory_capacity: int = 8640,
-        memory_directory=None,
         fault_plan: FaultPlan | None = None,
         stale_after: float | None = None,
     ):
         if not profiles:
             raise ValueError("need at least one monitored host")
+        unknown = [p for p in profiles if p not in HOST_PROFILES]
+        if unknown:
+            raise ValueError(
+                f"unknown profiles {unknown}; known: {sorted(HOST_PROFILES)}"
+            )
+        repeated = sorted({p for p in profiles if profiles.count(p) > 1})
+        if repeated:
+            raise ValueError(
+                f"repeated profiles {repeated}: each host publishes to "
+                "its own cpu.<profile>.* series"
+            )
         self.clock = 0.0
         self.fault_plan = fault_plan
-        self.nameserver = NameServer(clock=lambda: self.clock)
-        self.memory = MemoryStore(
-            capacity=memory_capacity, directory=memory_directory
-        )
-        self.forecaster = ForecasterService(
-            self.memory,
+        self.core = ServiceCore(
             clock=lambda: self.clock,
+            memory_capacity=memory_capacity,
             stale_after=(
                 stale_after if stale_after is not None else 3.0 * measure_period
             ),
         )
+        tenant = self.core.tenant(DEFAULT_TENANT)
+        self.memory = tenant.memory
+        self.forecaster = tenant.forecaster
+        self.nameserver = tenant.nameserver
         self.nameserver.register(
             "memory.main", "memory", {"capacity": str(memory_capacity)}
         )
         self.nameserver.register("forecaster.main", "forecaster", {})
+        self._client = None
 
         entropy = seed_entropy(seed)
         root = np.random.SeedSequence(list(entropy))
@@ -118,6 +131,8 @@ class NWSSystem:
 
     def advance(self, until: float) -> None:
         """Run every monitored host to simulated time ``until``."""
+        if not math.isfinite(until):
+            raise ValueError(f"cannot advance to non-finite time {until}")
         if until < self.clock:
             raise ValueError(f"cannot go back in time: {until} < {self.clock}")
         with get_tracer().span("nws.advance", until=until):
@@ -133,61 +148,25 @@ class NWSSystem:
         """Names of live CPU sensors (via name-server discovery)."""
         return [r.name for r in self.nameserver.lookup("sensor", resource="cpu")]
 
-    def client(self):
-        """The :class:`~repro.nws.client.NWSClient` over this deployment.
+    def client(self) -> NWSClient:
+        """The :class:`~repro.nws.client.NWSClient` over this system's core.
 
-        The redesigned query surface: one facade, the same signatures the
-        HTTP transport speaks.  Cached -- repeated calls return the same
-        client, which adopts (not copies) this system's memory,
-        forecaster and name server.
+        Cached -- repeated calls return the same in-process client, which
+        queries exactly the tenant the sensors are filling.
         """
-        cached = getattr(self, "_client", None)
-        if cached is None:
-            from repro.nws.client import NWSClient
-
-            cached = self._client = NWSClient.for_system(self)
-        return cached
+        if self._client is None:
+            self._client = NWSClient.in_process(self.core)
+        return self._client
 
     def series_name(self, profile: str, method: str = "nws_hybrid") -> str:
         """The series a monitored host's sensor publishes under.
 
-        Raises ``KeyError`` for unmonitored profiles -- the lookup half
-        of the old ``availability`` helper, kept so call sites can
-        resolve names and then query through :meth:`client`.
+        Raises ``KeyError`` for unmonitored profiles.
         """
-        matches = [h for h in self.hosts if h.profile == profile]
-        if not matches:
-            raise KeyError(
-                f"no monitored host {profile!r}; have "
-                f"{[h.profile for h in self.hosts]}"
-            )
-        return matches[0].series_name(method)
-
-    def availability(
-        self, profile: str, method: str = "nws_hybrid"
-    ) -> ForecastReport:
-        """Deprecated: use ``system.client().query(series, horizon=...)``.
-
-        Kept as a shim (the ``run_host`` pattern): warns, then delegates
-        to the client so behaviour stays identical during migration.
-        """
-        warnings.warn(
-            "NWSSystem.availability is deprecated; use "
-            "system.client().query(system.series_name(profile, method))",
-            DeprecationWarning,
-            stacklevel=2,
+        for host in self.hosts:
+            if host.profile == profile:
+                return host.series_name(method)
+        raise KeyError(
+            f"no monitored host {profile!r}; have "
+            f"{[h.profile for h in self.hosts]}"
         )
-        return self.client().query(self.series_name(profile, method))
-
-    def availability_map(self, method: str = "nws_hybrid") -> dict[str, ForecastReport]:
-        """Deprecated: query through ``system.client()`` instead."""
-        warnings.warn(
-            "NWSSystem.availability_map is deprecated; use "
-            "system.client().query(...) per host",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        client = self.client()
-        return {
-            h.profile: client.query(h.series_name(method)) for h in self.hosts
-        }

@@ -16,8 +16,9 @@ The one public entry point for monitored testbed simulations::
   corrupt-entry detection, ``clear()``.
 * :func:`config_digest` -- the stable content address:
   SHA-256 over host + sorted config fields + package version.
-* :func:`default_runner` -- process-wide memory-only runner backing the
-  deprecated ``run_host`` / ``Testbed`` shims.
+* :func:`default_runner` -- process-wide memory-only runner the
+  table/figure generators fall back to (clear it with
+  ``default_runner().clear_memory()``).
 * :func:`parallel_map` -- the bare fan-out helper (used by
   :func:`repro.experiments.smp.smp_sweep` and available for any
   picklable sweep).

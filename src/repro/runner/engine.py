@@ -450,12 +450,11 @@ _default: Runner | None = None
 
 
 def default_runner() -> Runner:
-    """The process-wide runner used by the deprecated shims and the
-    table/figure generators when no runner is passed explicitly.
+    """The process-wide runner the table/figure generators use when no
+    runner is passed explicitly.
 
-    Memory-memoized only (``jobs=1``, no disk cache), matching the
-    historical ``run_host`` semantics; build an explicit :class:`Runner`
-    for parallelism or persistence.
+    Memory-memoized only (``jobs=1``, no disk cache); build an explicit
+    :class:`Runner` for parallelism or persistence.
     """
     global _default
     if _default is None:

@@ -59,7 +59,7 @@ def config_digest(
     Parameters
     ----------
     host:
-        Testbed host name.
+        Host name from the testbed.
     config:
         The run configuration.
     code_version:

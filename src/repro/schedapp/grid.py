@@ -69,7 +69,7 @@ class SimGrid:
     Parameters
     ----------
     host_names:
-        Testbed profiles to instantiate (repeats allowed -- each instance
+        Profiles to instantiate (repeats allowed -- each instance
         gets an independent seed).
     seed:
         Root seed.

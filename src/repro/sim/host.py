@@ -8,8 +8,6 @@ and whatever sensors the experiment attaches (see :mod:`repro.sensors`).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.sim.kernel import Kernel, KernelConfig
@@ -78,9 +76,3 @@ class SimHost:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SimHost {self.name!r} t={self.kernel.time:.1f}s>"
-
-
-def run_hosts(hosts: Iterable[SimHost], t_end: float) -> None:
-    """Advance several independent hosts to the same deadline."""
-    for host in hosts:
-        host.run_until(t_end)

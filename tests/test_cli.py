@@ -187,6 +187,24 @@ class TestCommands:
         assert rc == 0
         assert "OBSERVABILITY DASHBOARD" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--profiles", ","], "no profiles given"),
+            (["--profiles", "thing1,thing1"], "repeated profiles"),
+            (["--profiles", "nonesuch"], "unknown profiles"),
+            (["--hours", "-1"], "--hours must be finite"),
+            (["--hours", "nan"], "--hours must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["obs"], ["profile", "nws"]])
+    def test_nws_bad_input_is_one_line_exit_2(self, capsys, command, argv, message):
+        rc = main(command + ["--profiles", "thing1"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and message in err
+        assert err.startswith(f"nws-repro {command[0]}: ")
+
     def test_sched_demo(self, capsys):
         rc = main(["sched-demo", "--tasks", "6", "--seed", "2"])
         out = capsys.readouterr().out

@@ -1,15 +1,9 @@
-"""Tests for repro.experiments.testbed (config, simulation, shims)."""
+"""Tests for repro.experiments.testbed (config, simulation)."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.testbed import (
-    Testbed,
-    TestbedConfig,
-    clear_run_cache,
-    run_host,
-    simulate_host,
-)
+from repro.experiments.testbed import TestbedConfig, simulate_host
 from repro.runner import default_runner
 from repro.sensors.suite import METHODS
 
@@ -55,7 +49,7 @@ class TestSimulateHost:
         other = SHORT.derive(seed=SHORT.seed + 1)
         b = default_runner().run_one("thing1", other)
         assert a is not b
-        clear_run_cache()
+        default_runner().clear_memory()
 
     def test_series_present_for_all_methods(self, thing1_run):
         assert set(thing1_run.series) == set(METHODS)
@@ -75,7 +69,7 @@ class TestSimulateHost:
 
     def test_determinism_across_cache_clears(self):
         first = default_runner().run_one("gremlin", SHORT).values("load_average").copy()
-        clear_run_cache()
+        default_runner().clear_memory()
         second = default_runner().run_one("gremlin", SHORT).values("load_average")
         np.testing.assert_array_equal(first, second)
 
@@ -92,39 +86,3 @@ class TestSimulateHost:
             thing1_run.values("load_average")[:n],
             thing2_run.values("load_average")[:n],
         )
-
-
-class TestClearRunCache:
-    def test_memory_only_returns_zero(self):
-        assert clear_run_cache() == 0
-
-    def test_disk_mode_reports_removed_entries(self, tmp_path):
-        from repro.runner import Runner
-
-        runner = Runner(cache=tmp_path / "cache")
-        runner.run("thing1", SHORT)
-        assert clear_run_cache(disk=True, cache_dir=tmp_path / "cache") == 1
-        assert clear_run_cache(disk=True, cache_dir=tmp_path / "cache") == 0
-
-
-class TestDeprecatedShims:
-    def test_run_host_warns_and_shares_memo(self):
-        with pytest.warns(DeprecationWarning, match="run_host"):
-            shimmed = run_host("thing1", SHORT)
-        assert shimmed is default_runner().run_one("thing1", SHORT)
-
-    def test_testbed_iterates_in_table_order(self):
-        testbed = Testbed(SHORT)
-        assert testbed.host_names[0] == "thing2"
-        assert testbed.host_names[-1] == "kongo"
-
-    def test_testbed_runs_all_hosts(self):
-        testbed = Testbed(SHORT)
-        with pytest.warns(DeprecationWarning, match="Testbed.runs"):
-            runs = testbed.runs()
-        assert [r.host for r in runs] == testbed.host_names
-
-    def test_testbed_run_warns(self):
-        with pytest.warns(DeprecationWarning, match="Testbed.run"):
-            shimmed = Testbed(SHORT).run("thing2")
-        assert shimmed is default_runner().run_one("thing2", SHORT)

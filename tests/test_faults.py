@@ -18,7 +18,7 @@ from repro.faults import (
     named_plans,
     seed_entropy,
 )
-from repro.nws.memory import MemoryStore  # lint: ignore[API001] -- unit-tests the data plane itself
+from repro.nws.memory import MemoryStore
 from repro.obs import MetricsRegistry, installed
 
 

@@ -129,9 +129,9 @@ def test_lint_file_argument(tmp_path, capsys):
     assert "DET001" in capsys.readouterr().out
 
 
-def test_real_tree_acceptance(capsys):
+def test_real_tree_acceptance(capsys, lint_cache_dir):
     """The shipped tree lints clean through the real CLI entry point."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     if not src.is_dir():  # pragma: no cover - sdist layouts
         pytest.skip("src/repro not present")
-    assert main(["lint", str(src)]) == 0
+    assert main(["lint", str(src), "--cache-dir", str(lint_cache_dir)]) == 0

@@ -104,13 +104,16 @@ def test_cli_sarif_round_trip_on_violation(tmp_path, capsys):
     ].endswith("engine.py")
 
 
-def test_real_tree_sarif_acceptance(capsys):
+def test_real_tree_sarif_acceptance(capsys, lint_cache_dir):
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     if not src.is_dir():  # pragma: no cover - sdist layouts
         import pytest
 
         pytest.skip("src/repro not present")
-    assert main(["lint", str(src), "--format", "sarif"]) == 0
+    assert (
+        main(["lint", str(src), "--format", "sarif", "--cache-dir", str(lint_cache_dir)])
+        == 0
+    )
     payload = json.loads(capsys.readouterr().out)
     # The tree's only findings are the two justified suppressions.
     results = payload["runs"][0]["results"]

@@ -387,128 +387,6 @@ class TestObservability:
 
 
 # -----------------------------------------------------------------------
-# CACHE001 -- runner discipline
-# -----------------------------------------------------------------------
-
-class TestCacheBypass:
-    def test_direct_import_flagged(self):
-        src = """
-        from repro.experiments.testbed import run_host
-
-        def go():
-            return run_host("thing1")
-        """
-        assert rule_ids(src, module="repro.report.fake") == ["CACHE001"]
-
-    def test_package_import_flagged(self):
-        src = """
-        from repro.experiments import run_host
-        """
-        assert rule_ids(src, module="repro.analysis.fake") == ["CACHE001"]
-
-    def test_attribute_call_flagged(self):
-        src = """
-        import repro.experiments.testbed as tb
-
-        def go():
-            return tb.run_host("thing1")
-        """
-        assert rule_ids(src, module="repro.report.fake") == ["CACHE001"]
-
-    def test_allowed_inside_runner_package(self):
-        src = """
-        from repro.experiments.testbed import run_host
-        """
-        assert rule_ids(src, module="repro.runner.engine") == []
-        assert rule_ids(src, module="repro.runner") == []
-
-    def test_allowed_inside_shim_modules(self):
-        src = """
-        def run_host(name):
-            return name
-        """
-        assert rule_ids(src, module="repro.experiments.testbed") == []
-        assert rule_ids(src, module="repro.experiments") == []
-
-    def test_runner_use_stays_silent(self):
-        src = """
-        from repro.runner import Runner
-
-        def go(config):
-            return Runner(jobs=4).run(None, config)
-        """
-        assert rule_ids(src, module="repro.report.fake") == []
-
-    def test_other_imports_from_testbed_ok(self):
-        src = """
-        from repro.experiments.testbed import TestbedConfig, simulate_host
-        """
-        assert rule_ids(src, module="repro.report.fake") == []
-
-
-# -----------------------------------------------------------------------
-# VEC001 -- vectorized backtesting discipline
-# -----------------------------------------------------------------------
-
-class TestVectorizedBacktest:
-    def test_bank_import_flagged_in_experiments(self):
-        src = """
-        from repro.core.mixture import ForecasterBank
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == ["VEC001"]
-
-    def test_bank_package_import_flagged(self):
-        src = """
-        from repro.core import ForecasterBank
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == ["VEC001"]
-
-    def test_bank_attribute_construction_flagged(self):
-        src = """
-        import repro.core.mixture as mix
-
-        def backtest(values):
-            return mix.ForecasterBank()
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == ["VEC001"]
-
-    def test_hand_rolled_update_forecast_loop_flagged(self):
-        src = """
-        def backtest(model, values):
-            out = []
-            for v in values[1:]:
-                out.append(model.forecast())
-                model.update(v)
-            return out
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == ["VEC001"]
-
-    def test_update_only_loop_silent(self):
-        src = """
-        def warm(model, values):
-            for v in values:
-                model.update(v)
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == []
-
-    def test_forecast_series_use_silent(self):
-        src = """
-        from repro.core.mixture import forecast_series
-
-        def backtest(values):
-            return forecast_series(values, engine="batch")
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == []
-
-    def test_out_of_scope_module_silent(self):
-        src = """
-        from repro.core.mixture import ForecasterBank
-        """
-        assert rule_ids(src, module="repro.core.fake") == []
-        assert rule_ids(src, module="benchmarks.fake") == []
-
-
-# -----------------------------------------------------------------------
 # VEC002 -- simulation entry discipline
 # -----------------------------------------------------------------------
 
@@ -818,63 +696,6 @@ class TestMachinery:
         assert finding.line == 5
         assert finding.rule_id == "DET001"
         assert "time.time" in finding.message
-
-
-# -----------------------------------------------------------------------
-# API001 -- service API discipline
-# -----------------------------------------------------------------------
-
-class TestServiceFacade:
-    def test_direct_import_flagged(self):
-        src = """
-        from repro.nws.memory import MemoryStore
-
-        def build():
-            return MemoryStore(capacity=10)
-        """
-        assert rule_ids(src, module="repro.schedapp.fake") == ["API001"]
-
-    def test_package_reexport_import_flagged(self):
-        src = """
-        from repro.nws import ForecasterService
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == ["API001"]
-
-    def test_attribute_construction_flagged(self):
-        src = """
-        import repro.nws.forecaster as fc
-
-        def build(memory):
-            return fc.ForecasterService(memory)
-        """
-        assert rule_ids(src, module="repro.report.fake") == ["API001"]
-
-    def test_allowed_inside_nws_package(self):
-        src = """
-        from repro.nws.memory import MemoryStore
-
-        def build():
-            return MemoryStore(capacity=10)
-        """
-        assert rule_ids(src, module="repro.nws.service") == []
-        assert rule_ids(src, module="repro.nws") == []
-
-    def test_client_usage_clean(self):
-        src = """
-        from repro.nws import NWSClient
-
-        def build():
-            client = NWSClient.in_process()
-            client.publish("cpu.a", time=0.0, value=0.5)
-            return client
-        """
-        assert rule_ids(src, module="repro.schedapp.fake") == []
-
-    def test_unrelated_names_from_nws_clean(self):
-        src = """
-        from repro.nws import NWSSystem, SeriesUnavailable
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == []
 
 
 # -----------------------------------------------------------------------

@@ -8,29 +8,26 @@ here with the exact file/line/rule in the assertion message.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.lint import all_rules, lint_paths
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+from tests.conftest import SRC
 
 pytestmark = pytest.mark.skipif(
     not SRC.is_dir(), reason="src/repro layout not present"
 )
 
 
-def test_src_tree_is_lint_clean():
-    result = lint_paths([SRC])
+def test_src_tree_is_lint_clean(src_lint_result):
+    result = src_lint_result
     report = "\n".join(finding.render() for finding in result.findings)
     assert result.ok, f"lint regressions in src/repro:\n{report}"
     assert result.files_checked > 50  # the walk really covered the tree
 
 
-def test_all_domain_rules_ran():
-    result = lint_paths([SRC])
-    assert set(result.rules_run) >= {
+def test_all_domain_rules_ran(src_lint_result):
+    assert set(src_lint_result.rules_run) >= {
         "DET001",
         "UNIT001",
         "PROTO001",
@@ -54,9 +51,9 @@ def test_service_layer_clean_under_race_detector():
     assert result.files_checked > 10
 
 
-def test_no_stale_suppressions_in_tree():
+def test_no_stale_suppressions_in_tree(src_lint_result):
     """Every suppression in the tree silences a real finding (LINT001)."""
-    result = lint_paths([SRC])
+    result = src_lint_result
     stale = [f for f in result.findings if f.rule_id == "LINT001"]
     assert not stale, "\n".join(f.render() for f in stale)
     # The tree's deliberate suppressions are all exercised.

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.nws.errors import SeriesUnavailable
-from repro.nws.memory import MemoryStore  # lint: ignore[API001] -- unit-tests the data plane itself
+from repro.nws.memory import MemoryStore
 from repro.obs import MetricsRegistry, installed
 
 

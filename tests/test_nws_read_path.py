@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.mixture import AdaptiveForecaster
 from repro.nws import ForecastServer, NWSClient, ServiceCore
-from repro.nws.forecaster import ForecasterService  # lint: ignore[API001] -- unit-tests the data plane itself
-from repro.nws.memory import MemoryStore  # lint: ignore[API001] -- unit-tests the data plane itself
+from repro.nws.forecaster import ForecasterService
+from repro.nws.memory import MemoryStore
 from repro.nws.wire import code_for_exception
 from repro.obs import MetricsRegistry, installed
 

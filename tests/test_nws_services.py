@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nws.errors import RegistrationLapsed, SeriesUnavailable
-from repro.nws.forecaster import ForecasterService  # lint: ignore[API001] -- unit-tests the data plane itself
-from repro.nws.memory import MemoryStore  # lint: ignore[API001] -- unit-tests the data plane itself
+from repro.nws.forecaster import ForecasterService
+from repro.nws.memory import MemoryStore
 from repro.nws.nameserver import NameServer
 from repro.nws.system import NWSSystem
 
@@ -244,19 +244,15 @@ class TestNWSSystem:
         assert report.forecast == pytest.approx(0.5, abs=0.1)
         assert report.n_measurements > 100
 
-    def test_availability_shim_warns_and_matches(self, system):
-        with pytest.warns(DeprecationWarning, match="client"):
-            shimmed = system.availability("kongo", method="load_average")
-        direct = system.client().query(
-            system.series_name("kongo", "load_average")
-        )
-        assert shimmed.forecast == direct.forecast
-        assert shimmed.method == direct.method
-
-    def test_availability_map_shim_warns(self, system):
-        with pytest.warns(DeprecationWarning, match="client"):
-            out = system.availability_map()
-        assert set(out) == {"thing1", "kongo"}
+    def test_one_composition(self, system):
+        # The sensors, system.memory and the client all address the one
+        # ServiceCore tenant -- there is no second copy of the data plane.
+        tenant = system.core.tenant("default")
+        assert tenant.memory is system.memory
+        assert tenant.forecaster is system.forecaster
+        assert tenant.nameserver is system.nameserver
+        assert system.client().transport.core is system.core
+        assert system.core.query_all("default") == system.client().query_all()
 
     def test_unknown_host(self, system):
         with pytest.raises(KeyError):
@@ -269,3 +265,20 @@ class TestNWSSystem:
         system.advance(100.0)
         with pytest.raises(ValueError):
             system.advance(50.0)
+
+    def test_repeated_profile_rejected_at_construction(self):
+        # Both hosts would publish to cpu.thing1.*: reject up front
+        # instead of failing mid-run with an out-of-order measurement.
+        with pytest.raises(ValueError, match="repeated profiles"):
+            NWSSystem(["thing1", "kongo", "thing1"])
+
+    def test_unknown_profile_rejected_as_value_error(self):
+        with pytest.raises(ValueError, match="unknown profiles"):
+            NWSSystem(["thing1", "nonesuch"])
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), -3600.0])
+    def test_bad_until_leaves_clock_alone(self, until):
+        system = NWSSystem(["gremlin"], seed=1)
+        with pytest.raises(ValueError):
+            system.advance(until)
+        assert system.clock == 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.nws.errors import RegistrationLapsed
-from repro.nws.memory import MemoryStore  # lint: ignore[API001] -- unit-tests the data plane itself
+from repro.nws.memory import MemoryStore
 from repro.nws.nameserver import NameServer
 from repro.nws.sensorhost import SensorHost
 from repro.nws.system import NWSSystem
