@@ -1,10 +1,13 @@
 """Sim engine benchmarks: batch speedup and event-path dispatch overhead.
 
-Two contracts worth numbers (the vectorized-sim-kernel acceptance bar):
+Three contracts worth numbers:
 
 * the batch engine must beat the event engine by >= 5x on a day-long
   (86 400 s) single-host trace of the busiest profile (kongo) while
-  staying byte-identical, and
+  staying byte-identical;
+* it must also beat it, by >= 1.1x, on a day of thing2, the churn host
+  whose callbacks and process completions dominate the paper report's
+  simulation time, again byte-identical; and
 * the engine-dispatch block added to ``simulate_host`` (support check,
   ``repro_sim_engine_*`` metrics, wall timer) must cost < 5 % versus the
   bare pre-dispatch body when the event path runs.
@@ -69,7 +72,7 @@ def test_batch_engine_speedup(benchmark):
 
     def event_day():
         host, suite = _host_and_suite()
-        host.run_until(DAY)
+        host.run_until(DAY)  # lint: ignore[VEC002] -- the event engine is the reference being timed
         return _kernel_fingerprint(host.kernel), suite
 
     def batch_day():
@@ -107,6 +110,53 @@ def test_batch_engine_speedup(benchmark):
     assert speedup >= 5.0, f"batch engine speedup {speedup:.2f}x < 5x"
 
 
+def _run_state(name: str, engine: str):
+    """One simulated day of ``name`` on ``engine``: kernel bytes + suite."""
+    host, suite = _host_and_suite(name)
+    if engine == "event":
+        host.run_until(DAY)  # lint: ignore[VEC002] -- the event engine is the reference being timed
+    else:
+        run_batch(host.kernel, DAY, suite=suite)
+    observed = np.asarray([o.observed for o in suite.all_test_observations])
+    series = [np.asarray(suite.series(m)[1]).tobytes() for m in METHODS]
+    return _kernel_fingerprint(host.kernel), series, observed.tobytes()
+
+
+def test_batch_engine_speedup_thing2(benchmark):
+    """Batch >= 1.1x over the event engine on a day of thing2, byte-identical.
+
+    thing2 is the churn host: console bursts complete and respawn all day,
+    so nearly every stretch between events ends in a callback.  Both
+    engines get the best of two runs.
+    """
+
+    def measured():
+        event_s, event_state = _best_of(lambda: _run_state("thing2", "event"), 2)
+        batch_s, batch_state = _best_of(lambda: _run_state("thing2", "batch"), 2)
+        return event_s, batch_s, event_state, batch_state
+
+    event_s, batch_s, event_state, batch_state = run_once(benchmark, measured)
+    assert event_state == batch_state
+
+    speedup = event_s / batch_s
+    print()
+    print(f"event {event_s:8.3f} s")
+    print(f"batch {batch_s:8.3f} s   speedup {speedup:.2f}x")
+    try:
+        record(
+            "sim_batch_speedup_thing2",
+            speedup,
+            metric="speedup",
+            unit="x",
+            budget=1.1,
+            direction="higher",
+            directory=BENCH_RECORD_DIR,
+        )
+    except OSError:
+        pass
+    assert speedup >= 1.1, f"thing2 batch speedup {speedup:.2f}x < 1.1x"
+
+
 def _legacy_simulate_host(name: str, config: TestbedConfig):
     """The pre-dispatch ``simulate_host`` hot section: suite + run_until.
 
@@ -125,7 +175,7 @@ def _legacy_simulate_host(name: str, config: TestbedConfig):
         host=name,
     ).attach(host)
     observe_kernel(host.kernel, host=name)
-    host.run_until(config.duration)
+    host.run_until(config.duration)  # lint: ignore[VEC002] -- the bare event baseline
     return {m: suite.series(m) for m in METHODS}
 
 

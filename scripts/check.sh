@@ -16,9 +16,9 @@ else
     echo "==> ruff not installed; skipping (pip install ruff to enable)"
 fi
 
-echo "==> nws-repro lint src/repro (cached)"
+echo "==> nws-repro lint src/repro benchmarks examples (cached)"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint src/repro \
-    --cache-dir artifacts/lint-cache
+    benchmarks examples --cache-dir artifacts/lint-cache
 
 echo "==> pytest"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q

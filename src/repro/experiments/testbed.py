@@ -75,7 +75,7 @@ class TestbedConfig:
     hour (Table 6, set ``test_duration=300, test_period=3600``).
 
     ``sim_engine`` selects how the host simulation executes: ``"auto"``
-    (default) uses the array-at-a-time batch engine whenever the host
+    (default) uses the batch engine whenever the host
     qualifies and falls back to the event engine otherwise, ``"batch"``
     forces the batch engine (raising
     :class:`~repro.sim.batch.ParityUnsupported` for hosts it cannot

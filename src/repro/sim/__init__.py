@@ -23,8 +23,8 @@ Public surface:
   is the default; round-robin and fair-share exist for ablations).
 * :class:`repro.sim.host.SimHost` -- a kernel plus attached workload and
   sensors, the unit the experiment harness manipulates.
-* :mod:`repro.sim.batch` -- the array-at-a-time twin of
-  ``Kernel.run_until`` (byte-identical by contract); ``run_batch`` /
+* :mod:`repro.sim.batch` -- a faster twin of ``Kernel.run_until`` that
+  runs on the same live objects (byte-identical by contract); ``run_batch`` /
   ``batch_unsupported_reason`` / ``ParityUnsupported`` back the
   ``sim_engine`` dispatch in ``simulate_host``.
 """

@@ -1,14 +1,29 @@
-"""Array-at-a-time twin of the event-driven host simulation hot path.
+"""Batch twin of the event-driven host simulation hot path.
 
 :func:`run_batch` advances a :class:`~repro.sim.kernel.Kernel` (and the
 attached :class:`~repro.sensors.suite.MeasurementSuite`) to a deadline
-exactly as ``Kernel.run_until`` plus the suite's timed callbacks would,
-but executes the whole stretch as a flattened interpreter over parallel
-Python lists instead of per-event callback dispatch: per-tick decay-usage
-scheduling, fluid/contended span charging, and the three sensor reads per
-measurement round all run on plain local floats, with the real ``Process``
-/ scheduler / sensor objects written back only at *flush boundaries*
-(before any callback the engine cannot inline, and once at the end).
+exactly as ``Kernel.run_until`` plus the suite's timed callbacks would.
+It runs on the live objects: processes, the scheduler and the sensors are
+read and written in place, and every callback is a plain call into the
+real code (workload sessions, wakeups, probe and test-process launches and
+completions, ``on_done`` hooks).  What it changes is how the hot
+stretches between callbacks are executed:
+
+* decay-usage charge, pick and decay are inlined (the other schedulers are
+  called through their methods);
+* the run queue is a list recomputed only after events fire or a process
+  completes, and a contended tick interval is dispatched quantum by
+  quantum in one tight loop;
+* cruise loops fuse ticks and spans while no process, exactly one, or
+  (on one CPU under decay-usage) exactly two are runnable -- the last is
+  typically a probe or test process against one job; the runners' floats
+  sit in locals for the length of one cruise;
+* the suite's measurement round runs inline on the sensors, also inside a
+  cruise.
+
+The kernel's clock and counters (:data:`_CLOCK`) are the only state held
+in locals; they are stored on the kernel before any callback runs and
+read back after it.
 
 Parity contract
 ---------------
@@ -18,38 +33,41 @@ accumulation (the load-average EWMA, ``estcpu`` charge/decay, the
 exact operation order of the event path, so no reassociation and no
 vectorised reduction is permitted on those recurrences.  Pure
 recomputations (a priority from ``estcpu``, a nice term) may be hoisted
-because they produce the same bits from the same inputs.  The parity test
-matrix (``tests/test_sim_batch.py``) enforces byte-equal series and equal
-``deterministic_view()`` telemetry across schedulers, workload mixes,
-ncpus and boundary-straddling deadlines.
+because they produce the same bits from the same inputs.  The parity
+tests (``tests/test_sim_batch.py`` and its generated twin) enforce
+byte-equal series and equal ``deterministic_view()`` telemetry across
+schedulers, workload mixes, ncpus and boundary-straddling deadlines.
 
-Hosts the engine cannot reproduce bit-for-bit -- custom schedulers,
-``on_tick`` listeners, sensor subclasses, suite round listeners (the NWS
-sensor-host pump, which is also how fault plans hook a run) -- are
-reported by :func:`batch_unsupported_reason`; ``simulate_host`` falls back
-to the event engine for them (counted, never an error).  Forcing
-``engine="batch"`` on such a host raises :class:`ParityUnsupported`.
-Unknown *callbacks* are not a problem: any event the engine does not
-recognise is executed generically between a state flush and reload, so
-workload sessions, I/O jitter and user callbacks behave exactly as under
-the event engine.  If a generic callback changes something structural
-mid-run (swaps the scheduler, attaches a tick listener, spawns a
-``Process`` subclass), the engine flushes and finishes the run on the
-event path -- state at every flush boundary is event-identical, so the
-hand-off is seamless.
+Hosts the engine cannot reproduce bit-for-bit -- kernel, process, suite
+or sensor subclasses, custom schedulers, ``on_tick`` listeners, suite
+round listeners (the NWS sensor-host pump, which is also how fault plans
+hook a run) -- are reported by :func:`batch_unsupported_reason`;
+``simulate_host`` falls back to the event engine for them (counted, never
+an error).  Forcing ``engine="batch"`` on such a host raises
+:class:`ParityUnsupported`.  A callback that adds a listener or swaps the
+scheduler mid-run is followed exactly: listeners are served through the
+real ``Kernel._tick`` / ``MeasurementSuite._measure_tick`` (the cruises
+stand down while any exist) and a non-decay-usage scheduler is driven
+through its own methods.
 
 Caveats (documented divergences, none observable in supported runs):
 
 * ``REPRO_CONTRACTS`` is sampled once at the start of a batch run, not
   per sensor read;
-* the active tracer is captured once at the start of a batch run.
+* a ``Process`` subclass spawned by a callback mid-run is charged by the
+  inline accounting, so overrides of ``charge`` or ``remaining`` are not
+  consulted;
+* if an inline measurement round raises (a contract violation), the
+  kernel's clock and counters are left as the last callback saw them.
 """
 
 from __future__ import annotations
 
 from math import inf
+from operator import attrgetter
+from types import MethodType
 
-from repro.sim.kernel import _EPS, Kernel, _Wake
+from repro.sim.kernel import _EPS, Kernel
 from repro.sim.process import Process, ProcessState
 from repro.sim.scheduler import (
     DecayUsageScheduler,
@@ -68,7 +86,7 @@ __all__ = [
 #: engine cache keys (``repro.runner.keys``): auto-dispatched results are
 #: engine-agnostic by the parity contract, but a run that *forced* a
 #: particular engine must miss the cache when that engine's core changes.
-BATCH_KERNEL_VERSION = 1
+BATCH_KERNEL_VERSION = 2
 
 
 class ParityUnsupported(RuntimeError):
@@ -133,102 +151,173 @@ def batch_unsupported_reason(kernel: Kernel, suite=None) -> str | None:
     return None
 
 
-class _ProbeFinish:
-    """Scheduled end of a batch-launched hybrid probe.
+_RUNNABLE = ProcessState.RUNNABLE
 
-    A recognisable twin of the ``finish``/``arbitrate`` closure pair that
-    ``ProbeRunner.launch`` + ``HybridSensor.run_probe`` schedule on the
-    event path.  ``__call__`` replicates both exactly, so a pending probe
-    outlives the batch stretch that launched it: the event engine (or a
-    later batch call) finishes it with identical results.
+#: Kernel fields the engine keeps in locals between callbacks, in the order
+#: of its ``clock`` tuples.
+_CLOCK = (
+    "time",
+    "load_average",
+    "cum_user",
+    "cum_sys",
+    "cum_idle",
+    "cum_nrun_time",
+    "n_ticks",
+    "n_dispatches",
+    "_next_tick",
+)
+_load_clock = attrgetter(*_CLOCK)
+
+
+def _store_clock(kernel: Kernel, clock: tuple) -> None:
+    # Spelled out rather than looped over _CLOCK: this runs before every
+    # callback, and attribute stores by name are several times faster.
+    (
+        kernel.time,
+        kernel.load_average,
+        kernel.cum_user,
+        kernel.cum_sys,
+        kernel.cum_idle,
+        kernel.cum_nrun_time,
+        kernel.n_ticks,
+        kernel.n_dispatches,
+        kernel._next_tick,
+    ) = clock
+
+
+def _dispatch_state(kernel: Kernel) -> tuple:
+    """The run queue, the scheduler and its inlined decay-usage constants.
+
+    Recomputed after any callback, which may wake, sleep, spawn or kill
+    processes or swap the scheduler.  ``is_du`` is false for every other
+    policy, which the engine then drives through its own methods.
     """
-
-    __slots__ = ("hybrid", "kernel", "proc", "runner", "start")
-
-    def __init__(self, kernel, runner, hybrid, proc, start):
-        self.kernel = kernel
-        self.runner = runner
-        self.hybrid = hybrid
-        self.proc = proc
-        self.start = start
-
-    def __call__(self) -> None:
-        from repro.obs.tracing import get_tracer
-        from repro.sensors.probe import ProbeResult
-
-        kernel = self.kernel
-        proc = self.proc
-        runner = self.runner
-        kernel.kill(proc)
-        result = ProbeResult(
-            start_time=self.start, end_time=kernel.time, cpu_time=proc.cpu_time
+    runnable = [p for p in kernel._live if p.state is _RUNNABLE]
+    sched = kernel.scheduler
+    if type(sched) is DecayUsageScheduler:
+        return (
+            runnable,
+            sched,
+            True,
+            sched.charge_rate,
+            sched.estcpu_divisor,
+            sched.nice_weight,
+            sched.estcpu_cap,
         )
-        runner.results.append(result)
-        runner._obs_probes.inc()
-        runner._obs_availability.observe(result.availability)
-        get_tracer().record(
-            "sensor.probe",
-            self.start,
-            kernel.time,
-            host=runner.host,
-            availability=result.availability,
-        )
-        hybrid = self.hybrid
-        if hybrid is not None:
-            la = hybrid.loadavg.last_reading.availability
-            vm = hybrid.vmstat.last_reading.availability
-            truth = result.availability
-            if abs(la - truth) <= abs(vm - truth):
-                hybrid._trusted = hybrid.loadavg
-                method_value = la
+    return runnable, sched, False, 0.0, 1.0, 0.0, 0.0
+
+
+def _reject(method: str, value: float):
+    from repro.lint.contracts import ContractError
+
+    raise ContractError(
+        f"sensor {method!r} reading must be a fraction in [0, 1], got {value!r}"
+    )
+
+
+def _measure_round(kernel: Kernel, suite):
+    """Inline twin of ``suite._measure_tick`` over the live sensors.
+
+    Returns ``(callback, measure)``: the bound method the round reschedules,
+    and ``measure(now, load, cum_user, cum_sys, cum_idle, cum_nrun)``,
+    which takes the engine's clock instead of reading the kernel so a
+    cruise can take a round without storing its locals.  The three reads
+    are those of ``CPUSensor.read`` on the load-average, vmstat and hybrid
+    sensors: same inputs, same float operations, same order.  Round
+    listeners are not served here.
+    """
+    from repro.lint.contracts import contracts_enabled
+    from repro.sensors.base import SensorReading
+    from repro.sensors.suite import METHODS
+
+    contracts = contracts_enabled()
+    la_s, vm_s, hybrid = suite.loadavg, suite.vmstat, suite.hybrid
+    ncpu = kernel.config.ncpu
+    ncpu_aware = la_s._ncpu_aware
+    alpha = vm_s._alpha
+    period = suite.measure_period
+    callback = suite._measure_tick
+    schedule = kernel.events.schedule
+    append_time = suite._times.append
+    append_la, append_vm, append_hy = (suite._values[m].append for m in METHODS)
+    inc_la, inc_vm, inc_hy = (suite._obs_readings[m].inc for m in METHODS)
+
+    def measure(now, load, cum_user, cum_sys, cum_idle, cum_nrun) -> None:
+        append_time(now)
+        # LoadAverageSensor._measure.
+        if not load > 0.0:
+            load = 0.0
+        if ncpu_aware:
+            v = ncpu / (load + 1.0)
+            if v > 1.0:
+                v = 1.0
+        else:
+            v = 1.0 / (load + 1.0)
+        if v < 0.0:
+            v = 0.0
+        elif v > 1.0:
+            v = 1.0
+        if contracts and not 0.0 <= v <= 1.0:
+            _reject("load_average", v)
+        la_s._last = SensorReading(now, v)
+        append_la(v)
+        # VmstatSensor._measure.
+        if vm_s._prev_user is None:
+            n = kernel.run_queue_length
+            vm_s._rq = float(n)
+            v = 1.0 if n == 0 else 1.0 / (n + 1.0)
+        else:
+            d_user = cum_user - vm_s._prev_user
+            d_sys = cum_sys - vm_s._prev_sys
+            d_idle = cum_idle - vm_s._prev_idle
+            d_nrun = cum_nrun - vm_s._prev_nrun
+            d_time = now - vm_s._prev_time
+            total = d_user + d_sys + d_idle
+            if total <= 0.0:
+                user, sys_f, idle = vm_s.last_user, vm_s.last_sys, vm_s.last_idle
             else:
-                hybrid._trusted = hybrid.vmstat
-                method_value = vm
-            hybrid._bias = truth - method_value
-            hybrid.arbitrations.append(
-                (kernel.time, hybrid._trusted.name, hybrid._bias)
-            )
-            hybrid._obs_arbitrations[hybrid._trusted.name].inc()
+                user, sys_f, idle = d_user / total, d_sys / total, d_idle / total
+                vm_s.last_user, vm_s.last_sys, vm_s.last_idle = user, sys_f, idle
+            if d_time > 0.0:
+                n = d_nrun / d_time
+            else:
+                n = float(kernel.run_queue_length)
+            rq = vm_s._rq
+            if rq is None:
+                rq = n
+            else:
+                rq += alpha * (n - rq)
+            vm_s._rq = rq
+            v = idle + (user + user * sys_f) / (rq + 1.0)
+        vm_s._prev_user = cum_user
+        vm_s._prev_sys = cum_sys
+        vm_s._prev_idle = cum_idle
+        vm_s._prev_nrun = cum_nrun
+        vm_s._prev_time = now
+        if v < 0.0:
+            v = 0.0
+        elif v > 1.0:
+            v = 1.0
+        if contracts and not 0.0 <= v <= 1.0:
+            _reject("vmstat", v)
+        vm_s._last = SensorReading(now, v)
+        append_vm(v)
+        # HybridSensor._measure: the trusted method's fresh reading + bias.
+        v = hybrid._trusted._last.availability + hybrid._bias
+        if v < 0.0:
+            v = 0.0
+        elif v > 1.0:
+            v = 1.0
+        if contracts and not 0.0 <= v <= 1.0:
+            _reject("nws_hybrid", v)
+        hybrid._last = SensorReading(now, v)
+        append_hy(v)
+        inc_la()
+        inc_vm()
+        inc_hy()
+        schedule(now + period, callback)
 
-
-class _TestFinish:
-    """Scheduled end of a batch-launched ground-truth test process.
-
-    Twin of the ``finish``/``record`` closures from
-    ``TestProcessRunner.launch`` + ``MeasurementSuite._test_tick``; safe to
-    fire on either engine.
-    """
-
-    __slots__ = ("kernel", "pre", "proc", "start", "suite", "tester")
-
-    def __init__(self, kernel, tester, suite, pre, proc, start):
-        self.kernel = kernel
-        self.tester = tester
-        self.suite = suite
-        self.pre = pre
-        self.proc = proc
-        self.start = start
-
-    def __call__(self) -> None:
-        from repro.sensors.suite import TestObservation
-        from repro.sensors.testprocess import TestRun
-
-        kernel = self.kernel
-        proc = self.proc
-        kernel.kill(proc)
-        run = TestRun(
-            start_time=self.start, end_time=kernel.time, cpu_time=proc.cpu_time
-        )
-        self.tester.runs.append(run)
-        self.suite._tests.append(
-            TestObservation(
-                start_time=self.start, premeasurements=self.pre, observed=run.observed
-            )
-        )
-
-
-class _Bail(Exception):
-    """Internal: structural change mid-run; finish on the event engine."""
+    return callback, measure
 
 
 def run_batch(kernel: Kernel, t_end: float, suite=None) -> None:
@@ -236,8 +325,8 @@ def run_batch(kernel: Kernel, t_end: float, suite=None) -> None:
 
     Drop-in replacement for ``kernel.run_until(t_end)`` when ``suite`` is
     ``None``, or for running a kernel with an attached measurement suite
-    (the suite's periodic callbacks are recognised and executed inline on
-    local state instead of through the event queue's callback dispatch).
+    (the suite's measurement rounds run inline instead of through the
+    event queue's callback dispatch).
 
     Raises
     ------
@@ -258,1246 +347,434 @@ def run_batch(kernel: Kernel, t_end: float, suite=None) -> None:
             f"cannot run backwards: now={kernel.time}, requested {t_end}"
         )
 
-    from repro.lint.contracts import ContractError, contracts_enabled
-    from repro.obs.tracing import get_tracer
-    from repro.sensors.base import SensorReading
-    from repro.sensors.probe import ProbeResult
-    from repro.sensors.suite import MeasurementSuite, TestObservation
-    from repro.sensors.testprocess import TestRun
-
     eps = _EPS
-    contracts = contracts_enabled()
-    tracer = get_tracer()
-    RUNNABLE = ProcessState.RUNNABLE
-    SLEEPING = ProcessState.SLEEPING
-    DONE = ProcessState.DONE
-
-    sched = kernel.scheduler
     config = kernel.config
-    events = kernel.events
     ncpu = config.ncpu
     quantum = config.quantum
     tick_len = config.tick
     tick_decay = kernel._tick_decay
     om_decay = 1.0 - tick_decay  # hoisted pure recomputation; same bits
-
-    # Scheduler mode: 0 = decay-usage, 1 = round-robin, 2 = fair-share.
-    if type(sched) is DecayUsageScheduler:
-        mode = 0
-        du_rate = sched.charge_rate
-        du_div = sched.estcpu_divisor
-        du_weight = sched.nice_weight
-        du_cap = sched.estcpu_cap
-        du_boost = sched.sleep_boost
-        du_factor = sched._last_decay_factor
-    elif type(sched) is RoundRobinScheduler:
-        mode = 1
-        du_factor = 0.0
+    two_om = 2 * om_decay
+    spare = ncpu - 1  # idle CPUs beside a single runner
+    events = kernel.events
+    live = kernel._live
+    tick_listeners = kernel._tick_listeners
+    if suite is None:
+        measure_cb = measure = None
+        round_listeners = ()
     else:
-        mode = 2
-        du_factor = 0.0
-        fs_usage = sched._usage  # shared dict, mutated in place
+        measure_cb, measure = _measure_round(kernel, suite)
+        round_listeners = suite._round_listeners
 
-    # Suite wiring (sentinel recognition + sensor state mirrors).
-    if suite is not None:
-        measure_fn = MeasurementSuite._measure_tick
-        probe_fn = MeasurementSuite._probe_tick
-        test_fn = MeasurementSuite._test_tick
-        measure_cb = suite._measure_tick
-        probe_cb = suite._probe_tick
-        test_cb = suite._test_tick
-        measure_period = suite.measure_period
-        probe_period = suite.probe_period
-        test_period = suite.test_period
-        hybrid = suite.hybrid
-        probe_runner = hybrid.probe
-        tester = suite.tester
-        la_s = suite.loadavg
-        vm_s = suite.vmstat
-        la_ncpu_aware = la_s._ncpu_aware
-        v_alpha = vm_s._alpha
-        suite_times = suite._times
-        vals_la = suite._values["load_average"]
-        vals_vm = suite._values["vmstat"]
-        vals_hy = suite._values["nws_hybrid"]
-        c_la, c_vm, c_hy = (suite._obs_readings[m] for m in suite._obs_readings)
-        c_tests = suite._obs_tests
-        arb_counters = hybrid._obs_arbitrations
-        probe_counter = probe_runner._obs_probes
-        probe_hist = probe_runner._obs_availability
-        # Pre-bound methods for the per-round hot path.
-        ap_times = suite_times.append
-        ap_la = vals_la.append
-        ap_vm = vals_vm.append
-        ap_hy = vals_hy.append
-        inc_la = c_la.inc
-        inc_vm = c_vm.inc
-        inc_hy = c_hy.inc
-    else:
-        measure_fn = probe_fn = test_fn = None
-        measure_cb = probe_cb = test_cb = None
-        hybrid = None
+    def fire(due: list, clock: tuple) -> tuple:
+        """Run a popped batch; returns a new clock iff a callback ran.
 
-    # ---------------------------------------------------------------- state
-    # Kernel scalars and per-process parallel arrays, reloaded from /
-    # flushed to the real objects at flush boundaries.  ``procs`` aliases
-    # ``kernel._live`` (inline spawn/kill mutate it directly), and
-    # ``p.state`` stays authoritative on the Process object at all times
-    # (inline transitions write it immediately); everything float lives in
-    # the parallel arrays.
-    time = la = cum_user = cum_sys = cum_idle = cum_nrun = 0.0
-    n_events_fired = n_dispatches = n_ticks = n_spawned = n_completed = 0
-    next_pid = 1
-    next_tick = 0.0
-    next_event = inf
-    window_clean = False
-    procs: list[Process] = kernel._live
-    est: list[float] = []
-    cpu_t: list[float] = []
-    usr_t: list[float] = []
-    sys_t: list[float] = []
-    sfrac: list[float] = []
-    dem: list[float] = []
-    lastd: list[float] = []
-    nice2: list[float] = []
-    ukeys: list[str] = []
-    run_idx: list[int] = []
-    # Sensor mirrors (suite runs only).
-    la_last = vm_last = hy_last = None
-    la_pend = vm_pend = hy_pend = None
-    v_prev_user = v_prev_sys = v_prev_idle = v_prev_nrun = v_prev_time = None
-    v_rq = None
-    v_last_user = v_last_sys = v_last_idle = 0.0
-    trusted_is_la = True
-    hy_bias = 0.0
-    pend_rounds = 0  # batched reading-counter increments, applied at flush
-    loaded = False
-
-    def reload_all():
-        nonlocal time, la, cum_user, cum_sys, cum_idle, cum_nrun
-        nonlocal n_events_fired, n_dispatches, n_ticks, n_spawned, n_completed
-        nonlocal next_pid, next_tick, next_event, du_factor
-        nonlocal procs, est, cpu_t, usr_t, sys_t, sfrac, dem, lastd
-        nonlocal nice2, ukeys, run_idx, loaded, window_clean
-        nonlocal la_last, vm_last, hy_last, la_pend, vm_pend, hy_pend
-        nonlocal v_prev_user, v_prev_sys, v_prev_idle, v_prev_nrun, v_prev_time
-        nonlocal v_rq, v_last_user, v_last_sys, v_last_idle
-        nonlocal trusted_is_la, hy_bias
-        # Structural invariants a generic callback may have broken; if so,
-        # the caller hands the rest of the run to the event engine.
-        if (
-            kernel.scheduler is not sched
-            or kernel.events is not events
-            or kernel._tick_listeners
-            or (suite is not None and suite._round_listeners)
-        ):
-            raise _Bail
-        time = kernel.time
-        la = kernel.load_average
-        cum_user = kernel.cum_user
-        cum_sys = kernel.cum_sys
-        cum_idle = kernel.cum_idle
-        cum_nrun = kernel.cum_nrun_time
-        n_events_fired = kernel.n_events_fired
-        n_dispatches = kernel.n_dispatches
-        n_ticks = kernel.n_ticks
-        n_spawned = kernel.n_spawned
-        n_completed = kernel.n_completed
-        next_pid = kernel._next_pid
-        next_tick = kernel._next_tick
-        next_event = events.next_time()
-        procs = kernel._live
-        for p in procs:
-            if type(p) is not Process:
-                raise _Bail
-        # Segmenter: classify the pending window once.  If every event due
-        # before ``t_end`` is a recognised sentinel, due batches dispatch
-        # without per-callback vetting -- and since sentinel handlers only
-        # ever schedule sentinels, the property holds until the next
-        # reload (which only happens after a generic callback or slow
-        # span, the two things that can introduce unknown events).
-        window_clean = True
-        for _t, cb in events.peek_batch(t_end):
-            cls = cb.__class__
-            if cls is _Wake:
-                continue
-            if cls is _ProbeFinish:
-                if suite is not None and cb.hybrid is hybrid:
-                    continue
-                window_clean = False
-                break
-            if cls is _TestFinish:
-                if suite is not None and cb.suite is suite:
-                    continue
-                window_clean = False
-                break
-            f = getattr(cb, "__func__", None)
-            if (
-                f is not None
-                and getattr(cb, "__self__", None) is suite
-                and (f is measure_fn or f is probe_fn or f is test_fn)
-            ):
-                continue
-            window_clean = False
-            break
-        est = [p.estcpu for p in procs]
-        cpu_t = [p.cpu_time for p in procs]
-        usr_t = [p.user_time for p in procs]
-        sys_t = [p.sys_time for p in procs]
-        sfrac = [p.sys_fraction for p in procs]
-        dem = [p.cpu_demand for p in procs]
-        lastd = [p.last_dispatch for p in procs]
-        if mode == 0:
-            nice2 = [du_weight * p.nice for p in procs]
-            du_factor = sched._last_decay_factor
-        elif mode == 2:
-            ukeys = [p.name.split(":", 1)[0] for p in procs]
-        run_idx = [j for j, p in enumerate(procs) if p.state is RUNNABLE]
-        if suite is not None:
-            la_pend = vm_pend = hy_pend = None
-            la_last = None if la_s._last is None else la_s._last.availability
-            vm_last = None if vm_s._last is None else vm_s._last.availability
-            hy_last = (
-                None if hybrid._last is None else hybrid._last.availability
-            )
-            v_prev_user = vm_s._prev_user
-            v_prev_sys = vm_s._prev_sys
-            v_prev_idle = vm_s._prev_idle
-            v_prev_nrun = vm_s._prev_nrun
-            v_prev_time = vm_s._prev_time
-            v_rq = vm_s._rq
-            v_last_user = vm_s.last_user
-            v_last_sys = vm_s.last_sys
-            v_last_idle = vm_s.last_idle
-            trusted_is_la = hybrid._trusted is la_s
-            hy_bias = hybrid._bias
-        loaded = True
-
-    def flush_all():
-        nonlocal la_pend, vm_pend, hy_pend, loaded, pend_rounds
-        kernel.time = time
-        kernel.load_average = la
-        kernel.cum_user = cum_user
-        kernel.cum_sys = cum_sys
-        kernel.cum_idle = cum_idle
-        kernel.cum_nrun_time = cum_nrun
-        kernel.n_events_fired = n_events_fired
-        kernel.n_dispatches = n_dispatches
-        kernel.n_ticks = n_ticks
-        kernel.n_spawned = n_spawned
-        kernel.n_completed = n_completed
-        kernel._next_pid = next_pid
-        kernel._next_tick = next_tick
-        for j, p in enumerate(procs):
-            p.estcpu = est[j]
-            p.cpu_time = cpu_t[j]
-            p.user_time = usr_t[j]
-            p.sys_time = sys_t[j]
-            p.last_dispatch = lastd[j]
-        if mode == 0:
-            sched._last_decay_factor = du_factor
-        if suite is not None:
-            if la_pend is not None:
-                la_s._last = SensorReading(la_pend[0], la_pend[1])
-                la_pend = None
-            if vm_pend is not None:
-                vm_s._last = SensorReading(vm_pend[0], vm_pend[1])
-                vm_pend = None
-            if hy_pend is not None:
-                hybrid._last = SensorReading(hy_pend[0], hy_pend[1])
-                hy_pend = None
-            vm_s._prev_user = v_prev_user
-            vm_s._prev_sys = v_prev_sys
-            vm_s._prev_idle = v_prev_idle
-            vm_s._prev_nrun = v_prev_nrun
-            vm_s._prev_time = v_prev_time
-            vm_s._rq = v_rq
-            vm_s.last_user = v_last_user
-            vm_s.last_sys = v_last_sys
-            vm_s.last_idle = v_last_idle
-            hybrid._trusted = la_s if trusted_is_la else vm_s
-            hybrid._bias = hy_bias
-            if pend_rounds:
-                # n additions of 1.0 and one addition of float(n) agree
-                # bit-for-bit while the counts are exact integers.
-                amount = float(pend_rounds)
-                inc_la(amount)
-                inc_vm(amount)
-                inc_hy(amount)
-                pend_rounds = 0
-        loaded = False
-
-    # --------------------------------------------------------- slow spans
-    # A span in which some process completes runs through the real kernel
-    # helpers: ``on_done`` callbacks may spawn/sleep arbitrarily, so this
-    # is a flush boundary.  The bodies below are verbatim twins of the
-    # fluid/contended branches of ``Kernel.run_until``.
-
-    def slow_fluid(span):
-        flush_all()
-        runnable = [p for p in kernel._live if p.state is RUNNABLE]
-        dur = span
-        for p in runnable:
-            if p.remaining < dur:
-                dur = p.remaining
-        dur = max(dur, eps)
-        now = kernel.time
-        for p in runnable:
-            run = min(dur, p.remaining)
-            kernel._charge_run(p, run)
-            p.last_dispatch = now
-            if p.remaining <= eps:
-                kernel._complete(p, now + run)
-        kernel.cum_idle += (ncpu - len(runnable)) * dur
-        kernel.cum_nrun_time += len(runnable) * dur
-        kernel.time = now + dur
-        reload_all()
-
-    def slow_contended(span):
-        flush_all()
-        runnable = [p for p in kernel._live if p.state is RUNNABLE]
-        dur = min(quantum, span)
-        now = kernel.time
-        chosen = []
-        pool = runnable
-        for _ in range(min(ncpu, len(pool))):
-            pick = sched.pick(pool, now)
-            chosen.append(pick)
-            pool = [p for p in pool if p is not pick]
-        used = 0.0
-        kernel.n_dispatches += len(chosen)
-        for p in chosen:
-            run = min(dur, p.remaining)
-            kernel._charge_run(p, run)
-            p.last_dispatch = now
-            used += run
-            if p.remaining <= eps:
-                kernel._complete(p, now + run)
-        kernel.cum_idle += dur * ncpu - used
-        kernel.cum_nrun_time += len(runnable) * dur
-        kernel.time = now + dur
-        reload_all()
-
-    # ------------------------------------------------------ inline events
-
-    def rebuild_run_idx():
-        nonlocal run_idx
-        run_idx = [j for j, p in enumerate(procs) if p.state is RUNNABLE]
-
-    def inline_spawn(name, demand, nice_level, frac):
-        """Twin of ``kernel.spawn`` for a freshly constructed process."""
-        nonlocal next_pid, n_spawned
-        p = Process(name, cpu_demand=demand, nice=nice_level, sys_fraction=frac)
-        p.pid = next_pid
-        next_pid += 1
-        p.start_time = time
-        p.state = RUNNABLE
-        procs.append(p)
-        est.append(0.0)
-        cpu_t.append(0.0)
-        usr_t.append(0.0)
-        sys_t.append(0.0)
-        sfrac.append(frac)
-        dem.append(demand)
-        lastd.append(-1.0)
-        if mode == 0:
-            nice2.append(du_weight * nice_level)
-        elif mode == 2:
-            ukeys.append(p.name.split(":", 1)[0])
-        run_idx.append(len(procs) - 1)
-        n_spawned += 1
-        return p
-
-    def inline_kill(p):
-        """Twin of ``kernel.kill``: write back accounting, drop the proc."""
-        if p.state is DONE:
-            return
-        j = procs.index(p)
-        p.estcpu = est[j]
-        p.cpu_time = cpu_t[j]
-        p.user_time = usr_t[j]
-        p.sys_time = sys_t[j]
-        p.last_dispatch = lastd[j]
-        p.state = DONE
-        p.end_time = time
-        del procs[j], est[j], cpu_t[j], usr_t[j], sys_t[j]
-        del sfrac[j], dem[j], lastd[j]
-        if mode == 0:
-            del nice2[j]
-        elif mode == 2:
-            del ukeys[j]
-        rebuild_run_idx()
-
-    def inline_wake(ev):
-        nonlocal du_factor
-        p = ev.process
-        if p.state is SLEEPING:
-            p.state = RUNNABLE
-            if mode == 0 and du_boost != 0.0:
-                slept = time - ev.slept_from
-                if slept > 0.0:
-                    j = procs.index(p)
-                    est[j] *= du_factor ** (du_boost * slept)
-            rebuild_run_idx()
-
-    def _require(value, sensor):
-        """Mirror ``CPUSensor.last_reading``'s no-readings error."""
-        if value is None:
-            raise ValueError(f"sensor {sensor.name!r} has no readings yet")
-        return value
-
-    def inline_measure():
-        nonlocal la_last, vm_last, hy_last, la_pend, vm_pend, hy_pend
-        nonlocal pend_rounds
-        nonlocal v_prev_user, v_prev_sys, v_prev_idle, v_prev_nrun, v_prev_time
-        nonlocal v_rq, v_last_user, v_last_sys, v_last_idle
-        now = time
-        ap_times(now)
-        # -- load-average read (LoadAverageSensor._measure + read()).
-        load = la if la > 0.0 else 0.0
-        if la_ncpu_aware:
-            v = ncpu / (load + 1.0)
-            if v > 1.0:
-                v = 1.0
-        else:
-            v = 1.0 / (load + 1.0)
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        if contracts and not 0.0 <= v <= 1.0:
-            raise ContractError(
-                f"sensor 'load_average' reading must be a fraction in "
-                f"[0, 1], got {v!r}"
-            )
-        la_last = v
-        la_pend = (now, v)
-        ap_la(v)
-        # -- vmstat read (VmstatSensor._measure + read()).
-        if v_prev_user is None:
-            v_prev_user = cum_user
-            v_prev_sys = cum_sys
-            v_prev_idle = cum_idle
-            v_prev_nrun = cum_nrun
-            v_prev_time = now
-            n = len(run_idx)
-            v_rq = float(n)
-            v = 1.0 if n == 0 else 1.0 / (n + 1.0)
-        else:
-            d_user = cum_user - v_prev_user
-            d_sys = cum_sys - v_prev_sys
-            d_idle = cum_idle - v_prev_idle
-            d_nrun = cum_nrun - v_prev_nrun
-            d_time = now - v_prev_time
-            v_prev_user = cum_user
-            v_prev_sys = cum_sys
-            v_prev_idle = cum_idle
-            v_prev_nrun = cum_nrun
-            v_prev_time = now
-            total = d_user + d_sys + d_idle
-            if total <= 0.0:
-                user, sysf, idle = v_last_user, v_last_sys, v_last_idle
-            else:
-                user, sysf, idle = d_user / total, d_sys / total, d_idle / total
-                v_last_user, v_last_sys, v_last_idle = user, sysf, idle
-            n = d_nrun / d_time if d_time > 0.0 else float(len(run_idx))
-            if v_rq is None:
-                v_rq = n
-            else:
-                v_rq += v_alpha * (n - v_rq)
-            v = idle + (user + user * sysf) / (v_rq + 1.0)
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        if contracts and not 0.0 <= v <= 1.0:
-            raise ContractError(
-                f"sensor 'vmstat' reading must be a fraction in [0, 1], "
-                f"got {v!r}"
-            )
-        vm_last = v
-        vm_pend = (now, v)
-        ap_vm(v)
-        # -- hybrid read (HybridSensor._measure + read()).
-        raw = la_last if trusted_is_la else vm_last
-        v = raw + hy_bias
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        if contracts and not 0.0 <= v <= 1.0:
-            raise ContractError(
-                f"sensor 'nws_hybrid' reading must be a fraction in [0, 1], "
-                f"got {v!r}"
-            )
-        hy_last = v
-        hy_pend = (now, v)
-        ap_hy(v)
-        pend_rounds += 1
-        events.schedule(now + measure_period, measure_cb)
-
-    def inline_probe_tick():
-        p = inline_spawn("nws:probe", inf, 0, 0.0)
-        events.schedule(
-            time + probe_runner.duration,
-            _ProbeFinish(kernel, probe_runner, hybrid, p, time),
-        )
-        events.schedule(time + probe_period, probe_cb)
-
-    def inline_probe_finish(ev):
-        nonlocal trusted_is_la, hy_bias
-        p = ev.proc
-        inline_kill(p)
-        result = ProbeResult(
-            start_time=ev.start, end_time=time, cpu_time=p.cpu_time
-        )
-        probe_runner.results.append(result)
-        probe_counter.inc()
-        probe_hist.observe(result.availability)
-        tracer.record(
-            "sensor.probe",
-            ev.start,
-            time,
-            host=probe_runner.host,
-            availability=result.availability,
-        )
-        la_v = _require(la_last, la_s)
-        vm_v = _require(vm_last, vm_s)
-        truth = result.availability
-        if abs(la_v - truth) <= abs(vm_v - truth):
-            trusted_is_la = True
-            method_value = la_v
-        else:
-            trusted_is_la = False
-            method_value = vm_v
-        hy_bias = truth - method_value
-        name = "load_average" if trusted_is_la else "vmstat"
-        hybrid.arbitrations.append((time, name, hy_bias))
-        arb_counters[name].inc()
-
-    def inline_test_tick():
-        pre = {
-            "load_average": _require(la_last, la_s),
-            "vmstat": _require(vm_last, vm_s),
-            "nws_hybrid": _require(hy_last, hybrid),
-        }
-        p = inline_spawn("nws:test", inf, 0, 0.0)
-        events.schedule(
-            time + tester.duration,
-            _TestFinish(kernel, tester, suite, pre, p, time),
-        )
-        c_tests.inc()
-        events.schedule(time + test_period, test_cb)
-
-    def inline_test_finish(ev):
-        p = ev.proc
-        inline_kill(p)
-        run = TestRun(start_time=ev.start, end_time=time, cpu_time=p.cpu_time)
-        tester.runs.append(run)
-        suite._tests.append(
-            TestObservation(
-                start_time=ev.start, premeasurements=ev.pre, observed=run.observed
-            )
-        )
-
-    def dispatch_due(due):
-        """Execute a popped due batch.
-
-        When the segmenter has classified the pending window as clean
-        (``peek_batch`` scan in ``reload_all``), every due callback is a
-        known sentinel and dispatches inline with no vetting.  In a mixed
-        window each popped callback is vetted in pop order: recognised
-        sentinels still run inline, and the first unrecognised one
-        triggers a state flush after which the rest of the batch runs
-        generically -- real objects, real callbacks, i.e. the event path
-        itself -- followed by a reload.
+        Measurement rounds run inline on ``clock``.  Anything else is a
+        plain call with the clock stored on the kernel first and read
+        back after.
         """
-        nonlocal next_event
-        if window_clean:
-            for cb in due:
-                # Identity hits first: inline handlers reschedule the
-                # *same* bound-method object every period, so after the
-                # first round each periodic callback is one `is` away.
-                if cb is measure_cb:
-                    inline_measure()
-                elif cb is probe_cb:
-                    inline_probe_tick()
-                elif cb is test_cb:
-                    inline_test_tick()
-                else:
-                    cls = cb.__class__
-                    if cls is _Wake:
-                        inline_wake(cb)
-                    elif cls is _ProbeFinish:
-                        inline_probe_finish(cb)
-                    elif cls is _TestFinish:
-                        inline_test_finish(cb)
-                    else:
-                        f = cb.__func__
-                        if f is measure_fn:
-                            inline_measure()
-                        elif f is probe_fn:
-                            inline_probe_tick()
-                        else:
-                            inline_test_tick()
-        else:
-            i = 0
-            n = len(due)
-            while i < n:
-                cb = due[i]
-                if cb is measure_cb:
-                    inline_measure()
-                elif cb is probe_cb:
-                    inline_probe_tick()
-                elif cb is test_cb:
-                    inline_test_tick()
-                elif cb.__class__ is _Wake:
-                    inline_wake(cb)
-                elif (
-                    cb.__class__ is _ProbeFinish
-                    and suite is not None
-                    and cb.hybrid is hybrid
-                ):
-                    inline_probe_finish(cb)
-                elif (
-                    cb.__class__ is _TestFinish
-                    and suite is not None
-                    and cb.suite is suite
-                ):
-                    inline_test_finish(cb)
-                else:
-                    f = getattr(cb, "__func__", None)
-                    if (
-                        f is not None
-                        and getattr(cb, "__self__", None) is suite
-                        and (f is measure_fn or f is probe_fn or f is test_fn)
-                    ):
-                        if f is measure_fn:
-                            inline_measure()
-                        elif f is probe_fn:
-                            inline_probe_tick()
-                        else:
-                            inline_test_tick()
-                    else:
-                        flush_all()
-                        for cb2 in due[i:]:
-                            cb2()
-                        reload_all()
-                        break
-                i += 1
-        next_event = events.next_time()
+        kernel.n_events_fired += len(due)
+        for callback in due:
+            if (
+                callback is measure_cb
+                or (type(callback) is MethodType and callback == measure_cb)
+            ) and not round_listeners:
+                measure(*clock[:6])
+            else:
+                _store_clock(kernel, clock)
+                callback()
+                clock = _load_clock(kernel)
+        return clock
 
-    def handle_due():
-        nonlocal n_events_fired
-        due = events.pop_due(time + eps)
-        n_events_fired += len(due)
-        dispatch_due(due)
-
-    # ------------------------------------------------------------ run loop
-
-    reload_all()
+    (
+        time, la, cum_user, cum_sys, cum_idle, cum_nrun,
+        n_ticks, n_dispatches, next_tick,
+    ) = _load_clock(kernel)
+    runnable, sched, is_du, du_rate, du_div, du_weight, du_cap = (
+        _dispatch_state(kernel)
+    )
+    next_event = events.next_time()
     t_stop = t_end - eps
-    try:
-        while time < t_stop:
-            if next_event <= time + eps:
-                handle_due()
-            while next_tick <= time + eps:
-                # Inline _tick: load-average EWMA, estcpu/usage decay.
-                la = la * tick_decay + len(run_idx) * om_decay
+    # A batch a cruise popped at the current instant but left to step 1.
+    due = None
+    while True:
+        # 1. Fire everything due at the current instant.  A batch in
+        #    [t_end - eps, t_end) waits for the trailing fire, after the
+        #    boundary ticks, as on the event path.
+        if due is None and time < t_stop and next_event <= time + eps:
+            due = events.pop_due(time + eps)
+        if due is not None:
+            clock = (
+                time, la, cum_user, cum_sys, cum_idle, cum_nrun,
+                n_ticks, n_dispatches, next_tick,
+            )
+            after = fire(due, clock)
+            due = None
+            next_event = events.next_time()
+            if after is not clock:
+                (
+                    time, la, cum_user, cum_sys, cum_idle, cum_nrun,
+                    n_ticks, n_dispatches, next_tick,
+                ) = after
+                runnable, sched, is_du, du_rate, du_div, du_weight, du_cap = (
+                    _dispatch_state(kernel)
+                )
+
+        # 2. Accounting ticks (Kernel._tick).
+        while next_tick <= time + eps:
+            if tick_listeners:
+                _store_clock(kernel, (
+                    time, la, cum_user, cum_sys, cum_idle, cum_nrun,
+                    n_ticks, n_dispatches, next_tick,
+                ))
+                kernel._tick()
+                (
+                    time, la, cum_user, cum_sys, cum_idle, cum_nrun,
+                    n_ticks, n_dispatches, next_tick,
+                ) = _load_clock(kernel)
+                runnable, sched, is_du, du_rate, du_div, du_weight, du_cap = (
+                    _dispatch_state(kernel)
+                )
+                next_event = events.next_time()
+            else:
+                la = la * tick_decay + len(runnable) * om_decay
                 n_ticks += 1
-                if mode == 0:
+                if is_du:
                     load = la if la > 0.0 else 0.0
-                    du_factor = (2.0 * load) / (2.0 * load + 1.0)
-                    est[:] = [x * du_factor for x in est]
-                elif mode == 2:
-                    for u in fs_usage:
-                        fs_usage[u] *= 0.99
-                next_tick += tick_len
-            n_r = len(run_idx)
-            if n_r <= 1:
-                # Cruise: between here and the next event nothing can
-                # change the run queue, so ticks and fluid spans alternate
-                # in a fused loop with the hot state held in scalars.  The
-                # loop exits *before* draining ticks at the boundary so a
-                # coinciding event still fires first, exactly as the event
-                # path orders a same-instant event before the tick.
-                boundary = t_end if t_end < next_event else next_event
-                b_eps = boundary - eps
-                if n_r == 0:
-                    dispatched = None
-                    while True:
-                        while time < b_eps:
-                            te = time + eps
-                            while next_tick <= te:
-                                # Run queue empty: the EWMA's n*(1-decay)
-                                # term is +0.0, a bit-exact no-op on
-                                # la >= 0.
-                                la = la * tick_decay
-                                n_ticks += 1
-                                if mode == 0:
-                                    load = la if la > 0.0 else 0.0
-                                    du_factor = (2.0 * load) / (
-                                        2.0 * load + 1.0
-                                    )
-                                    est[:] = [x * du_factor for x in est]
-                                elif mode == 2:
-                                    for u in fs_usage:
-                                        fs_usage[u] *= 0.99
-                                next_tick += tick_len
-                            stop = (
-                                next_tick if next_tick < boundary else boundary
-                            )
-                            span = stop - time
-                            if span <= eps:
-                                time = stop
-                                continue
-                            cum_idle += span * ncpu
-                            time += span
-                        if next_event >= t_stop:
-                            # An event inside [t_end - eps, t_end) would
-                            # exit the event path's main loop and fire in
-                            # the trailing boundary, AFTER its ticks --
-                            # so never pop it mid-cruise.
-                            break
-                        # The boundary is an event batch strictly inside
-                        # the run.  Measurement rounds read cum_*/la --
-                        # all live here -- and touch no per-process state,
-                        # so they run without leaving the cruise; anything
-                        # else exits to the shared dispatcher.
-                        due = events.pop_due(time + eps)
-                        if not due:
-                            # The advance landed an ulp short of the
-                            # boundary; close the gap exactly as the event
-                            # path's zero-span arm does.
-                            time = next_event
-                            continue
-                        n_events_fired += len(due)
-                        rounds_only = True
-                        for cb in due:
-                            if cb is not measure_cb:
-                                rounds_only = False
-                                break
-                        if rounds_only:
-                            for cb in due:
-                                inline_measure()
-                            next_event = events.next_time()
-                            boundary = (
-                                t_end if t_end < next_event else next_event
-                            )
-                            b_eps = boundary - eps
-                            continue
-                        dispatched = due
+                    load2 = 2.0 * load
+                    factor = load2 / (load2 + 1.0)
+                    sched._last_decay_factor = factor
+                    for p in live:
+                        p.estcpu *= factor
+                else:
+                    sched.decay(live, la)
+            next_tick += tick_len
+        if time >= t_stop:
+            break
+
+        # 3. Cruises.  Between callbacks nothing changes the run queue, so
+        #    while it holds no process, one process, or (on one CPU under
+        #    decay-usage) two, a fused loop runs with the runners' floats
+        #    in locals.  Each iteration is the event path's (events, ticks,
+        #    span) in that order.  A lone measurement round runs without
+        #    leaving the loop; any other batch ends the cruise and fires in
+        #    step 1.  A span in which a runner would complete ends it too,
+        #    and the general code below takes that span.
+        n_r = len(runnable)
+        general = False
+        if tick_listeners or round_listeners:
+            general = True
+        elif n_r == 0:
+            boundary = next_event if next_event < t_end else t_end
+            while time < t_stop:
+                te = time + eps
+                if next_event <= te:
+                    due = events.pop_due(te)
+                    if len(due) != 1 or due[0] is not measure_cb:
                         break
-                    if dispatched is not None:
-                        dispatch_due(dispatched)
+                    due = None
+                    kernel.n_events_fired += 1
+                    measure(time, la, cum_user, cum_sys, cum_idle, cum_nrun)
+                    next_event = events.next_time()
+                    boundary = next_event if next_event < t_end else t_end
+                while next_tick <= te:
+                    # Empty run queue: the EWMA's n*(1-decay) term is +0.0,
+                    # a bit-exact no-op on la >= 0.
+                    la = la * tick_decay
+                    n_ticks += 1
+                    if is_du:
+                        load = la if la > 0.0 else 0.0
+                        load2 = 2.0 * load
+                        factor = load2 / (load2 + 1.0)
+                        sched._last_decay_factor = factor
+                        for p in live:
+                            p.estcpu *= factor
+                    else:
+                        sched.decay(live, la)
+                    next_tick += tick_len
+                stop = next_tick if next_tick < boundary else boundary
+                span = stop - time
+                if span <= eps:
+                    time = stop
                     continue
-                # One runnable process: fluid spans charge it alone.  Its
-                # accounting lives in scalars until the cruise ends; bail
-                # to the general span code when it approaches completion
-                # (the charge order there is identical, so no span is
-                # double-charged).
-                j0 = run_idx[0]
-                if mode == 0 and len(est) == 1:
-                    # It is also the *only* live process (the quiet-host
-                    # daytime shape: one daemon, everything else asleep or
-                    # not yet arrived) under the default decay-usage
-                    # policy: estcpu joins the scalars and nothing
-                    # allocates per tick.
-                    dem0 = dem[0]
-                    f0 = sfrac[0]
-                    cpu0 = cpu_t[0]
-                    usr0 = usr_t[0]
-                    sys0 = sys_t[0]
-                    last0 = lastd[0]
-                    e0 = est[0]
-                    bailed = False
-                    dispatched = None
-                    # While the process is at least two ticks of CPU away
-                    # from its demand, neither completion predicate can
-                    # fire (spans never exceed a tick plus an ulp), so the
-                    # steady loop tests one precomputed bound instead.
-                    cpu_lim = dem0 - (tick_len + tick_len)
-                    while True:
-                        while time < b_eps:
-                            # Steady stretch: the clock sits exactly on
-                            # the tick boundary, so each iteration is one
-                            # tick followed by one full span.  After the
-                            # EWMA update la >= om_decay > 0, hence
-                            # load == la and the clamp drops out.
-                            while time == next_tick and time < b_eps:
-                                la = la * tick_decay + om_decay
-                                n_ticks += 1
-                                du_factor = (2.0 * la) / (2.0 * la + 1.0)
-                                e0 *= du_factor
-                                next_tick += tick_len
-                                if next_tick >= boundary:
-                                    break
-                                span = next_tick - time
-                                if cpu0 > cpu_lim and (
-                                    dem0 - cpu0 < span
-                                    or dem0 - (cpu0 + span) <= eps
-                                ):
-                                    bailed = True
-                                    break
-                                cpu0 += span
-                                sp = span * f0
-                                sys0 += sp
-                                usr0 += span - sp
-                                e = e0 + du_rate * span
-                                e0 = du_cap if e > du_cap else e
-                                cum_sys += sp
-                                cum_user += span - sp
-                                last0 = time
-                                if ncpu != 1:
-                                    cum_idle += (ncpu - 1) * span
-                                cum_nrun += span
-                                time = next_tick
-                            if bailed or time >= b_eps:
-                                break
-                            te = time + eps
-                            while next_tick <= te:
-                                la = la * tick_decay + om_decay
-                                n_ticks += 1
-                                load = la if la > 0.0 else 0.0
-                                du_factor = (2.0 * load) / (2.0 * load + 1.0)
-                                e0 *= du_factor
-                                next_tick += tick_len
-                            stop = (
-                                next_tick if next_tick < boundary else boundary
-                            )
-                            span = stop - time
-                            if span <= eps:
-                                time = stop
-                                continue
-                            if (
-                                dem0 - cpu0 < span
-                                or dem0 - (cpu0 + span) <= eps
-                            ):
-                                bailed = True
-                                break
-                            now = time
-                            cpu0 += span
-                            sp = span * f0
-                            sys0 += sp
-                            usr0 += span - sp
-                            e = e0 + du_rate * span
-                            e0 = du_cap if e > du_cap else e
-                            cum_sys += sp
-                            cum_user += span - sp
-                            last0 = now
-                            if ncpu != 1:
-                                cum_idle += (ncpu - 1) * span
-                            cum_nrun += span  # n_r == 1: 1*span is exact
-                            time = now + span
-                        if bailed or next_event >= t_stop:
-                            break
-                        # Mid-run event boundary: pure measurement rounds
-                        # read only cum_*/la/time (all live here) and
-                        # never touch the cruised process, so they run
-                        # without tearing down the scalar state.
-                        due = events.pop_due(time + eps)
-                        if not due:
-                            time = next_event
-                            continue
-                        n_events_fired += len(due)
-                        rounds_only = True
-                        for cb in due:
-                            if cb is not measure_cb:
-                                rounds_only = False
-                                break
-                        if rounds_only:
-                            for cb in due:
-                                inline_measure()
-                            next_event = events.next_time()
-                            boundary = (
-                                t_end if t_end < next_event else next_event
-                            )
-                            b_eps = boundary - eps
-                            continue
-                        dispatched = due
-                        break
-                    cpu_t[0] = cpu0
-                    usr_t[0] = usr0
-                    sys_t[0] = sys0
-                    lastd[0] = last0
-                    est[0] = e0
-                    if dispatched is not None:
-                        dispatch_due(dispatched)
-                        continue
-                    if not bailed:
-                        continue
-                    stop = t_end
-                    if next_tick < stop:
-                        stop = next_tick
-                    if next_event < stop:
-                        stop = next_event
-                    span = stop - time
-                    if span <= eps:
-                        time = stop
-                        continue
-                    slow_fluid(span)
-                    continue
-                dem0 = dem[j0]
-                f0 = sfrac[j0]
-                cpu0 = cpu_t[j0]
-                usr0 = usr_t[j0]
-                sys0 = sys_t[j0]
-                last0 = lastd[j0]
-                uk0 = ukeys[j0] if mode == 2 else None
-                bailed = False
-                dispatched = None
-                while True:
-                    while time < b_eps:
-                        te = time + eps
-                        while next_tick <= te:
-                            # n == 1: the EWMA term is 1*(1-decay) ==
-                            # om_decay.
-                            la = la * tick_decay + om_decay
-                            n_ticks += 1
-                            if mode == 0:
-                                load = la if la > 0.0 else 0.0
-                                du_factor = (2.0 * load) / (2.0 * load + 1.0)
-                                est[:] = [x * du_factor for x in est]
-                            elif mode == 2:
-                                for u in fs_usage:
-                                    fs_usage[u] *= 0.99
-                            next_tick += tick_len
-                        stop = next_tick if next_tick < boundary else boundary
-                        span = stop - time
-                        if span <= eps:
-                            time = stop
-                            continue
-                        if dem0 - cpu0 < span or dem0 - (cpu0 + span) <= eps:
-                            bailed = True
-                            break
-                        now = time
-                        cpu0 += span
-                        sp = span * f0
-                        sys0 += sp
-                        usr0 += span - sp
-                        if mode == 0:
-                            e = est[j0] + du_rate * span
-                            est[j0] = du_cap if e > du_cap else e
-                        elif mode == 1:
-                            est[j0] += span
-                        else:
-                            fs_usage[uk0] = fs_usage.get(uk0, 0.0) + span
-                        cum_sys += sp
-                        cum_user += span - sp
-                        last0 = now
-                        if ncpu != 1:
-                            cum_idle += (ncpu - 1) * span
-                        cum_nrun += span  # n_r == 1: 1*span is exact
-                        time = now + span
-                    if bailed or next_event >= t_stop:
-                        break
-                    due = events.pop_due(time + eps)
-                    if not due:
-                        time = next_event
-                        continue
-                    n_events_fired += len(due)
-                    rounds_only = True
-                    for cb in due:
-                        if cb is not measure_cb:
-                            rounds_only = False
-                            break
-                    if rounds_only:
-                        for cb in due:
-                            inline_measure()
-                        next_event = events.next_time()
-                        boundary = t_end if t_end < next_event else next_event
-                        b_eps = boundary - eps
-                        continue
-                    dispatched = due
-                    break
-                cpu_t[j0] = cpu0
-                usr_t[j0] = usr0
-                sys_t[j0] = sys0
-                lastd[j0] = last0
-                if dispatched is not None:
-                    dispatch_due(dispatched)
-                    continue
-                if not bailed:
-                    continue
-            elif n_r == 2 and ncpu == 1 and mode == 0:
-                # Contended cruise: two runnable processes on one CPU
-                # under decay-usage -- the probe/test shape on a quiet
-                # host.  Quantum-by-quantum dispatch with the pick and
-                # charge on scalars; est stays in the array because the
-                # per-tick decay touches every live process.  The picked
-                # process always runs the full quantum here: a shorter
-                # run implies completion, which bails to the general
-                # path, so the idle charge is an exact +0.0 no-op.
-                boundary = t_end if t_end < next_event else next_event
-                b_eps = boundary - eps
-                ja = run_idx[0]
-                jb = run_idx[1]
-                dem_a = dem[ja]
-                dem_b = dem[jb]
-                f_a = sfrac[ja]
-                f_b = sfrac[jb]
-                cpu_a = cpu_t[ja]
-                cpu_b = cpu_t[jb]
-                usr_a = usr_t[ja]
-                usr_b = usr_t[jb]
-                sys_a = sys_t[ja]
-                sys_b = sys_t[jb]
-                last_a = lastd[ja]
-                last_b = lastd[jb]
-                n2a = nice2[ja]
-                n2b = nice2[jb]
-                # Completion is impossible while a process is at least
-                # two quanta of CPU away from its demand.
-                lim_a = dem_a - (quantum + quantum)
-                lim_b = dem_b - (quantum + quantum)
-                two_om = 2 * om_decay
-                qd = 0
-                bailed = False
-                dispatched = None
-                while True:
-                    while time < b_eps:
-                        te = time + eps
-                        while next_tick <= te:
-                            la = la * tick_decay + two_om
-                            n_ticks += 1
-                            load = la if la > 0.0 else 0.0
-                            du_factor = (2.0 * load) / (2.0 * load + 1.0)
-                            est[:] = [x * du_factor for x in est]
-                            next_tick += tick_len
-                        stop = next_tick if next_tick < boundary else boundary
-                        span = stop - time
-                        if span <= eps:
-                            time = stop
-                            continue
-                        dur = quantum if quantum < span else span
-                        pa = est[ja] / du_div + n2a
-                        pb = est[jb] / du_div + n2b
-                        if pb < pa or (pb == pa and last_b < last_a):
-                            if cpu_b > lim_b:
-                                bailed = True
-                                break
-                            qd += 1
-                            cpu_b += dur
-                            sp = dur * f_b
-                            sys_b += sp
-                            usr_b += dur - sp
-                            e = est[jb] + du_rate * dur
-                            est[jb] = du_cap if e > du_cap else e
-                            cum_sys += sp
-                            cum_user += dur - sp
-                            last_b = time
-                        else:
-                            if cpu_a > lim_a:
-                                bailed = True
-                                break
-                            qd += 1
-                            cpu_a += dur
-                            sp = dur * f_a
-                            sys_a += sp
-                            usr_a += dur - sp
-                            e = est[ja] + du_rate * dur
-                            est[ja] = du_cap if e > du_cap else e
-                            cum_sys += sp
-                            cum_user += dur - sp
-                            last_a = time
-                        cum_nrun += 2.0 * dur
-                        time = time + dur
-                    if bailed or next_event >= t_stop:
-                        break
-                    due = events.pop_due(time + eps)
-                    if not due:
-                        time = next_event
-                        continue
-                    n_events_fired += len(due)
-                    rounds_only = True
-                    for cb in due:
-                        if cb is not measure_cb:
-                            rounds_only = False
-                            break
-                    if rounds_only:
-                        for cb in due:
-                            inline_measure()
-                        next_event = events.next_time()
-                        boundary = t_end if t_end < next_event else next_event
-                        b_eps = boundary - eps
-                        continue
-                    dispatched = due
-                    break
-                cpu_t[ja] = cpu_a
-                cpu_t[jb] = cpu_b
-                usr_t[ja] = usr_a
-                usr_t[jb] = usr_b
-                sys_t[ja] = sys_a
-                sys_t[jb] = sys_b
-                lastd[ja] = last_a
-                lastd[jb] = last_b
-                n_dispatches += qd
-                if dispatched is not None:
-                    dispatch_due(dispatched)
-                    continue
-                if not bailed:
-                    continue
-            stop = t_end
-            if next_tick < stop:
-                stop = next_tick
-            if next_event < stop:
-                stop = next_event
-            span = stop - time
-            if span <= eps:
-                time = stop
-                continue
-            if n_r == 0:
                 cum_idle += span * ncpu
                 time += span
-            elif n_r <= ncpu:
-                # Fluid span: everyone runs at full speed.
+        elif n_r == 1:
+            p0 = runnable[0]
+            dem0 = p0.cpu_demand
+            finite0 = dem0 != inf
+            f0 = p0.sys_fraction
+            cpu0 = p0.cpu_time
+            usr0 = p0.user_time
+            sys0 = p0.sys_time
+            last0 = p0.last_dispatch
+            e0 = p0.estcpu
+            factor = sched._last_decay_factor if is_du else 0.0
+            others = [p for p in live if p is not p0]
+            boundary = next_event if next_event < t_end else t_end
+            while time < t_stop:
+                te = time + eps
+                if next_event <= te:
+                    due = events.pop_due(te)
+                    if len(due) != 1 or due[0] is not measure_cb:
+                        break
+                    due = None
+                    kernel.n_events_fired += 1
+                    measure(time, la, cum_user, cum_sys, cum_idle, cum_nrun)
+                    next_event = events.next_time()
+                    boundary = next_event if next_event < t_end else t_end
+                while next_tick <= te:
+                    # One runnable: the EWMA term is 1*(1-decay) > 0, so the
+                    # decay factor needs no clamp.
+                    la = la * tick_decay + om_decay
+                    n_ticks += 1
+                    if is_du:
+                        load2 = 2.0 * la
+                        factor = load2 / (load2 + 1.0)
+                        e0 *= factor
+                        if others:
+                            for p in others:
+                                p.estcpu *= factor
+                    else:
+                        sched.decay(live, la)
+                    next_tick += tick_len
+                stop = next_tick if next_tick < boundary else boundary
+                span = stop - time
+                if span <= eps:
+                    time = stop
+                    continue
+                if finite0 and (
+                    dem0 - cpu0 < span or dem0 - (cpu0 + span) <= eps
+                ):
+                    general = True
+                    break
+                cpu0 += span
+                sp = span * f0
+                su = span - sp
+                sys0 += sp
+                usr0 += su
+                if is_du:
+                    e = e0 + du_rate * span
+                    e0 = du_cap if e > du_cap else e
+                else:
+                    sched.charge(p0, span)
+                cum_sys += sp
+                cum_user += su
+                last0 = time
+                if spare:
+                    cum_idle += spare * span
+                cum_nrun += span  # 1*span is exact
+                time += span
+            p0.cpu_time = cpu0
+            p0.user_time = usr0
+            p0.sys_time = sys0
+            p0.last_dispatch = last0
+            if is_du:
+                p0.estcpu = e0
+                sched._last_decay_factor = factor
+        elif n_r == 2 and ncpu == 1 and is_du:
+            # Typically a probe or test process against one job:
+            # quantum-by-quantum dispatch between two processes.  Whoever runs takes the full
+            # quantum (a shorter run means completion, which goes to the
+            # general code), so the idle charge is an exact +0.0 no-op.
+            pa, pb = runnable
+            dem_a = pa.cpu_demand
+            dem_b = pb.cpu_demand
+            finite = dem_a != inf or dem_b != inf
+            f_a = pa.sys_fraction
+            f_b = pb.sys_fraction
+            n2a = du_weight * pa.nice
+            n2b = du_weight * pb.nice
+            cpu_a = pa.cpu_time
+            cpu_b = pb.cpu_time
+            usr_a = pa.user_time
+            usr_b = pb.user_time
+            sys_a = pa.sys_time
+            sys_b = pb.sys_time
+            last_a = pa.last_dispatch
+            last_b = pb.last_dispatch
+            e_a = pa.estcpu
+            e_b = pb.estcpu
+            factor = sched._last_decay_factor
+            others = [p for p in live if p is not pa and p is not pb]
+            boundary = next_event if next_event < t_end else t_end
+            while time < t_stop:
+                te = time + eps
+                if next_event <= te:
+                    due = events.pop_due(te)
+                    if len(due) != 1 or due[0] is not measure_cb:
+                        break
+                    due = None
+                    kernel.n_events_fired += 1
+                    measure(time, la, cum_user, cum_sys, cum_idle, cum_nrun)
+                    next_event = events.next_time()
+                    boundary = next_event if next_event < t_end else t_end
+                while next_tick <= te:
+                    la = la * tick_decay + two_om
+                    n_ticks += 1
+                    load2 = 2.0 * la
+                    factor = load2 / (load2 + 1.0)
+                    e_a *= factor
+                    e_b *= factor
+                    if others:
+                        for p in others:
+                            p.estcpu *= factor
+                    next_tick += tick_len
+                stop = next_tick if next_tick < boundary else boundary
+                span = stop - time
+                if span <= eps:
+                    time = stop
+                    continue
+                dur = quantum if quantum < span else span
+                pr_a = e_a / du_div + n2a
+                pr_b = e_b / du_div + n2b
+                if pr_b < pr_a or (pr_b == pr_a and last_b < last_a):
+                    if finite and (
+                        dem_b - cpu_b < dur or dem_b - (cpu_b + dur) <= eps
+                    ):
+                        general = True
+                        break
+                    cpu_b += dur
+                    sp = dur * f_b
+                    su = dur - sp
+                    sys_b += sp
+                    usr_b += su
+                    e = e_b + du_rate * dur
+                    e_b = du_cap if e > du_cap else e
+                    last_b = time
+                else:
+                    if finite and (
+                        dem_a - cpu_a < dur or dem_a - (cpu_a + dur) <= eps
+                    ):
+                        general = True
+                        break
+                    cpu_a += dur
+                    sp = dur * f_a
+                    su = dur - sp
+                    sys_a += sp
+                    usr_a += su
+                    e = e_a + du_rate * dur
+                    e_a = du_cap if e > du_cap else e
+                    last_a = time
+                n_dispatches += 1
+                cum_sys += sp
+                cum_user += su
+                cum_nrun += 2 * dur
+                time += dur
+            pa.cpu_time = cpu_a
+            pa.user_time = usr_a
+            pa.sys_time = sys_a
+            pa.last_dispatch = last_a
+            pa.estcpu = e_a
+            pb.cpu_time = cpu_b
+            pb.user_time = usr_b
+            pb.sys_time = sys_b
+            pb.last_dispatch = last_b
+            pb.estcpu = e_b
+            sched._last_decay_factor = factor
+        else:
+            general = True
+        if not general:
+            continue
+
+        # 4. General spans (Kernel.run_until step 3): a fluid span, or
+        #    quantum-by-quantum dispatch until the next tick or event.
+        stop = next_tick if next_tick < t_end else t_end
+        if next_event < stop:
+            stop = next_event
+        span = stop - time
+        if span <= eps:
+            time = stop
+            continue
+        if n_r == 0:
+            cum_idle += span * ncpu
+            time += span
+            continue
+        fluid = n_r <= ncpu
+        while True:
+            now = time
+            if fluid:
                 dur = span
-                for j in run_idx:
-                    rem = dem[j] - cpu_t[j]
+                for p in runnable:
+                    rem = p.cpu_demand - p.cpu_time
                     if rem < dur:
                         dur = rem
                 if dur < eps:
                     dur = eps
-                completes = False
-                for j in run_idx:
-                    rem = dem[j] - cpu_t[j]
-                    run = dur if dur < rem else rem
-                    if dem[j] - (cpu_t[j] + run) <= eps:
-                        completes = True
-                        break
-                if completes:
-                    slow_fluid(span)
-                    continue
-                now = time
-                for j in run_idx:
-                    rem = dem[j] - cpu_t[j]
-                    run = dur if dur < rem else rem
-                    cpu_t[j] += run
-                    sp = run * sfrac[j]
-                    sys_t[j] += sp
-                    usr_t[j] += run - sp
-                    if mode == 0:
-                        e = est[j] + du_rate * run
-                        est[j] = du_cap if e > du_cap else e
-                    elif mode == 1:
-                        est[j] += run
-                    else:
-                        u = ukeys[j]
-                        fs_usage[u] = fs_usage.get(u, 0.0) + run
-                    cum_sys += sp
-                    cum_user += run - sp
-                    lastd[j] = now
-                cum_idle += (ncpu - n_r) * dur
-                cum_nrun += n_r * dur
-                time = now + dur
+                chosen = runnable
             else:
-                # Contended span: quantum-by-quantum dispatch.
                 dur = quantum if quantum < span else span
-                now = time
-                if ncpu == 1:
-                    # Single-CPU: one pick straight off the run queue.
-                    best = run_idx[0]
-                    if mode == 0:
-                        bp = est[best] / du_div + nice2[best]
-                        bl = lastd[best]
-                        for j in run_idx[1:]:
-                            pr = est[j] / du_div + nice2[j]
-                            if pr < bp or (pr == bp and lastd[j] < bl):
-                                best, bp, bl = j, pr, lastd[j]
-                    elif mode == 1:
-                        bl = lastd[best]
-                        for j in run_idx[1:]:
-                            if lastd[j] < bl:
-                                best, bl = j, lastd[j]
+                chosen = []
+                pool = runnable
+                for k in range(ncpu):
+                    if is_du:
+                        best = None
+                        bp = bl = inf
+                        for p in pool:
+                            pr = p.estcpu / du_div + du_weight * p.nice
+                            if pr < bp or (pr == bp and p.last_dispatch < bl):
+                                best = p
+                                bp = pr
+                                bl = p.last_dispatch
                     else:
-                        bu = fs_usage.get(ukeys[best], 0.0)
-                        bl = lastd[best]
-                        for j in run_idx[1:]:
-                            uu = fs_usage.get(ukeys[j], 0.0)
-                            if uu < bu or (uu == bu and lastd[j] < bl):
-                                best, bu, bl = j, uu, lastd[j]
-                    chosen = (best,)
+                        best = sched.pick(pool, now)
+                    chosen.append(best)
+                    if k + 1 < ncpu:
+                        pool = [p for p in pool if p is not best]
+                n_dispatches += ncpu
+            used = 0.0
+            completed = False
+            for p in chosen:
+                rem = p.cpu_demand - p.cpu_time
+                run = dur if dur < rem else rem
+                cpu = p.cpu_time + run
+                p.cpu_time = cpu
+                sp = run * p.sys_fraction
+                p.sys_time += sp
+                p.user_time += run - sp
+                if is_du:
+                    e = p.estcpu + du_rate * run
+                    p.estcpu = du_cap if e > du_cap else e
                 else:
-                    pool = run_idx[:]
-                    chosen_l = []
-                    for _ in range(ncpu if ncpu < len(pool) else len(pool)):
-                        best = pool[0]
-                        if mode == 0:
-                            bp = est[best] / du_div + nice2[best]
-                            bl = lastd[best]
-                            for j in pool[1:]:
-                                pr = est[j] / du_div + nice2[j]
-                                if pr < bp or (pr == bp and lastd[j] < bl):
-                                    best, bp, bl = j, pr, lastd[j]
-                        elif mode == 1:
-                            bl = lastd[best]
-                            for j in pool[1:]:
-                                if lastd[j] < bl:
-                                    best, bl = j, lastd[j]
-                        else:
-                            bu = fs_usage.get(ukeys[best], 0.0)
-                            bl = lastd[best]
-                            for j in pool[1:]:
-                                uu = fs_usage.get(ukeys[j], 0.0)
-                                if uu < bu or (uu == bu and lastd[j] < bl):
-                                    best, bu, bl = j, uu, lastd[j]
-                        chosen_l.append(best)
-                        pool.remove(best)
-                    chosen = tuple(chosen_l)
-                completes = False
-                for j in chosen:
-                    rem = dem[j] - cpu_t[j]
-                    run = dur if dur < rem else rem
-                    if dem[j] - (cpu_t[j] + run) <= eps:
-                        completes = True
-                        break
-                if completes:
-                    slow_contended(span)
-                    continue
-                n_dispatches += len(chosen)
-                used = 0.0
-                for j in chosen:
-                    rem = dem[j] - cpu_t[j]
-                    run = dur if dur < rem else rem
-                    cpu_t[j] += run
-                    sp = run * sfrac[j]
-                    sys_t[j] += sp
-                    usr_t[j] += run - sp
-                    if mode == 0:
-                        e = est[j] + du_rate * run
-                        est[j] = du_cap if e > du_cap else e
-                    elif mode == 1:
-                        est[j] += run
-                    else:
-                        u = ukeys[j]
-                        fs_usage[u] = fs_usage.get(u, 0.0) + run
-                    cum_sys += sp
-                    cum_user += run - sp
-                    lastd[j] = now
-                    used += run
+                    sched.charge(p, run)
+                cum_sys += sp
+                cum_user += run - sp
+                p.last_dispatch = now
+                used += run
+                if p.cpu_demand - cpu <= eps:
+                    _store_clock(kernel, (
+                        now, la, cum_user, cum_sys, cum_idle, cum_nrun,
+                        n_ticks, n_dispatches, next_tick,
+                    ))
+                    kernel._complete(p, now + run)
+                    (
+                        _, la, cum_user, cum_sys, cum_idle, cum_nrun,
+                        n_ticks, n_dispatches, next_tick,
+                    ) = _load_clock(kernel)
+                    completed = True
+            if fluid:
+                cum_idle += (ncpu - n_r) * dur
+            else:
                 cum_idle += dur * ncpu - used
-                cum_nrun += n_r * dur
-                time = now + dur
+            cum_nrun += n_r * dur
+            time = now + dur
+            if completed:
+                runnable, sched, is_du, du_rate, du_div, du_weight, du_cap = (
+                    _dispatch_state(kernel)
+                )
+                next_event = events.next_time()
+                break
+            te = time + eps
+            if time >= t_stop or next_tick <= te or next_event <= te:
+                break
+            span = stop - time
+            if span <= eps:
+                break
 
-        # Final boundary: ticks landing exactly on t_end, then due events.
-        while next_tick <= time + eps:
-            la = la * tick_decay + len(run_idx) * om_decay
-            n_ticks += 1
-            if mode == 0:
-                load = la if la > 0.0 else 0.0
-                du_factor = (2.0 * load) / (2.0 * load + 1.0)
-                est[:] = [x * du_factor for x in est]
-            elif mode == 2:
-                for u in fs_usage:
-                    fs_usage[u] *= 0.99
-            next_tick += tick_len
-        handle_due()
-    except _Bail:
-        # A generic callback changed something structural (scheduler swap,
-        # new tick listener, Process subclass).  State was flushed before
-        # that callback ran, so the event engine continues seamlessly.
-        kernel.run_until(t_end)
-        return
-    finally:
-        if loaded:
-            flush_all()
+    # Trailing boundary: the ticks landing on t_end ran above; now the
+    # events due there.
+    clock = (
+        time, la, cum_user, cum_sys, cum_idle, cum_nrun,
+        n_ticks, n_dispatches, next_tick,
+    )
+    _store_clock(kernel, fire(events.pop_due(time + eps), clock))

@@ -36,7 +36,7 @@ class EventQueue:
     (its *horizon*) and rejects both non-monotonic pops and scheduling
     meaningfully into the past: either would silently fire events out of
     timestamp order, which downstream code (sensor counter differencing,
-    the batch engine's segmenter) relies on never happening.
+    the batch engine's fused loops) relies on never happening.
     """
 
     __slots__ = ("_counter", "_heap", "_horizon", "n_scheduled")
@@ -104,20 +104,6 @@ class EventQueue:
         while self._heap and self._heap[0][0] <= now:
             due.append(heapq.heappop(self._heap)[2])
         return due
-
-    def peek_batch(self, t_end: float) -> list[tuple[float, Callable[[], None]]]:
-        """``(time, callback)`` pairs with deadline <= ``t_end``, pop order.
-
-        Non-destructive: nothing is removed.  The batch engine's segmenter
-        uses this to classify a due batch (all-inlinable vs. needs a state
-        flush) before popping it, and to find the next segment boundary.
-        """
-        return [
-            (time, callback)
-            for time, _, callback in sorted(
-                entry for entry in self._heap if entry[0] <= t_end
-            )
-        ]
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -35,30 +35,6 @@ __all__ = ["Kernel", "KernelConfig"]
 _EPS = 1e-9
 
 
-class _Wake:
-    """Timed wakeup for a sleeping process.
-
-    A named event class (rather than a closure) so the batch engine can
-    recognise pending wakeups on the queue and apply the estcpu sleep
-    boost in-place; fired by the event engine it behaves exactly as the
-    old closure did.
-    """
-
-    __slots__ = ("kernel", "process", "slept_from")
-
-    def __init__(self, kernel: "Kernel", process: Process, slept_from: float):
-        self.kernel = kernel
-        self.process = process
-        self.slept_from = slept_from
-
-    def __call__(self) -> None:
-        process = self.process
-        if process.state is ProcessState.SLEEPING:
-            process.state = ProcessState.RUNNABLE
-            kernel = self.kernel
-            kernel.scheduler.on_wake(process, kernel.time - self.slept_from)
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Static kernel parameters.
@@ -183,7 +159,14 @@ class Kernel:
         if duration <= 0.0:
             raise ValueError(f"sleep duration must be positive, got {duration}")
         process.state = ProcessState.SLEEPING
-        self.events.schedule(self.time + duration, _Wake(self, process, self.time))
+        slept_from = self.time
+
+        def wake():
+            if process.state is ProcessState.SLEEPING:
+                process.state = ProcessState.RUNNABLE
+                self.scheduler.on_wake(process, self.time - slept_from)
+
+        self.events.schedule(self.time + duration, wake)
 
     def kill(self, process: Process) -> None:
         """Terminate ``process`` immediately (no completion callback)."""

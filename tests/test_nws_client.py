@@ -93,7 +93,7 @@ class TestInProcess:
 
 
 class TestForSystem:
-    def test_adopts_live_state(self):
+    def test_client_matches_system_forecaster(self):
         system = NWSSystem(["thing1"], seed=2)
         system.advance(600.0)
         client = system.client()

@@ -72,7 +72,7 @@ class TestEventQueue:
 
 class TestHorizonDiscipline:
     """Monotonic pops and no scheduling into the past (the batch engine's
-    segmenter depends on both never happening silently)."""
+    fused loops depend on both never happening silently)."""
 
     def test_non_monotonic_pop_rejected(self):
         q = EventQueue()
@@ -101,22 +101,3 @@ class TestHorizonDiscipline:
         q = EventQueue()
         q.pop_due(5.0)
         assert q.pop_due(5.0) == []
-
-
-class TestPeekBatch:
-    def test_matches_pop_order_without_removing(self):
-        q = EventQueue()
-        cb_a, cb_b, cb_c = (lambda: "a"), (lambda: "b"), (lambda: "c")
-        q.schedule(2.0, cb_b)
-        q.schedule(1.0, cb_a)
-        q.schedule(2.0, cb_c)
-        q.schedule(9.0, lambda: None)
-        peeked = q.peek_batch(2.5)
-        assert peeked == [(1.0, cb_a), (2.0, cb_b), (2.0, cb_c)]
-        assert len(q) == 4  # non-destructive
-        assert [cb for cb in q.pop_due(2.5)] == [cb_a, cb_b, cb_c]
-
-    def test_empty_window(self):
-        q = EventQueue()
-        q.schedule(5.0, lambda: None)
-        assert q.peek_batch(4.0) == []
