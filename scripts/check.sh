@@ -23,6 +23,9 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint src/repro \
 echo "==> pytest"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q
 
+echo "==> end-to-end benchmark harness self-test"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q benchmarks/e2e
+
 echo "==> committed report artifacts match a fresh default report"
 report_dir=$(mktemp -d)
 trap 'rm -rf "$report_dir"' EXIT

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["ResidualComparison", "compare_residuals", "bootstrap_mae_difference"]
 
@@ -143,6 +142,11 @@ def compare_residuals(
     if np.allclose(abs_diff, 0.0):
         p_value = float("nan")
     else:
+        # The only scipy call in the package: importing it here keeps
+        # scipy.stats (~1 s) out of every process that never compares
+        # residuals, the report and the forecast server included.
+        from scipy import stats
+
         p_value = float(stats.wilcoxon(np.abs(res_a), np.abs(res_b)).pvalue)
     ci_low, ci_high = bootstrap_mae_difference(res_a, res_b, n_boot=n_boot, rng=rng)
     return ResidualComparison(

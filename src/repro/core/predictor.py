@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.contracts import ensure_fraction
 from repro.core.forecasters import Forecaster
 from repro.core.mixture import AdaptiveForecaster
-from repro.lint.contracts import ensure_fraction
 
 __all__ = ["NWSPredictor", "PredictorMixture"]
 
@@ -82,10 +82,10 @@ class NWSPredictor:
     def observe(self, availability: float) -> None:
         """Absorb one availability measurement (fraction in [0, 1]).
 
-        Values outside [0, 1] are rejected (via :func:`~repro.lint.
-        contracts.ensure_fraction`, a :class:`ValueError` subclass): they
-        indicate a broken sensor, and silently clamping inputs would hide
-        that.
+        Values outside [0, 1] are rejected (via
+        :func:`~repro.contracts.ensure_fraction`, a :class:`ValueError`
+        subclass): they indicate a broken sensor, and silently clamping
+        inputs would hide that.
         """
         value = ensure_fraction(float(availability))
         self._short.update(value)

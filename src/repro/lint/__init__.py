@@ -4,9 +4,10 @@ The test suite checks *results*; this package checks *invariants the
 results silently depend on*: bit-reproducible simulations, fraction-typed
 availability values, and the exact streaming-forecaster protocol of
 paper Section 3.  See :mod:`repro.lint.rules` for the rule catalogue and
-:mod:`repro.lint.contracts` for the runtime counterparts.  Once callers
-have moved to a new entry point, the old one is deleted rather than
-policed by a rule.
+:mod:`repro.contracts` for the runtime counterparts (kept outside this
+package so the simulator and the server never load the linter).  Once
+callers have moved to a new entry point, the old one is deleted rather
+than policed by a rule.
 
 Programmatic use::
 
@@ -22,12 +23,6 @@ Command line::
 from repro.lint import rules as _rules  # noqa: F401 -- registers the rules
 from repro.lint import semantic as _semantic  # noqa: F401 -- registers project rules
 from repro.lint.cache import LintCache
-from repro.lint.contracts import (
-    ContractError,
-    checked_fraction,
-    contracts_enabled,
-    ensure_fraction,
-)
 from repro.lint.findings import Finding
 from repro.lint.registry import ModuleContext, Rule, all_rules, register, rule_ids
 from repro.lint.reporters import render_json, render_sarif, render_text
@@ -41,7 +36,6 @@ from repro.lint.runner import (
 from repro.lint.semantic import Project, ProjectRule, project_from_sources
 
 __all__ = [
-    "ContractError",
     "Finding",
     "LintCache",
     "LintResult",
@@ -52,9 +46,6 @@ __all__ = [
     "UnknownRuleError",
     "all_rules",
     "check_source",
-    "checked_fraction",
-    "contracts_enabled",
-    "ensure_fraction",
     "lint_paths",
     "module_name_for",
     "project_from_sources",

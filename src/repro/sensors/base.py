@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.lint.contracts import ensure_fraction
+from repro.contracts import ensure_fraction
 from repro.sim.kernel import Kernel
 
 __all__ = ["CPUSensor", "SensorReading", "clamp_fraction"]
@@ -64,10 +64,10 @@ class CPUSensor(ABC):
     def read(self, kernel: Kernel) -> SensorReading:
         """Take a measurement now and remember it.
 
-        The clamp bounds overshoot; :func:`~repro.lint.contracts.
-        ensure_fraction` then catches what a clamp cannot -- NaN from a
-        broken formula would otherwise poison every downstream forecast
-        (disable via ``REPRO_CONTRACTS=0``).
+        The clamp bounds overshoot; :func:`~repro.contracts.ensure_fraction`
+        then catches what a clamp cannot -- NaN from a broken formula would
+        otherwise poison every downstream forecast (disable via
+        ``REPRO_CONTRACTS=0``).
         """
         availability = ensure_fraction(
             clamp_fraction(self._measure(kernel)),

@@ -67,6 +67,7 @@ from math import inf
 from operator import attrgetter
 from types import MethodType
 
+from repro.contracts import ContractError, contracts_enabled
 from repro.sim.kernel import _EPS, Kernel
 from repro.sim.process import Process, ProcessState
 from repro.sim.scheduler import (
@@ -208,8 +209,6 @@ def _dispatch_state(kernel: Kernel) -> tuple:
 
 
 def _reject(method: str, value: float):
-    from repro.lint.contracts import ContractError
-
     raise ContractError(
         f"sensor {method!r} reading must be a fraction in [0, 1], got {value!r}"
     )
@@ -226,7 +225,6 @@ def _measure_round(kernel: Kernel, suite):
     sensors: same inputs, same float operations, same order.  Round
     listeners are not served here.
     """
-    from repro.lint.contracts import contracts_enabled
     from repro.sensors.base import SensorReading
     from repro.sensors.suite import METHODS
 

@@ -83,6 +83,14 @@ class TestConfidenceBand:
     def test_95_percent_value(self):
         assert acf_confidence_band(100, level=0.95) == pytest.approx(0.196, abs=1e-3)
 
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_matches_scipy_normal_quantile(self, level):
+        from scipy.stats import norm
+
+        z = float(norm.ppf(0.5 + level / 2.0))
+        assert acf_confidence_band(1, level=level) == pytest.approx(z, abs=1e-12)
+        assert acf_confidence_band(100, level=level) == pytest.approx(z / 10.0, abs=1e-12)
+
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
             acf_confidence_band(100, level=1.5)

@@ -1,0 +1,69 @@
+"""Start-up cost: the report and the server import only what they run.
+
+``scipy.stats`` (about 1 s and 60 MB) and the AST linter are needed only
+by ``compare_residuals`` and ``nws-repro lint``.  Every ``nws-repro``
+process pays for what its imports pull in, so these tests check the
+import graph of the report set-up modules and the forecast service in a
+fresh interpreter: this test process may already have imported scipy,
+which would hide a regression.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: The modules the report imports before it runs, plus the forecast
+#: service; then a small real workload through the service and the
+#: forecasting core.
+PROGRAM = """
+import sys
+
+import repro.cli, repro.experiments, repro.runner, repro.report.export
+import repro.nws
+from repro import forecast_series
+from repro.nws import ServiceCore
+
+core = ServiceCore()
+for i in range(50):
+    core.publish("default", "cpu.host", 10.0 * i, 0.5 + 0.01 * (i % 7))
+report = core.query("default", "cpu.host", horizon=3)
+assert 0.0 <= report.forecast <= 1.0, report
+forecasts = forecast_series([0.2, 0.4, 0.3, 0.5, 0.6, 0.55, 0.7, 0.65])
+assert forecasts.shape == (8,)
+
+heavy = sorted(
+    name for name in sys.modules
+    if name == "scipy" or name.startswith("scipy.")
+    or name == "repro.lint" or name.startswith("repro.lint.")
+)
+print("\\n".join(heavy))
+"""
+
+
+def test_report_and_service_load_neither_scipy_nor_the_linter():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", PROGRAM],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"imported at start-up:\n{done.stdout}"
+
+
+def test_contracts_live_outside_the_linter():
+    assert importlib.util.find_spec("repro.contracts") is not None
+    assert importlib.util.find_spec("repro.lint.contracts") is None

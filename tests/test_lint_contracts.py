@@ -6,14 +6,14 @@ import math
 
 import pytest
 
-from repro.core.predictor import NWSPredictor
-from repro.lint.contracts import (
+from repro.contracts import (
     ENV_VAR,
     ContractError,
     checked_fraction,
     contracts_enabled,
     ensure_fraction,
 )
+from repro.core.predictor import NWSPredictor
 
 
 class TestEnsureFraction:

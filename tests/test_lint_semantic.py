@@ -244,7 +244,7 @@ def test_unit002_infers_fraction_from_ensure_fraction_contract():
     project = project_from_sources(
         {
             "repro.core.predictorx": (
-                "from repro.lint.contracts import ensure_fraction\n"
+                "from repro.contracts import ensure_fraction\n"
                 "def predict(value):\n"
                 "    return ensure_fraction(value)\n"
             ),
