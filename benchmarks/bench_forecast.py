@@ -18,7 +18,8 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.core.mixture import AdaptiveForecaster, forecast_series
 
-#: One day of 10-second measurements.
+#: Ten days of 10-second measurements (one day is 8,640 samples, the
+#: period of the trace's sine).
 DAY_SAMPLES = 86_400
 
 
@@ -63,7 +64,7 @@ def _best_of(fn, rounds: int) -> tuple[float, np.ndarray]:
 
 
 def test_batch_speedup(benchmark):
-    """Batch >= 10x over streaming on a day-long trace, bit-identical."""
+    """Batch >= 10x over streaming on a ten-day trace, bit-identical."""
     values = _trace(DAY_SAMPLES)
 
     start = time.perf_counter()

@@ -52,7 +52,7 @@ Engine selection and wall time are recorded by
 
 Performance
 -----------
-On an 86 400-sample trace (one day of 10-second measurements) with the
+On an 86 400-sample trace (ten days of 10-second measurements) with the
 default 21-member battery, the batch engine is >= 10x faster than the
 streaming path (``benchmarks/bench_forecast.py`` enforces this).
 """

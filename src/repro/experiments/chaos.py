@@ -30,7 +30,6 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.nws.errors import SeriesUnavailable
 from repro.nws.system import NWSSystem
-from repro.runner.engine import parallel_map
 from repro.workload.profiles import profile_names
 
 __all__ = ["HostChaos", "ChaosReport", "run_chaos"]
@@ -229,6 +228,9 @@ def run_chaos(
     for any ``jobs`` because each host's streams derive from ``(seed,
     host_index)``.
     """
+    # Imported here: repro.runner imports the testbed, and so this package.
+    from repro.runner.engine import parallel_map
+
     if duration < step:
         raise ValueError("duration must be >= step")
     names = list(profiles) if profiles is not None else profile_names()

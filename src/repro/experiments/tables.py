@@ -14,6 +14,12 @@ runner accelerates every table at once.  ``engine`` selects the
 :func:`~repro.core.mixture.forecast_series` backtesting engine
 (``"auto"``/``"batch"``/``"stream"`` -- bit-identical outputs either way;
 Tables 1 and 4 accept it for uniformity but compute no forecasts).
+
+Tables 2, 3 and 5 score the same forecast -- the mixture's one-step-ahead
+backtest of each 10 s measurement series -- against the test process
+(Eq. 4), the next measurement (Eq. 5) and, parenthesized in Table 5, Eq. 5
+again.  Each run's series is backtested once per method and engine and
+kept on the :class:`HostRun` (read-only), so the three tables share it.
 """
 
 from __future__ import annotations
@@ -124,28 +130,42 @@ def _paper_rows(table: dict, fmt=lambda v: f"{v:.1f}%") -> list[list]:
     return rows
 
 
-def _forecasts_for_observations(
-    run: HostRun, method: str, *, engine: str = "auto"
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead NWS forecasts aligned with each test observation.
+def _backtest(run: HostRun, method: str, engine: str) -> np.ndarray:
+    """The one-step-ahead NWS forecasts of ``run``'s ``method`` series.
 
-    For a test process starting at time T, the relevant forecast is the one
-    generated from the last measurement at or before T, predicting the
-    frame in which the test runs (paper Equation 4's subscripts).
-    Observations that fall before the second measurement (no forecast yet)
-    are dropped -- the matching truth array is returned alongside.
+    Computed on first use and kept on the run, keyed by ``(method,
+    engine)``; the array is read-only because every table shares it.
     """
-    series = run.series[method]
-    f = forecast_series(series.values, engine=engine)
-    forecasts, truths = [], []
-    for obs in run.observations:
-        i = int(np.searchsorted(series.times, obs.start_time, side="right")) - 1
+    key = (method, engine)
+    forecasts = run._forecasts.get(key)
+    if forecasts is None:
+        forecasts = forecast_series(run.values(method), engine=engine)
+        forecasts.flags.writeable = False
+        run._forecasts[key] = forecasts
+    return forecasts
+
+
+def _align(
+    times: np.ndarray, forecasts: np.ndarray, observations
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-step-ahead forecasts aligned with each test observation.
+
+    ``forecasts[k]`` is the forecast for the sample taken at ``times[k]``.
+    For a test process starting at time T, the relevant forecast is the
+    one generated from the last measurement at or before T, predicting
+    the frame in which the test runs (paper Equation 4's subscripts).
+    Observations that fall before the second measurement (no forecast
+    yet) are dropped -- the matching truth array is returned alongside.
+    """
+    aligned, truths = [], []
+    for obs in observations:
+        i = int(np.searchsorted(times, obs.start_time, side="right")) - 1
         target = i + 1  # the forecast made after measurement i targets frame i+1
-        if i < 0 or target >= f.size or np.isnan(f[target]):
+        if i < 0 or target >= forecasts.size or np.isnan(forecasts[target]):
             continue
-        forecasts.append(f[target])
+        aligned.append(forecasts[target])
         truths.append(obs.observed)
-    return np.asarray(forecasts), np.asarray(truths)
+    return np.asarray(aligned), np.asarray(truths)
 
 
 def table1(
@@ -200,7 +220,11 @@ def table2(
         truth_all = run.observed()
         row = [run.host]
         for method in METHODS:
-            forecasts, truths = _forecasts_for_observations(run, method, engine=engine)
+            forecasts, truths = _align(
+                run.series[method].times,
+                _backtest(run, method, engine),
+                run.observations,
+            )
             true_err = 100 * np.abs(forecasts - truths).mean()
             pre = run.premeasurements(method)
             meas_err = 100 * np.abs(pre - truth_all).mean()
@@ -242,7 +266,7 @@ def table3(
         row = [run.host]
         for method in METHODS:
             values = run.values(method)
-            f = forecast_series(values, engine=engine)
+            f = _backtest(run, method, engine)
             row.append(f"{100 * np.abs(f[1:] - values[1:]).mean():.1f}%")
         rows.append(row)
     return TableResult(
@@ -319,7 +343,7 @@ def table5(
         row = [run.host]
         for method in METHODS:
             values = run.values(method)
-            f = forecast_series(values, engine=engine)
+            f = _backtest(run, method, engine)
             err_orig = 100 * np.abs(f[1:] - values[1:]).mean()
             agg = aggregate_series(values, AGG)
             fa = forecast_series(agg, engine=engine)
@@ -366,17 +390,9 @@ def table6(
             agg_values = aggregate_series(series.values, AGG)
             blocks = agg_values.size
             agg_times = series.times[: blocks * AGG].reshape(blocks, AGG)[:, -1]
-            f = forecast_series(agg_values, engine=engine)
-            forecasts, truths = [], []
-            for obs in run.observations:
-                i = int(np.searchsorted(agg_times, obs.start_time, side="right")) - 1
-                target = i + 1
-                if i < 0 or target >= f.size or np.isnan(f[target]):
-                    continue
-                forecasts.append(f[target])
-                truths.append(obs.observed)
-            forecasts = np.asarray(forecasts)
-            truths = np.asarray(truths)
+            forecasts, truths = _align(
+                agg_times, forecast_series(agg_values, engine=engine), run.observations
+            )
             row.append(f"{100 * np.abs(forecasts - truths).mean():.1f}%")
         rows.append(row)
     return TableResult(

@@ -135,6 +135,10 @@ class HostRun:
         each of the three measurement methods.
     observations:
         Ground-truth test-process observations (post-warmup).
+
+    The run also keeps the backtests computed from it (written and read
+    only by :mod:`repro.experiments.tables`), so every table handed this
+    object scores one shared forecast per method.
     """
 
     host: str
@@ -142,6 +146,9 @@ class HostRun:
     series: dict[str, TraceSeries]
     observations: list[TestObservation]
     _frozen: bool = field(default=True, repr=False)
+    _forecasts: dict[tuple[str, str], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def premeasurements(self, method: str) -> np.ndarray:
         """Sensor readings taken immediately before each test process."""

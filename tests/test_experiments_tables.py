@@ -10,7 +10,11 @@ import re
 import numpy as np
 import pytest
 
+import repro.experiments.tables as tables
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
+from repro.experiments.testbed import TestbedConfig
+from repro.runner import Runner
+from repro.sensors.suite import METHODS
 from repro.workload.profiles import profile_names
 
 from tests.conftest import SHORT, SHORT_MEDIUM
@@ -173,3 +177,50 @@ class TestTable6:
 
     def test_conundrum_hybrid_good_medium_term(self, t6):
         assert cell_percent(t6, "conundrum", "NWS Hybrid") < 12.0
+
+
+class TestSharedBacktest:
+    """Tables 2, 3 and 5 score one backtest per run and method."""
+
+    CONFIG = TestbedConfig(duration=2 * 3600.0, seed=SEED)
+
+    def test_each_series_is_backtested_once(self, monkeypatch):
+        calls = []
+        forecast_series = tables.forecast_series
+
+        def counting(values, **kwargs):
+            calls.append(values)
+            return forecast_series(values, **kwargs)
+
+        monkeypatch.setattr(tables, "forecast_series", counting)
+        runner = Runner()
+        shared = [table(runner, self.CONFIG) for table in (table2, table3, table5)]
+        runs = runner.run(None, self.CONFIG)
+
+        for run in runs:
+            for method in METHODS:
+                raw = sum(values is run.values(method) for values in calls)
+                assert raw == 1, (run.host, method)
+        aggregates = [
+            values for values in calls
+            if not any(values is run.values(m) for run in runs for m in METHODS)
+        ]
+        # Table 5's 5-minute aggregates: one backtest each, never shared.
+        assert len(aggregates) == len(runs) * len(METHODS)
+        assert {values.size for values in aggregates} == {
+            run.values(m).size // tables.AGG for run in runs for m in METHODS
+        }
+
+        for run in runs:
+            assert len(run._forecasts) == len(METHODS)
+            for forecasts in run._forecasts.values():
+                assert not forecasts.flags.writeable
+                with pytest.raises(ValueError):
+                    forecasts[0] = 0.0
+
+        fresh = Runner()
+        streamed = [
+            table(fresh, self.CONFIG, engine="stream")
+            for table in (table2, table3, table5)
+        ]
+        assert streamed == shared

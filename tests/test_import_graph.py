@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -48,18 +50,23 @@ print("\\n".join(heavy))
 """
 
 
-def test_report_and_service_load_neither_scipy_nor_the_linter():
+def run_fresh(program: str) -> subprocess.CompletedProcess:
+    """Run ``program`` in a fresh interpreter that imports this ``repro``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    done = subprocess.run(
-        [sys.executable, "-c", PROGRAM],
+    return subprocess.run(
+        [sys.executable, "-c", program],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_report_and_service_load_neither_scipy_nor_the_linter():
+    done = run_fresh(PROGRAM)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], f"imported at start-up:\n{done.stdout}"
 
@@ -67,3 +74,15 @@ def test_report_and_service_load_neither_scipy_nor_the_linter():
 def test_contracts_live_outside_the_linter():
     assert importlib.util.find_spec("repro.contracts") is not None
     assert importlib.util.find_spec("repro.lint.contracts") is None
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.runner", "repro.runner.cache", "repro.runner.engine", "repro.runner.keys"],
+)
+def test_runner_modules_import_first(module):
+    # The runner imports the testbed, whose package imports the chaos
+    # harness, which runs hosts through the runner: importing any runner
+    # module before repro.experiments must not meet it half-initialized.
+    done = run_fresh(f"import {module}")
+    assert done.returncode == 0, done.stderr
