@@ -50,7 +50,7 @@ from repro.faults.policy import CircuitBreaker, RetryError, RetryPolicy
 from repro.nws.errors import ServerOverloaded
 from repro.nws.forecaster import ForecastReport
 from repro.nws.nameserver import Registration
-from repro.nws.service import DEFAULT_TENANT, ServiceCore
+from repro.nws.service import DEFAULT_TENANT, ServiceCore, coerce_field
 from repro.nws.wire import (
     DEADLINE_HEADER,
     ProtocolError,
@@ -226,18 +226,24 @@ class HTTPTransport:
         out = self._request(
             "POST",
             f"/v1/{tenant}/publish",
-            {"series": series, "time": float(time), "value": float(value)},
+            {
+                "series": series,
+                "time": coerce_field("time", float, time),
+                "value": coerce_field("value", float, value),
+            },
         )
         return int(out["count"])
 
     def fetch(self, tenant, series, *, start, stop, limit):
         body: dict = {"series": series}
+        start = coerce_field("start", float, start)
+        stop = coerce_field("stop", float, stop)
         if start == start and start != float("-inf"):
-            body["start"] = float(start)
+            body["start"] = start
         if stop == stop and stop != float("inf"):
-            body["stop"] = float(stop)
+            body["stop"] = stop
         if limit is not None:
-            body["limit"] = int(limit)
+            body["limit"] = coerce_field("limit", int, limit)
         payload = self._request("POST", f"/v1/{tenant}/fetch", body)
         times, values = decode_fetch(payload)
         return np.asarray(times, dtype=np.float64), np.asarray(
@@ -248,7 +254,7 @@ class HTTPTransport:
         payload = self._request(
             "POST",
             f"/v1/{tenant}/query",
-            {"series": series, "horizon": int(horizon)},
+            {"series": series, "horizon": coerce_field("horizon", int, horizon)},
         )
         return decode_report(payload)
 
@@ -262,7 +268,7 @@ class HTTPTransport:
     def register(self, tenant, name, kind, attributes, *, ttl) -> Registration:
         body = {"name": name, "kind": kind, "attributes": dict(attributes or {})}
         if ttl is not None:
-            body["ttl"] = float(ttl)
+            body["ttl"] = coerce_field("ttl", float, ttl)
         return decode_registration(
             self._request("POST", f"/v1/{tenant}/register", body)
         )
@@ -270,7 +276,9 @@ class HTTPTransport:
     def refresh(self, tenant, name, *, ttl) -> Registration:
         return decode_registration(
             self._request(
-                "POST", f"/v1/{tenant}/refresh", {"name": name, "ttl": float(ttl)}
+                "POST",
+                f"/v1/{tenant}/refresh",
+                {"name": name, "ttl": coerce_field("ttl", float, ttl)},
             )
         )
 

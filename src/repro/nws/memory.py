@@ -12,6 +12,14 @@ Persistence layout (``directory`` set)::
         series.json        # catalog: series name -> journal filename
         <safe-name>.jsonl  # append-only write-ahead journal per series
 
+Each journal line is one sample, written by ``_encode_sample`` as
+``{"t": <time>, "v": <value>}`` with each number in its ``repr`` form
+(or ``NaN`` / ``Infinity`` / ``-Infinity``) -- the canonical line.
+:meth:`MemoryStore.recover` decodes canonical lines with one compiled
+regex; any other line (other spacing or key order, bare integers,
+surrounding whitespace, torn writes) falls back to ``json.loads`` under
+the same skip-and-count rules, so both paths yield the same samples.
+
 Journal appends go through a :class:`~repro.nws.durable.JournalWriter`
 (group commit every ``journal_flush_lines`` appends); whole-file state
 -- the catalog, and the journal itself when :meth:`replace` checkpoints
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -57,6 +66,20 @@ def _encode_sample(t: float, v: float) -> str:
     # Byte-identical to json.dumps({"t": t, "v": v}) with default
     # separators, so journals written before group commit still parse.
     return '{"t": %s, "v": %s}' % (_json_float(t), _json_float(v))
+
+
+# Matches exactly the lines _encode_sample writes: a JSON number with a
+# fraction or an exponent (what repr(float) emits), or one of the three
+# constants _json_float writes.  ASCII digits only -- float() accepts
+# other Unicode digits, json.loads does not -- and no bare integers,
+# which repr never writes and json.loads parses as (possibly oversized)
+# ints; such lines take the json.loads path in recover().
+_NUMBER = (
+    r"(-?(?:0|[1-9][0-9]*)"
+    r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+    r"|NaN|-?Infinity)"
+)
+_SAMPLE_LINE = re.compile(r'\{"t": %s, "v": %s\}' % (_NUMBER, _NUMBER))
 
 
 class MemoryStore:
@@ -339,13 +362,15 @@ class MemoryStore:
         """Reload ``series`` from the persistence journal.
 
         Returns the number of samples recovered (bounded by capacity).
+        Lines exactly as :meth:`publish` writes them are decoded with one
+        regex match; every other line takes the ``json.loads`` path.
         Truncated or otherwise unparsable journal lines -- the normal
         aftermath of a crash mid-append -- are skipped and tallied in
         ``repro_memory_corrupt_journal_lines_total`` rather than aborting
         the recovery: a partial history is strictly more useful to the
-        forecasters than none.  So are lines whose time is non-finite or
-        earlier than the last accepted one, which :meth:`publish` would
-        have rejected.
+        forecasters than none.  So are lines whose numbers overflow a
+        float, and lines whose time is non-finite or earlier than the
+        last accepted one, which :meth:`publish` would have rejected.
 
         Raises
         ------
@@ -363,8 +388,14 @@ class MemoryStore:
             return 0
         times: list[float] = []
         values: list[float] = []
-        with path.open() as f:
-            for line in f:
+        match = _SAMPLE_LINE.fullmatch
+        # read_text translates \r\n and lone \r to \n like line iteration
+        # does; splitlines() would also split on \x0b, \x85, \u2028, ...
+        for line in path.read_text(encoding="utf-8").split("\n"):
+            canonical = match(line)
+            if canonical is not None:
+                t, v = float(canonical[1]), float(canonical[2])
+            else:
                 line = line.strip()
                 if not line:
                     continue
@@ -372,17 +403,20 @@ class MemoryStore:
                     sample = json.loads(line)
                     t = float(sample["t"])
                     v = float(sample["v"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    # Journal corruption (torn write, bad field): count the
-                    # line and keep going -- recovery is best-effort.
+                except (
+                    json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
+                ):
+                    # Journal corruption (torn write, bad field, an int
+                    # beyond float range): count the line and keep going
+                    # -- recovery is best-effort.
                     self._obs_corrupt.inc()
                     continue
-                if not math.isfinite(t) or (times and t < times[-1]):
-                    # Would break the sorted-times invariant fetch bisects.
-                    self._obs_corrupt.inc()
-                    continue
-                times.append(t)
-                values.append(v)
+            if not math.isfinite(t) or (times and t < times[-1]):
+                # Would break the sorted-times invariant fetch bisects.
+                self._obs_corrupt.inc()
+                continue
+            times.append(t)
+            values.append(v)
         if len(times) > self.capacity:
             times = times[-self.capacity :]
             values = values[-self.capacity :]

@@ -56,7 +56,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.nws.errors import RegistrationLapsed, ServerOverloaded
-from repro.nws.service import ServiceCore, set_request_deadline
+from repro.nws.service import ServiceCore, coerce_field, set_request_deadline
 from repro.nws.wire import (
     DEADLINE_HEADER,
     WIRE_VERSION,
@@ -176,10 +176,7 @@ def _field(body: dict, name: str, cast, default=_MISSING):
     value = body.get(name, default)
     if value is _MISSING:
         raise ValueError(f"missing required field {name!r}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for field {name!r}: {exc}") from exc
+    return coerce_field(name, cast, value)
 
 
 class ForecastServer:

@@ -65,6 +65,7 @@ __all__ = [
     "RetentionPolicy",
     "ServiceCore",
     "TenantState",
+    "coerce_field",
     "request_deadline",
     "set_request_deadline",
 ]
@@ -101,6 +102,22 @@ def set_request_deadline(deadline_at: float | None) -> None:
 def request_deadline() -> float | None:
     """The calling thread's absolute monotonic deadline, if any."""
     return getattr(_request_state, "deadline_at", None)
+
+
+def coerce_field(name: str, cast, value):
+    """``cast(value)``, or a ``ValueError`` naming the field.
+
+    The one numeric check every path runs -- the HTTP client transport
+    before sending, the server on request fields, :class:`ServiceCore`
+    on its arguments -- so a bad value, including one beyond float or
+    int range (which Python reports as ``OverflowError``), is the same
+    ``ValueError`` (wire ``bad_request``) in process and over HTTP,
+    never an ``internal`` error.
+    """
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad value for field {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -265,7 +282,9 @@ class ServiceCore:
         FileNotFoundError
             ``state_dir`` has no manifest (not a state directory).
         ValueError
-            The manifest's ``state_version`` is from a different layout.
+            The manifest is not a JSON object whose ``tenants`` is a list
+            of strings, or its ``state_version`` is from a different
+            layout.
         """
         state_dir = Path(state_dir)
         manifest_path = state_dir / MANIFEST_NAME
@@ -274,15 +293,25 @@ class ServiceCore:
                 f"no {MANIFEST_NAME} under {state_dir}; "
                 "not a forecast-service state directory"
             )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{manifest_path} must hold a JSON object")
         version = manifest.get("state_version")
         if version != STATE_VERSION:
             raise ValueError(
                 f"unsupported state_version {version!r} "
                 f"(this build reads {STATE_VERSION})"
             )
+        tenants = manifest.get("tenants")
+        if not isinstance(tenants, list) or not all(
+            isinstance(name, str) for name in tenants
+        ):
+            raise ValueError(f"{manifest_path}: 'tenants' must be a list of strings")
         core = cls(
-            list(manifest.get("tenants") or ()),
+            tenants,
             clock=clock,
             memory_capacity=memory_capacity,
             directory=state_dir,
@@ -327,10 +356,11 @@ class ServiceCore:
                 )
                 for r in payload["registrations"]
             ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             # Snapshot writes are atomic, so this only guards against a
-            # foreign/hand-edited file; registrations are re-creatable
-            # state (components re-register), so skip rather than abort.
+            # foreign/hand-edited file (an oversized expires_at, say);
+            # registrations are re-creatable state (components
+            # re-register), so skip rather than abort.
             return 0
         return state.nameserver.restore(entries)
 
@@ -434,7 +464,9 @@ class ServiceCore:
         state = self.tenant(tenant)
         self._count("publish")
         with get_tracer().span("server.publish", tenant=tenant, series=series):
-            state.memory.publish(series, float(time), float(value))
+            state.memory.publish(
+                series, coerce_field("time", float, time), coerce_field("value", float, value)
+            )
             return state.memory.count(series)
 
     def fetch(
@@ -450,7 +482,12 @@ class ServiceCore:
         state = self.tenant(tenant)
         self._count("fetch")
         with get_tracer().span("server.fetch", tenant=tenant, series=series):
-            return state.memory.fetch(series, start=start, stop=stop, limit=limit)
+            return state.memory.fetch(
+                series,
+                start=coerce_field("start", float, start),
+                stop=coerce_field("stop", float, stop),
+                limit=None if limit is None else coerce_field("limit", int, limit),
+            )
 
     def query(self, tenant: str, series: str, *, horizon: int = 1) -> ForecastReport:
         """One forecast with error bar, ``horizon`` steps ahead."""
@@ -458,7 +495,9 @@ class ServiceCore:
         self._count("query")
         with get_tracer().span("server.query", tenant=tenant, series=series):
             with state.lock:
-                return state.forecaster.query(series, horizon=horizon)
+                return state.forecaster.query(
+                    series, horizon=coerce_field("horizon", int, horizon)
+                )
 
     def query_all(self, tenant: str) -> dict[str, ForecastReport]:
         """Forecasts for every non-empty series of the tenant."""
@@ -494,7 +533,12 @@ class ServiceCore:
         state = self.tenant(tenant)
         self._count("register")
         with get_tracer().span("server.register", tenant=tenant, component=name):
-            entry = state.nameserver.register(name, kind, attributes, ttl=ttl)
+            entry = state.nameserver.register(
+                name,
+                kind,
+                attributes,
+                ttl=None if ttl is None else coerce_field("ttl", float, ttl),
+            )
         self._persist_registrations(state)
         return entry
 
@@ -502,7 +546,7 @@ class ServiceCore:
         state = self.tenant(tenant)
         self._count("refresh")
         with get_tracer().span("server.refresh", tenant=tenant, component=name):
-            entry = state.nameserver.refresh(name, ttl=ttl)
+            entry = state.nameserver.refresh(name, ttl=coerce_field("ttl", float, ttl))
         self._persist_registrations(state)
         return entry
 

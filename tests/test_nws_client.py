@@ -8,6 +8,8 @@ the service is an object or a socket away.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.nws import (
     UnknownTenant,
 )
 from repro.nws.wire import canonical, encode_fetch, encode_report
+from tests.test_nws_server import OVERSIZED_FIELDS
 
 
 def fill(client: NWSClient, series: str = "cpu.a", n: int = 64) -> str:
@@ -166,6 +169,25 @@ class TestTransportParity:
             remote.refresh("sensor.ghost", ttl=5.0)
         with pytest.raises(ValueError):
             remote.query("cpu.ghost", horizon=0)
+        remote.close()
+
+    @pytest.mark.parametrize(
+        "op, body, field",
+        OVERSIZED_FIELDS,
+        ids=[f"{op}-{field}" for op, _, field in OVERSIZED_FIELDS],
+    )
+    def test_oversized_numbers_are_value_errors(self, server, op, body, field):
+        # Both transports validate like the server: a ValueError naming
+        # the field, never a bare OverflowError.
+        args = json.loads(body)
+        positional = [args.pop(key) for key in ("series", "name", "kind") if key in args]
+        local = NWSClient.in_process()
+        remote = NWSClient.connect(server.url)
+        for client in (local, remote):
+            client.publish("s", time=0.0, value=0.5)
+            client.register("a", "sensor", ttl=60.0)
+            with pytest.raises(ValueError, match=f"bad value for field {field!r}"):
+                getattr(client, op)(*positional, **args)
         remote.close()
 
     def test_http_tenancy(self, server):

@@ -333,6 +333,76 @@ class TestKillRestartRecover:
         core.close()
 
 
+class TestMalformedStateDirectory:
+    """Restore turns bad bytes on disk into skips or one typed error."""
+
+    def test_oversized_journal_number_is_skipped_and_counted(self, tmp_path):
+        core = ServiceCore(("default",), directory=tmp_path)
+        for i in range(3):
+            core.publish("default", "cpu.a", float(i), 0.5)
+        core.close()
+        journal = tmp_path / "default" / "cpu.a.jsonl"
+        with journal.open("rb") as f:
+            intact = f.read()
+        oversized = b'{"t": ' + b"9" * 400 + b', "v": 0.5}\n'
+        atomic_replace_bytes(journal, intact + oversized)
+        with installed(MetricsRegistry()) as registry:
+            restored = ServiceCore.restore(tmp_path)
+            assert restored.tenant("default").memory.count("cpu.a") == 3
+            assert (
+                counter_value(registry, "repro_memory_corrupt_journal_lines_total")
+                == 1
+            )
+            restored.close()
+
+    def test_oversized_registration_expiry_skips_the_snapshot(self, tmp_path):
+        core = ServiceCore(("default",), directory=tmp_path)
+        core.register("default", "sensor.a", "sensor", {}, ttl=60.0)
+        core.close()
+        snapshot = tmp_path / "default" / "registrations.json"
+        payload = json.loads(snapshot.read_text(encoding="utf-8"))
+        payload["registrations"][0]["expires_at"] = int("9" * 400)
+        atomic_replace_bytes(snapshot, json.dumps(payload).encode("utf-8"))
+        restored = ServiceCore.restore(tmp_path)
+        assert restored.lookup("default") == []
+        restored.close()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            b"[]",
+            b'{"state_version": 1, "tenants": 5}',
+            b'{"state_version": 1, "tenants": "abc"}',
+            b'{"state_version": 1, "tenants": ["default", 7]}',
+            b'{"state_version": 1}',
+            b'{"state_version": 1, "tenants": ["def',
+        ],
+        ids=["list", "int-tenants", "str-tenants", "mixed", "no-tenants", "torn"],
+    )
+    def test_malformed_manifest_is_a_value_error_naming_the_file(
+        self, tmp_path, manifest
+    ):
+        atomic_replace_bytes(tmp_path / MANIFEST_NAME, manifest)
+        with pytest.raises(ValueError, match=MANIFEST_NAME):
+            ServiceCore.restore(tmp_path)
+        # Nothing was restored: no tenant directory appeared.
+        assert [p.name for p in tmp_path.iterdir()] == [MANIFEST_NAME]
+
+    @pytest.mark.parametrize("command", ["recover", "serve"])
+    def test_cli_reports_a_malformed_manifest_in_one_line(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+
+        atomic_replace_bytes(tmp_path / MANIFEST_NAME, b"[]")
+        assert main([command, "--state-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"nws-repro {command}: ")
+        assert MANIFEST_NAME in captured.err
+
+
 # ----------------------------------------------------- overload protection
 
 

@@ -1,12 +1,19 @@
 """Edge cases of the NWS memory store: unknown series, corrupt journals,
-and behaviour exactly at the capacity boundary."""
+behaviour exactly at the capacity boundary, and generated journals
+that pin recover()'s fast path to the json.loads rules."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nws.errors import SeriesUnavailable
-from repro.nws.memory import MemoryStore
+from repro.nws.memory import MemoryStore, _encode_sample
 from repro.obs import MetricsRegistry, installed
 
 
@@ -126,3 +133,153 @@ class TestJournalRecovery:
     def test_recover_without_directory_raises(self):
         with pytest.raises(RuntimeError, match="persistence"):
             MemoryStore().recover("s")
+
+    def test_oversized_numbers_are_skipped_and_counted(self, tmp_path):
+        # An integer beyond float range parses as JSON but overflows
+        # float(): a corrupt line, not a crashed recovery.
+        path = self._journal(tmp_path)
+        with path.open("a") as f:
+            f.write('{"t": %s, "v": 0.5}\n' % ("9" * 400))
+            f.write('{"t": 9.0, "v": -%s}\n' % ("9" * 400))
+        with installed(MetricsRegistry()) as registry:
+            fresh = MemoryStore(capacity=100, directory=tmp_path)
+            assert fresh.recover("s") == 5
+            assert _corrupt_lines(registry) == 2
+
+    def test_clean_journal_never_calls_json_loads(self, tmp_path, monkeypatch):
+        store = MemoryStore(capacity=100, directory=tmp_path)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308, 1e16]
+        for i, value in enumerate(specials + [0.1 * i for i in range(20)]):
+            store.publish("s", 1e9 + 0.25 * i, value)
+        store.close()
+        expected = store.fetch("s")
+        fresh = MemoryStore(capacity=100, directory=tmp_path)
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("a canonical line took the json.loads path")
+
+        monkeypatch.setattr("repro.nws.memory.json.loads", no_json)
+        assert fresh.recover("s") == len(specials) + 20
+        for got, want in zip(fresh.fetch("s"), expected):
+            assert got.tobytes() == want.tobytes()
+
+
+def _corrupt_lines(registry) -> float:
+    metric = registry.snapshot().get("repro_memory_corrupt_journal_lines_total")
+    return sum(s["value"] for s in metric["samples"]) if metric else 0.0
+
+
+def _reference_recover(path):
+    """The per-line ``json.loads`` loop recover() used before the regex
+    path, plus skip-and-count for numbers that overflow a float.
+    Returns (times, values, corrupt lines)."""
+    times, values, corrupt = [], [], 0
+    with path.open(encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                sample = json.loads(line)
+                t = float(sample["t"])
+                v = float(sample["v"])
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+                corrupt += 1
+                continue
+            if not math.isfinite(t) or (times and t < times[-1]):
+                corrupt += 1
+                continue
+            times.append(t)
+            values.append(v)
+    return times, values, corrupt
+
+
+_SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-7,
+]
+_any_float = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+
+# Number spellings that are not what repr(float) writes: some are JSON
+# (bare and oversized integers), some only float() accepts, some neither.
+_MUTATED_NUMBERS = [
+    "0", "-0", "5", "-3", "12", "9" * 400, "-" + "9" * 400, "01.0", "+1.0",
+    ".5", "1.", "-NaN", "nan", "inf", "-inf", "1E5", "1e+400", "-1e400",
+    "٣.0", "1٣.0", "1.٣", "١٢", '"1.5"', "true", "null", "[]",
+    "1.0.0", "0x10", "1_0.0", "",
+]
+
+_CANONICAL = '{"t": %s, "v": %s}'
+_LAYOUTS = [
+    '{"t":%s,"v":%s}',
+    '{ "t": %s, "v": %s }',
+    '{"t": %s,  "v": %s}',
+    '{"t": %s, "v": %s, "x": 1}',
+    '{"t": %s, "v": %s, "t": 0.5}',
+    '{"v": %s, "t": %s}',
+    '{"T": %s, "v": %s}',
+    '["t", %s, "v", %s]',
+]
+
+
+@st.composite
+def _journal_lines(draw):
+    """One journal, as text with arbitrary line endings."""
+    lines = []
+    clock = draw(st.floats(-1e6, 1e6))
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["clock"] * 4 + ["any", "blank", "junk"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c", "  \x0b "])))
+            continue
+        if kind == "junk":
+            lines.append(draw(st.one_of(
+                st.sampled_from(['{"t": 1.0}', "not json", "[]", "5", '"s"', "{}"]),
+                st.text(max_size=12).filter(lambda s: "\n" not in s and "\r" not in s),
+            )))
+            continue
+        if kind == "clock":
+            clock += draw(st.sampled_from([0.0, 0.5, 10.0, -1.0]))
+            t = clock
+        else:
+            t = draw(_any_float)
+            if math.isfinite(t) and t > clock:
+                clock = t  # keep later clock lines in order
+        t_text, v_text = _encode_sample(t, draw(_any_float))[6:-1].split(', "v": ')
+        mutate = draw(st.sampled_from(["", "", "t", "v"]))
+        if mutate == "t":
+            t_text = draw(st.sampled_from(_MUTATED_NUMBERS))
+        elif mutate == "v":
+            v_text = draw(st.sampled_from(_MUTATED_NUMBERS))
+        layout = draw(st.one_of(st.just(_CANONICAL), st.sampled_from(_LAYOUTS)))
+        line = layout % (t_text, v_text)
+        if draw(st.integers(0, 9)) == 0:
+            line = draw(st.sampled_from([" ", "\t", "\x0c"])) + line
+        if draw(st.integers(0, 9)) == 0:
+            line += draw(st.sampled_from([" ", "\t", "\x0b", "\x85", "\u2028"]))
+        lines.append(line)
+    endings = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]  # torn final write
+    return text
+
+
+class TestGeneratedJournals:
+    """recover()'s regex fast path agrees with the json.loads loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_journal_lines())
+    def test_recover_matches_the_json_loads_loop(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "s.jsonl"
+            path.write_bytes(text.encode("utf-8"))
+            want_times, want_values, want_corrupt = _reference_recover(path)
+            with installed(MetricsRegistry()) as registry:
+                store = MemoryStore(capacity=1000, directory=directory)
+                assert store.recover("s") == len(want_times)
+                corrupt = _corrupt_lines(registry)
+            times, values = store.fetch("s")
+        assert times.tobytes() == np.array(want_times, dtype=np.float64).tobytes()
+        assert values.tobytes() == np.array(want_values, dtype=np.float64).tobytes()
+        assert corrupt == want_corrupt

@@ -168,6 +168,50 @@ class TestHTTP:
                 assert server.core._obs_errors["not_found"].value == 1
 
 
+#: Beyond float range: json.loads reads this as an int, float() overflows.
+BIG_INT = "9" * 400
+
+#: (operation, raw JSON body, field) -- each field's value overflows its
+#: cast (float, or int for limit/horizon via the float 1e400 = inf).
+OVERSIZED_FIELDS = [
+    ("publish", '{"series": "s", "time": %s, "value": 0.5}' % BIG_INT, "time"),
+    ("publish", '{"series": "s", "time": 9.0, "value": %s}' % BIG_INT, "value"),
+    ("fetch", '{"series": "s", "start": %s}' % BIG_INT, "start"),
+    ("fetch", '{"series": "s", "stop": %s}' % BIG_INT, "stop"),
+    ("fetch", '{"series": "s", "limit": 1e400}', "limit"),
+    ("query", '{"series": "s", "horizon": 1e400}', "horizon"),
+    ("register", '{"name": "a", "kind": "sensor", "ttl": %s}' % BIG_INT, "ttl"),
+    ("refresh", '{"name": "a", "ttl": %s}' % BIG_INT, "ttl"),
+]
+
+
+class TestOversizedNumbers:
+    """A number beyond float/int range is a 400 naming the field, not a 500."""
+
+    @pytest.mark.parametrize(
+        "op, body, field",
+        OVERSIZED_FIELDS,
+        ids=[f"{op}-{field}" for op, _, field in OVERSIZED_FIELDS],
+    )
+    def test_http_answers_bad_request(self, op, body, field):
+        with ForecastServer(tenants=("default",)) as server:
+            server.core.publish("default", "s", 0.0, 0.5)
+            server.core.register("default", "a", "sensor", ttl=60.0)
+            request = urllib.request.Request(
+                f"{server.url}/v1/default/{op}",
+                data=body.encode("utf-8"),
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request)
+            assert info.value.code == 400
+            error = json.loads(info.value.read())["error"]
+            assert error["code"] == "bad_request"
+            assert f"bad value for field {field!r}" in error["message"]
+            assert server.core._obs_errors.keys() == {"bad_request"}
+
+
 class TestSelfRegistration:
     def test_registers_in_every_tenant(self):
         with ForecastServer(tenants=("default", "hpc")) as server:
