@@ -28,7 +28,7 @@ def _run(probe_period: float | None, seed: int):
     suite = MeasurementSuite(
         probe_period=probe_period if probe_period is not None else 1e9
     ).attach(host)
-    host.run_until(HOURS6)  # lint: ignore[VEC002] -- ablation benchmarks time the raw event path
+    host.run_until(HOURS6)
     obs = suite.test_observations
     truth = np.array([o.observed for o in obs])
     hybrid = np.array([o.premeasurements["nws_hybrid"] for o in obs])

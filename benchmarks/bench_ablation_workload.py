@@ -32,7 +32,7 @@ def _trace_hurst(on_dist_factory, seed: int) -> float:
     ]
     host.attach(*sources)
     suite = MeasurementSuite(test_period=None).attach(host)
-    host.run_until(HOURS12)  # lint: ignore[VEC002] -- ablation benchmarks time the raw event path
+    host.run_until(HOURS12)
     _, values = suite.series("load_average")
     return hurst_rs(values).value
 

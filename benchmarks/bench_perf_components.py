@@ -27,7 +27,7 @@ def test_kernel_contended_hour(benchmark):
         k = Kernel()
         for i in range(3):
             k.spawn(Process(f"hog{i}"))
-        k.run_until(3600.0)  # lint: ignore[VEC002] -- component bench isolates the event kernel
+        k.run_until(3600.0)
         return k.time
 
     result = benchmark(run)
@@ -39,7 +39,7 @@ def test_kernel_idle_day(benchmark):
 
     def run():
         k = Kernel()
-        k.run_until(86400.0)  # lint: ignore[VEC002] -- component bench isolates the event kernel
+        k.run_until(86400.0)
         return k.time
 
     result = benchmark(run)

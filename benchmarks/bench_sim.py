@@ -1,16 +1,14 @@
-"""Sim engine benchmarks: batch speedup and event-path dispatch overhead.
+"""Kernel benchmarks: the fused ``Kernel.run_until`` against the plain loop.
 
-Three contracts worth numbers:
+Two contracts worth numbers, both against ``reference_run_until`` (the
+unfused event loop kept in ``tests/sim_reference.py``):
 
-* the batch engine must beat the event engine by >= 5x on a day-long
-  (86 400 s) single-host trace of the busiest profile (kongo) while
-  staying byte-identical;
-* it must also beat it, by >= 1.1x, on a day of thing2, the churn host
-  whose callbacks and process completions dominate the paper report's
-  simulation time, again byte-identical; and
-* the engine-dispatch block added to ``simulate_host`` (support check,
-  ``repro_sim_engine_*`` metrics, wall timer) must cost < 5 % versus the
-  bare pre-dispatch body when the event path runs.
+* ``Kernel.run_until`` must be >= 5x faster on a day-long (86 400 s)
+  single-host trace of the busiest profile (kongo) while staying
+  byte-identical; and
+* >= 1.1x faster on a day of thing2, the churn host whose callbacks and
+  process completions dominate the paper report's simulation time, again
+  byte-identical.
 
 Both persist ``BENCH_*.json`` run records under ``artifacts/bench/`` so
 ``nws-repro perf diff`` can flag regressions against a saved baseline.
@@ -23,12 +21,11 @@ import time
 import numpy as np
 
 from benchmarks.conftest import BENCH_RECORD_DIR, run_once
-from repro.experiments.testbed import TestbedConfig, simulate_host
-from repro.obs.instrument import observe_kernel
 from repro.perf import record
 from repro.sensors.suite import METHODS, MeasurementSuite
-from repro.sim.batch import run_batch
-from repro.workload.profiles import build_host, profile_names
+from repro.sim.kernel import Kernel
+from repro.workload.profiles import build_host
+from tests.sim_reference import reference_run_until
 
 #: One simulated day, the paper's trace length.
 DAY = 86_400.0
@@ -68,34 +65,34 @@ def _best_of(fn, rounds: int):
 
 
 def test_batch_engine_speedup(benchmark):
-    """Batch >= 5x over the event engine on a day of kongo, byte-identical."""
+    """Kernel >= 5x over the reference loop on a day of kongo, byte-identical."""
 
-    def event_day():
+    def ref_day():
         host, suite = _host_and_suite()
-        host.run_until(DAY)  # lint: ignore[VEC002] -- the event engine is the reference being timed
+        reference_run_until(host.kernel, DAY)
         return _kernel_fingerprint(host.kernel), suite
 
-    def batch_day():
+    def kernel_day():
         host, suite = _host_and_suite()
-        run_batch(host.kernel, DAY, suite=suite)
+        host.kernel.run_until(DAY)
         return _kernel_fingerprint(host.kernel), suite
 
     start = time.perf_counter()
-    event_print, event_suite = run_once(benchmark, event_day)
-    event_s = time.perf_counter() - start
+    ref_print, ref_suite = run_once(benchmark, ref_day)
+    ref_s = time.perf_counter() - start
 
-    batch_s, (batch_print, batch_suite) = _best_of(batch_day, 3)
+    kernel_s, (kernel_print, kernel_suite) = _best_of(kernel_day, 3)
 
-    assert event_print == batch_print
+    assert ref_print == kernel_print
     for method in METHODS:
-        _, values_e = event_suite.series(method)
-        _, values_b = batch_suite.series(method)
-        assert np.asarray(values_e).tobytes() == np.asarray(values_b).tobytes()
+        _, values_r = ref_suite.series(method)
+        _, values_k = kernel_suite.series(method)
+        assert np.asarray(values_r).tobytes() == np.asarray(values_k).tobytes()
 
-    speedup = event_s / batch_s
+    speedup = ref_s / kernel_s
     print()
-    print(f"event {event_s:8.3f} s")
-    print(f"batch {batch_s:8.3f} s   speedup {speedup:.2f}x")
+    print(f"reference {ref_s:8.3f} s")
+    print(f"kernel    {kernel_s:8.3f} s   speedup {speedup:.2f}x")
     try:
         record(
             "sim_batch_speedup",
@@ -107,41 +104,42 @@ def test_batch_engine_speedup(benchmark):
         )
     except OSError:
         pass
-    assert speedup >= 5.0, f"batch engine speedup {speedup:.2f}x < 5x"
+    assert speedup >= 5.0, f"kernel speedup {speedup:.2f}x < 5x"
 
 
-def _run_state(name: str, engine: str):
-    """One simulated day of ``name`` on ``engine``: kernel bytes + suite."""
+def _run_state(name: str, loop):
+    """One simulated day of ``name`` advanced by ``loop``: kernel bytes + suite."""
     host, suite = _host_and_suite(name)
-    if engine == "event":
-        host.run_until(DAY)  # lint: ignore[VEC002] -- the event engine is the reference being timed
-    else:
-        run_batch(host.kernel, DAY, suite=suite)
+    loop(host.kernel, DAY)
     observed = np.asarray([o.observed for o in suite.all_test_observations])
     series = [np.asarray(suite.series(m)[1]).tobytes() for m in METHODS]
     return _kernel_fingerprint(host.kernel), series, observed.tobytes()
 
 
 def test_batch_engine_speedup_thing2(benchmark):
-    """Batch >= 1.1x over the event engine on a day of thing2, byte-identical.
+    """Kernel >= 1.1x over the reference loop on a day of thing2, byte-identical.
 
     thing2 is the churn host: console bursts complete and respawn all day,
-    so nearly every stretch between events ends in a callback.  Both
-    engines get the best of two runs.
+    so nearly every stretch between events ends in a callback.  Both loops
+    get the best of two runs.
     """
 
     def measured():
-        event_s, event_state = _best_of(lambda: _run_state("thing2", "event"), 2)
-        batch_s, batch_state = _best_of(lambda: _run_state("thing2", "batch"), 2)
-        return event_s, batch_s, event_state, batch_state
+        ref_s, ref_state = _best_of(
+            lambda: _run_state("thing2", reference_run_until), 2
+        )
+        kernel_s, kernel_state = _best_of(
+            lambda: _run_state("thing2", Kernel.run_until), 2
+        )
+        return ref_s, kernel_s, ref_state, kernel_state
 
-    event_s, batch_s, event_state, batch_state = run_once(benchmark, measured)
-    assert event_state == batch_state
+    ref_s, kernel_s, ref_state, kernel_state = run_once(benchmark, measured)
+    assert ref_state == kernel_state
 
-    speedup = event_s / batch_s
+    speedup = ref_s / kernel_s
     print()
-    print(f"event {event_s:8.3f} s")
-    print(f"batch {batch_s:8.3f} s   speedup {speedup:.2f}x")
+    print(f"reference {ref_s:8.3f} s")
+    print(f"kernel    {kernel_s:8.3f} s   speedup {speedup:.2f}x")
     try:
         record(
             "sim_batch_speedup_thing2",
@@ -154,53 +152,5 @@ def test_batch_engine_speedup_thing2(benchmark):
         )
     except OSError:
         pass
-    assert speedup >= 1.1, f"thing2 batch speedup {speedup:.2f}x < 1.1x"
+    assert speedup >= 1.1, f"thing2 kernel speedup {speedup:.2f}x < 1.1x"
 
-
-def _legacy_simulate_host(name: str, config: TestbedConfig):
-    """The pre-dispatch ``simulate_host`` hot section: suite + run_until.
-
-    Mirrors what the function did before engine dispatch existed, so the
-    difference against ``simulate_host(..., sim_engine="event")`` is
-    exactly the dispatch block (support check, metrics, wall timer).
-    """
-    host_index = profile_names().index(name)
-    host = build_host(name, seed=np.random.SeedSequence([config.seed, host_index]))
-    suite = MeasurementSuite(
-        measure_period=config.measure_period,
-        probe_period=config.probe_period,
-        test_period=config.test_period,
-        test_duration=config.test_duration,
-        warmup=config.warmup,
-        host=name,
-    ).attach(host)
-    observe_kernel(host.kernel, host=name)
-    host.run_until(config.duration)  # lint: ignore[VEC002] -- the bare event baseline
-    return {m: suite.series(m) for m in METHODS}
-
-
-def test_event_dispatch_overhead(benchmark):
-    """Engine dispatch costs < 5 % when the event path is forced."""
-    config = TestbedConfig(duration=7200.0, sim_engine="event")
-
-    def measured():
-        legacy_s, _ = _best_of(lambda: _legacy_simulate_host("kongo", config), 3)
-        dispatch_s, _ = _best_of(lambda: simulate_host("kongo", config), 3)
-        return legacy_s, dispatch_s
-
-    legacy_s, dispatch_s = run_once(benchmark, measured)
-    overhead = dispatch_s / legacy_s - 1.0
-    print()
-    print(f"bare event    {legacy_s:8.3f} s")
-    print(f"with dispatch {dispatch_s:8.3f} s   overhead {100 * overhead:+.1f}%")
-    try:
-        record(
-            "sim_dispatch_overhead",
-            max(overhead, 0.0),
-            metric="overhead_fraction",
-            unit="ratio",
-            directory=BENCH_RECORD_DIR,
-        )
-    except OSError:
-        pass
-    assert overhead < 0.05, f"dispatch adds {100 * overhead:.1f}% to the event path"

@@ -27,7 +27,7 @@ def main() -> None:
     print(f"Simulating {HOURS} hours of 'thing1' under NWS monitoring ...")
     host = build_host("thing1", seed=42)
     suite = MeasurementSuite().attach(host)
-    host.run_until(HOURS * 3600.0)  # lint: ignore[VEC002] -- didactic walkthrough of the raw sim layer
+    host.run_until(HOURS * 3600.0)
 
     observations = suite.test_observations
     truth = np.array([o.observed for o in observations])

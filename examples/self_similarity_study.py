@@ -33,7 +33,7 @@ def main() -> None:
     print("Simulating 24 hours of 'thing1' ...")
     host = build_host("thing1", seed=7)
     suite = MeasurementSuite(test_period=None).attach(host)
-    host.run_until(24 * 3600.0)  # lint: ignore[VEC002] -- didactic walkthrough of the raw sim layer
+    host.run_until(24 * 3600.0)
     times, values = suite.series("load_average")
 
     print("\n== availability trace (Unix load average) ==")

@@ -52,7 +52,7 @@ def main() -> None:
     host = SimHost("replayed-" + recorded.host, seed=1)
     host.attach(TraceReplayWorkload(stretched))
     suite = MeasurementSuite(test_period=None, warmup=0.0).attach(host)
-    host.run_until(stretched.duration + 300.0)  # lint: ignore[VEC002] -- replay drives a custom workload
+    host.run_until(stretched.duration + 300.0)
 
     times, sensed = suite.series("load_average")
     print("\nreplay fidelity (availability at the end of each segment):")

@@ -61,7 +61,7 @@ echo "==> forecast server load / transport-parity benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_server.py
 
-echo "==> sim engine speedup / dispatch-overhead benchmark"
+echo "==> kernel loop speedup vs the reference loop benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_sim.py
 

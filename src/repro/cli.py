@@ -9,9 +9,6 @@ Commands
     Print reproduced Tables 1-6 (all by default).  ``tables`` and
     ``report`` accept ``--engine {auto,batch,stream}`` to pick the
     forecast backtesting engine (outputs are bit-identical either way).
-    ``run``, ``tables``, ``figures``, ``report`` and ``profile`` accept
-    ``--sim-engine {auto,batch,event}`` to pick the host simulation
-    engine (also bit-identical; see the README's Performance section).
 ``nws-repro figures [--figure N] [--seed S] [--out DIR]``
     ASCII-render reproduced Figures 1-4 and optionally export their data
     as CSV.
@@ -118,19 +115,6 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sim_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sim-engine",
-        choices=("auto", "batch", "event"),
-        default="auto",
-        help=(
-            "host simulation engine (bit-identical output; auto uses the "
-            "batch engine when the host qualifies, falling back to the "
-            "event engine otherwise)"
-        ),
-    )
-
-
 def _make_runner(args):
     """A Runner configured from the shared execution flags."""
     from repro.runner import Runner
@@ -174,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--test-duration", type=float, default=10.0, help="test process length (s)"
     )
-    _add_sim_engine_arg(p_run)
     _add_runner_args(p_run)
 
     p_tables = sub.add_parser("tables", help="regenerate paper tables")
@@ -185,14 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--with-paper", action="store_true", help="also print the paper's values"
     )
     _add_engine_arg(p_tables)
-    _add_sim_engine_arg(p_tables)
     _add_runner_args(p_tables)
 
     p_figures = sub.add_parser("figures", help="regenerate paper figures")
     p_figures.add_argument("--figure", type=int, choices=range(1, 5), default=None)
     p_figures.add_argument("--seed", type=int, default=7)
     p_figures.add_argument("--out", type=str, default=None, help="CSV output dir")
-    _add_sim_engine_arg(p_figures)
     _add_runner_args(p_figures)
 
     p_live = sub.add_parser("live", help="live /proc sensing on this machine")
@@ -237,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--figure3-days", type=float, default=7.0, help="Figure 3 trace length"
     )
     _add_engine_arg(p_report)
-    _add_sim_engine_arg(p_report)
     _add_runner_args(p_report)
 
     p_chaos = sub.add_parser(
@@ -294,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument("--seed", type=int, default=7)
     p_profile.add_argument("--hours", type=float, default=1.0)
-    _add_sim_engine_arg(p_profile)
     p_profile.add_argument(
         "--profiles",
         type=str,
@@ -522,7 +501,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         test_period=args.test_period,
         test_duration=args.test_duration,
-        sim_engine=args.sim_engine,
     )
     runner = _make_runner(args)
     runs = runner.run(hosts, config)
@@ -540,9 +518,7 @@ def _cmd_tables(args) -> int:
 
     generators = {1: table1, 2: table2, 3: table3, 4: table4, 5: table5, 6: table6}
     wanted = [args.table] if args.table else sorted(generators)
-    config = TestbedConfig(
-        duration=args.hours * 3600.0, seed=args.seed, sim_engine=args.sim_engine
-    )
+    config = TestbedConfig(duration=args.hours * 3600.0, seed=args.seed)
     runner = _make_runner(args)
     for n in wanted:
         table = generators[n](runner, config, engine=args.engine)
@@ -560,7 +536,7 @@ def _cmd_figures(args) -> int:
     wanted = [args.figure] if args.figure else sorted(generators)
     runner = _make_runner(args)
     for n in wanted:
-        figure = generators[n](runner, seed=args.seed, sim_engine=args.sim_engine)
+        figure = generators[n](runner, seed=args.seed)
         print(figure.render())
         print()
         if args.out:
@@ -726,9 +702,7 @@ def _cmd_report(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = TestbedConfig(
-        duration=args.hours * 3600.0, seed=args.seed, sim_engine=args.sim_engine
-    )
+    config = TestbedConfig(duration=args.hours * 3600.0, seed=args.seed)
     runner = _make_runner(args)
 
     summary_lines = []
@@ -795,11 +769,7 @@ def _cmd_profile(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        config = TestbedConfig(
-            duration=args.hours * 3600.0,
-            seed=args.seed,
-            sim_engine=args.sim_engine,
-        )
+        config = TestbedConfig(duration=args.hours * 3600.0, seed=args.seed)
         # No result cache: cache hits return stored arrays without
         # replaying telemetry, and the profiler needs the spans.
         tracer = Tracer(clock=lambda: 0.0)

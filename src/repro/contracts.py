@@ -24,8 +24,9 @@ __all__ = [
     "ensure_fraction",
 ]
 
-#: Environment variable consulted on every check; any of ``0``, ``off``,
-#: ``false``, ``no`` (case-insensitive) disables the runtime contracts.
+#: Environment variable consulted on every failing check; any of ``0``,
+#: ``off``, ``false``, ``no`` (case-insensitive) disables the runtime
+#: contracts.
 ENV_VAR = "REPRO_CONTRACTS"
 
 _DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
@@ -45,7 +46,7 @@ def ensure_fraction(value: float, *, name: str = "availability") -> float:
 
     Returns the value unchanged so it can be used inline::
 
-        reading = SensorReading(now, ensure_fraction(avail))
+        availability = ensure_fraction(clamp_fraction(raw))
 
     Raises
     ------
@@ -54,13 +55,12 @@ def ensure_fraction(value: float, *, name: str = "availability") -> float:
         contracts are disabled via ``REPRO_CONTRACTS=0``, in which case
         the value passes through untouched.
     """
-    if not contracts_enabled():
-        return value
     # NaN fails both comparisons, so this one chain catches NaN, +/-inf
-    # and out-of-range values alike.
-    if not 0.0 <= value <= 1.0:
-        raise ContractError(f"{name} must be a fraction in [0, 1], got {value!r}")
-    return value
+    # and out-of-range values alike.  The environment is read only for a
+    # value that fails it: a passing value is returned either way.
+    if 0.0 <= value <= 1.0 or not contracts_enabled():
+        return value
+    raise ContractError(f"{name} must be a fraction in [0, 1], got {value!r}")
 
 
 def checked_fraction(func):

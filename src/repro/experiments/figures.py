@@ -30,14 +30,14 @@ FIGURE_HOSTS = ("thing1", "thing2")
 WEEK = 7 * DAY
 
 
-def _resolve(runner, config, *, seed: int, duration: float, sim_engine: str = "auto"):
+def _resolve(runner, config, *, seed: int, duration: float):
     """Fill in the defaults of the uniform ``(runner, config)`` signature."""
     if runner is None:
         from repro.runner import default_runner
 
         runner = default_runner()
     if config is None:
-        config = TestbedConfig(duration=duration, seed=seed, sim_engine=sim_engine)
+        config = TestbedConfig(duration=duration, seed=seed)
     return runner, config
 
 
@@ -47,14 +47,13 @@ def figure1(
     *,
     seed: int = 7,
     duration: float = DAY,
-    sim_engine: str = "auto",
 ) -> FigureResult:
     """CPU availability measurements (Unix load average), thing1 & thing2.
 
     The raw 10-second availability series over 24 hours -- the traces whose
     slow wandering motivates the whole study.
     """
-    runner, config = _resolve(runner, config, seed=seed, duration=duration, sim_engine=sim_engine)
+    runner, config = _resolve(runner, config, seed=seed, duration=duration)
     panels = {}
     for run in runner.run(FIGURE_HOSTS, config):
         series = run.series["load_average"]
@@ -79,14 +78,13 @@ def figure2(
     seed: int = 7,
     duration: float = DAY,
     nlags: int = 360,
-    sim_engine: str = "auto",
 ) -> FigureResult:
     """First 360 autocorrelations of each availability series.
 
     The slow decay (events hours apart still correlated) is the evidence
     for long-range dependence.
     """
-    runner, config = _resolve(runner, config, seed=seed, duration=duration, sim_engine=sim_engine)
+    runner, config = _resolve(runner, config, seed=seed, duration=duration)
     panels = {}
     notes = {}
     for run in runner.run(FIGURE_HOSTS, config):
@@ -114,7 +112,6 @@ def figure3(
     *,
     seed: int = 7,
     duration: float = WEEK,
-    sim_engine: str = "auto",
 ) -> FigureResult:
     """Pox plots of R/S statistics over a one-week trace, thing1 & thing2.
 
@@ -122,7 +119,7 @@ def figure3(
     of dyadic lengths; the regression through per-length means estimates
     the Hurst parameter (the paper finds 0.70 for both hosts).
     """
-    runner, config = _resolve(runner, config, seed=seed, duration=duration, sim_engine=sim_engine)
+    runner, config = _resolve(runner, config, seed=seed, duration=duration)
     panels = {}
     notes = {}
     for run in runner.run(FIGURE_HOSTS, config):
@@ -151,7 +148,6 @@ def figure4(
     seed: int = 7,
     duration: float = DAY,
     m: int = 30,
-    sim_engine: str = "auto",
 ) -> FigureResult:
     """5-minute aggregated availability, thing1 & thing2 (Table 6 run).
 
@@ -159,7 +155,7 @@ def figure4(
     the given base config, so the periodic signature of the intrusive test
     process is visible, exactly as the paper remarks.
     """
-    runner, config = _resolve(runner, config, seed=seed, duration=duration, sim_engine=sim_engine)
+    runner, config = _resolve(runner, config, seed=seed, duration=duration)
     config = config.derive(test_period=3600.0, test_duration=300.0)
     panels = {}
     for run in runner.run(FIGURE_HOSTS, config):

@@ -102,13 +102,13 @@ def smp_study(
     samples: list[tuple[float, float, float]] = []
 
     def measure():
-        plain.read(kernel)
-        aware.read(kernel)
+        plain.read_availability(kernel)
+        aware.read_availability(kernel)
         kernel.after(10.0, measure)
 
     def launch_test():
-        pre_plain = plain.last_reading.availability
-        pre_aware = aware.last_reading.availability
+        pre_plain = plain.last_availability
+        pre_aware = aware.last_availability
 
         def record(run: TestRun):
             samples.append((pre_plain, pre_aware, run.observed))
@@ -118,7 +118,7 @@ def smp_study(
 
     kernel.after(10.0, measure)
     kernel.after(max(warmup, test_period) + 5.0, launch_test)
-    host.run_until(duration)  # lint: ignore[VEC002] -- custom ncpu kernels with mid-run callbacks
+    host.run_until(duration)
 
     if not samples:
         raise RuntimeError("no ground-truth samples collected")

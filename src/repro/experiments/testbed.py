@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
 from repro.obs.instrument import observe_kernel
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.sensors.suite import METHODS, MeasurementSuite, TestObservation
-from repro.sim.batch import (
-    ParityUnsupported,
-    batch_unsupported_reason,
-    run_batch,
-)
+from repro.sim.kernel import Kernel
 from repro.sim.scheduler import (
     DecayUsageScheduler,
     FairShareScheduler,
@@ -53,7 +47,8 @@ _SCHEDULERS = {
     "fair_share": FairShareScheduler,
 }
 
-_SIM_ENGINES = ("auto", "batch", "event")
+# benchmarks/e2e/spans.py times the kernel loop through this name ("sim.batch").
+run_batch = Kernel.run_until
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -73,15 +68,6 @@ class TestbedConfig:
     every 10 s, hybrid probe once a minute, a 10 s ground-truth test
     process every 10 minutes (Tables 1-3) or a 5-minute test process every
     hour (Table 6, set ``test_duration=300, test_period=3600``).
-
-    ``sim_engine`` selects how the host simulation executes: ``"auto"``
-    (default) uses the batch engine whenever the host
-    qualifies and falls back to the event engine otherwise, ``"batch"``
-    forces the batch engine (raising
-    :class:`~repro.sim.batch.ParityUnsupported` for hosts it cannot
-    reproduce bit-for-bit) and ``"event"`` forces the classic
-    event-driven kernel.  Both engines produce byte-identical results,
-    so the choice never affects outputs -- only wall-clock speed.
     """
 
     __test__ = False  # not a pytest test class
@@ -94,7 +80,6 @@ class TestbedConfig:
     test_duration: float = 10.0
     warmup: float = 600.0
     scheduler: str = "decay_usage"
-    sim_engine: str = "auto"
 
     def __post_init__(self):
         if self.duration <= self.warmup:
@@ -103,11 +88,6 @@ class TestbedConfig:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; "
                 f"choose from {sorted(_SCHEDULERS)}"
-            )
-        if self.sim_engine not in _SIM_ENGINES:
-            raise ValueError(
-                f"unknown sim engine {self.sim_engine!r}; "
-                f"choose from {list(_SIM_ENGINES)}"
             )
 
     def derive(self, **overrides) -> "TestbedConfig":
@@ -197,39 +177,7 @@ def simulate_host(name: str, config: TestbedConfig | None = None) -> HostRun:
     observe_kernel(host.kernel, host=name)
     run_start = host.kernel.time
 
-    # Engine dispatch: the batch engine is a bit-identical twin of
-    # Kernel.run_until, so "auto" uses it whenever the host qualifies and
-    # falls back to the event engine otherwise (counted, never an error).
-    # Only engine="batch" treats an unsupported host as a failure.
-    engine = config.sim_engine
-    fallback_reason = None
-    if engine == "event":
-        resolved = "event"
-    else:
-        fallback_reason = batch_unsupported_reason(host.kernel, suite)
-        if fallback_reason is None:
-            resolved = "batch"
-        elif engine == "batch":
-            raise ParityUnsupported(
-                f"host {name!r} cannot run on the batch engine "
-                f"({fallback_reason}); use sim_engine='auto' or 'event'"
-            )
-        else:
-            resolved = "event"
-    registry = get_registry()
-    registry.counter("repro_sim_engine_total", engine=resolved, host=name).inc()
-    if fallback_reason is not None and engine == "auto":
-        registry.counter(
-            "repro_sim_engine_fallback_total", host=name, reason=fallback_reason
-        ).inc()
-    wall_start = perf_counter()
-    if resolved == "batch":
-        run_batch(host.kernel, config.duration, suite=suite)
-    else:
-        host.run_until(config.duration)
-    registry.histogram(
-        "repro_sim_engine_seconds", engine=resolved, host=name
-    ).observe(perf_counter() - wall_start)
+    run_batch(host.kernel, config.duration)
     # Root span for the profiler: sim-clock endpoints, so the probe spans
     # recorded during the run nest under it and traces stay bit-stable.
     get_tracer().record(

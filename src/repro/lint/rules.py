@@ -37,15 +37,6 @@ paper's results depend on:
     silently loses its interval), and instrumented packages
     (``repro.sim``, ``repro.nws``, ``repro.core``) must not ``print()``
     -- output flows through the metrics registry and exporters.
-``VEC002``
-    Simulation entry discipline: experiment, example and benchmark code
-    enters the simulation via
-    :func:`repro.experiments.testbed.simulate_host` (or the runner),
-    which dispatches between the event and batch sim engines and
-    records ``repro_sim_engine_*`` telemetry.  Calling
-    ``Kernel.run_until`` / ``SimHost.run_until`` directly (outside
-    ``repro.sim`` and ``repro.runner``) pins the slow event path and
-    hides the run from dispatch metrics.
 ``FAULT001``
     Resilience discipline: retry loops in the service layer and runner
     (``repro.nws``, ``repro.runner``) must go through
@@ -74,7 +65,6 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
 from typing import Iterator
 
 from repro.lint.astutils import dotted as _dotted
@@ -606,60 +596,6 @@ class ObservabilityRule(Rule):
                     "print() in an instrumented package; emit through the "
                     "metrics registry / exporters (or move presentation "
                     "code to repro.report / repro.cli)",
-                )
-
-
-# --------------------------------------------------------------------------
-# VEC002 -- simulation entry discipline (no direct run_until)
-# --------------------------------------------------------------------------
-
-#: Packages allowed to drive the simulation clock directly: the sim layer
-#: itself, the runner, and the engine-dispatch site (``simulate_host``).
-_SIM_DRIVER_PREFIXES = ("repro.sim", "repro.runner")
-_SIM_DRIVER_MODULES = ("repro.experiments.testbed",)
-
-
-@register
-class SimulationEntryRule(Rule):
-    rule_id = "VEC002"
-    title = "simulations enter via simulate_host/Runner, not run_until directly"
-    rationale = (
-        "simulate_host dispatches to the batch sim engine (bit-identical, "
-        ">= 5x faster on quiet hosts) and records repro_sim_engine_* "
-        "telemetry; a direct Kernel.run_until/SimHost.run_until call gets "
-        "the slow event path unconditionally and is invisible to dispatch "
-        "metrics"
-    )
-
-    def _allowed(self, module: str) -> bool:
-        if module in _SIM_DRIVER_MODULES:
-            return True
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in _SIM_DRIVER_PREFIXES
-        )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if self._allowed(ctx.module):
-            return
-        # Tests exercise both engines on purpose (the parity matrix drives
-        # run_until directly); the discipline targets experiment, example
-        # and benchmark code.
-        if "tests" in Path(ctx.path).parts:
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "run_until"
-            ):
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    "direct .run_until() bypasses engine dispatch; enter "
-                    "the simulation via simulate_host (or repro.runner."
-                    "Runner.run) so the batch engine and the "
-                    "repro_sim_engine_* metrics apply",
                 )
 
 

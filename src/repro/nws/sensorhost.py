@@ -108,7 +108,7 @@ class SensorHost:
 
         Returns the number of measurement rounds published.
         """
-        self.host.run_until(until)  # lint: ignore[VEC002] -- NWS pump advances the clock between rounds
+        self.host.run_until(until)
         with self._lock:
             rounds = self._rounds
             self._rounds = []

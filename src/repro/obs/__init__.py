@@ -67,16 +67,6 @@ Simulator (``repro.sim``, exported via
   ``repro_sim_processes_completed_total`` (counters).
 * ``repro_sim_cpu_seconds_total`` (counter; labels ``host``, ``mode`` in
   ``user|sys|idle``) -- cumulative CPU accounting.
-* ``repro_sim_engine_total`` (counter; labels ``engine`` in
-  ``batch|event``, ``host``) -- which engine executed each
-  ``simulate_host`` call.
-* ``repro_sim_engine_fallback_total`` (counter; labels ``host``,
-  ``reason``) -- auto-dispatch falls back to the event engine (counted,
-  never an error).
-* ``repro_sim_engine_seconds`` (histogram; labels ``engine``, ``host``)
-  -- wall time per host simulation, per engine (wall-clock; excluded
-  from the deterministic view along with the other two engine-dispatch
-  families, since engine choice is an execution detail).
 
 Sensors (``repro.sensors``; labels: ``host``, ``method``):
 

@@ -70,12 +70,6 @@ WALL_METRICS = frozenset(
         "repro_runner_worker_utilization",
         "repro_forecast_seconds",
         "repro_server_request_seconds",
-        # Sim-engine dispatch: which engine ran is an execution detail
-        # (outputs are proven byte-identical), so the choice -- like the
-        # wall time it took -- must not leak into the deterministic view.
-        "repro_sim_engine_total",
-        "repro_sim_engine_fallback_total",
-        "repro_sim_engine_seconds",
     }
 )
 

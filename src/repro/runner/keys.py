@@ -12,15 +12,6 @@ depends on:
   every old entry, and
 * :data:`CACHE_FORMAT`, the serialization layout version.
 
-The ``sim_engine`` field is special-cased: under ``"auto"`` dispatch the
-batch and event engines are proven byte-identical, so the engine that
-happened to execute must *not* change the key (a cache warmed on one
-machine stays warm on another whose host fell back).  A config that
-*forces* an engine opts out of that proof, so forced engines key
-separately -- and the batch engine's key additionally folds in
-:data:`~repro.sim.batch.BATCH_KERNEL_VERSION` so a numeric-core revision
-invalidates exactly the entries that pinned it.
-
 The digest doubles as the on-disk filename, making the cache
 content-addressed: equal inputs collide onto one entry, different inputs
 never share a file.
@@ -37,9 +28,10 @@ from repro.experiments.testbed import TestbedConfig
 
 __all__ = ["CACHE_FORMAT", "canonical_config", "config_digest"]
 
-#: On-disk layout version; bump when the serialization format changes so
-#: stale entries miss instead of loading garbage.
-CACHE_FORMAT = 1
+#: On-disk layout version; bump when the serialization format (the stored
+#: config included) changes so stale entries miss instead of loading
+#: garbage.  Format 2 stores a config with one field fewer than format 1.
+CACHE_FORMAT = 2
 
 
 def canonical_config(config: TestbedConfig) -> dict:
@@ -66,24 +58,11 @@ def config_digest(
         Override for the package version baked into the key (tests use
         this to simulate cross-version invalidation).
     """
-    cfg = canonical_config(config)
-    # Auto dispatch produces engine-agnostic bytes (the parity contract),
-    # so the resolved engine stays out of the key; dropping the field also
-    # keeps auto digests identical to pre-sim_engine releases.  Forced
-    # engines key separately, with the batch numeric-core version folded
-    # in so a core revision invalidates pinned-batch entries.
-    engine = cfg.pop("sim_engine", "auto")
     payload = {
         "format": CACHE_FORMAT,
         "code": code_version if code_version is not None else __version__,
         "host": host,
-        "config": cfg,
+        "config": canonical_config(config),
     }
-    if engine != "auto":
-        payload["sim_engine"] = engine
-        if engine == "batch":
-            from repro.sim.batch import BATCH_KERNEL_VERSION
-
-            payload["batch_kernel"] = BATCH_KERNEL_VERSION
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

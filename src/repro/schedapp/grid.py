@@ -133,7 +133,7 @@ class SimGrid:
         for host, suite, name, idx in zip(
             self.hosts, self.suites, self.names, range(len(self.hosts))
         ):
-            host.run_until(t)  # lint: ignore[VEC002] -- co-simulation advances hosts incrementally
+            host.run_until(t)
             times, values = suite.series(self.method, include_warmup=True)
             series = self.series_name(name)
             for tt, v in zip(times[self._fed[idx] :], values[self._fed[idx] :]):
@@ -205,7 +205,7 @@ class SimGrid:
             guard = start
             while len(chain_results) < expected:
                 guard += 60.0
-                host.run_until(guard)  # lint: ignore[VEC002] -- co-simulation advances hosts incrementally
+                host.run_until(guard)
                 if guard - start > 1e7:  # pragma: no cover - runaway guard
                     raise RuntimeError(f"tasks on {name} did not finish")
             results.extend(chain_results)

@@ -99,7 +99,7 @@ def self_schedule(grid: SimGrid, tasks: list[GridTask]) -> WorkQueueRun:
     while len(results) < len(tasks):
         horizon += 30.0
         for host in grid.hosts:
-            host.run_until(horizon)  # lint: ignore[VEC002] -- co-simulation advances hosts incrementally
+            host.run_until(horizon)
         if horizon - start > 1e7:  # pragma: no cover - runaway guard
             raise RuntimeError("work queue did not drain")
 

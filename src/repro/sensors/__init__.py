@@ -21,7 +21,7 @@ CPU time received to wall-clock time elapsed (``getrusage()`` style).
 records the streams the experiment harness consumes.
 """
 
-from repro.sensors.base import CPUSensor, SensorReading
+from repro.sensors.base import CPUSensor
 from repro.sensors.hybrid import HybridSensor
 from repro.sensors.loadavg import LoadAverageSensor
 from repro.sensors.probe import ProbeRunner
@@ -35,7 +35,6 @@ __all__ = [
     "LoadAverageSensor",
     "MeasurementSuite",
     "ProbeRunner",
-    "SensorReading",
     "TestObservation",
     "TestProcessRunner",
     "VmstatSensor",

@@ -1,14 +1,13 @@
-"""Sensor interface and reading record."""
+"""Sensor interface."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.contracts import ensure_fraction
 from repro.sim.kernel import Kernel
 
-__all__ = ["CPUSensor", "SensorReading", "clamp_fraction"]
+__all__ = ["CPUSensor", "clamp_fraction"]
 
 
 def clamp_fraction(value: float) -> float:
@@ -24,68 +23,53 @@ def clamp_fraction(value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    """One availability measurement.
-
-    Attributes
-    ----------
-    time:
-        Simulated timestamp of the reading.
-    availability:
-        Fraction of the CPU a new full-priority process is predicted to
-        obtain, in [0, 1].
-    """
-
-    time: float
-    availability: float
-
-
 class CPUSensor(ABC):
     """A CPU availability measurement method.
 
-    Sensors are attached to one kernel, then polled via :meth:`read`; they
-    may keep internal state between reads (vmstat differences counters, the
-    hybrid applies probe bias).  ``last_reading`` is the most recent value,
-    used by the test-process harness to grab "the measurement taken most
-    immediately before the test process executes" (paper Section 2.2).
+    Sensors are attached to one kernel, then polled via
+    :meth:`read_availability`; they may keep internal state between reads
+    (vmstat differences counters, the hybrid applies probe bias).
+    :attr:`last_availability` is the most recent value, used by the
+    test-process harness to grab "the measurement taken most immediately
+    before the test process executes" (paper Section 2.2).
     """
 
     #: Short method name used as a column key in tables.
     name: str = "base"
 
     def __init__(self):
-        self._last: SensorReading | None = None
+        self._last: float | None = None
 
     @abstractmethod
     def _measure(self, kernel: Kernel) -> float:
         """Compute the current availability fraction."""
 
-    def read(self, kernel: Kernel) -> SensorReading:
-        """Take a measurement now and remember it.
+    def read_availability(self, kernel: Kernel) -> float:
+        """Take a measurement now, remember it and return the availability.
 
         The clamp bounds overshoot; :func:`~repro.contracts.ensure_fraction`
         then catches what a clamp cannot -- NaN from a broken formula would
         otherwise poison every downstream forecast (disable via
         ``REPRO_CONTRACTS=0``).
         """
-        availability = ensure_fraction(
-            clamp_fraction(self._measure(kernel)),
-            name=f"sensor {self.name!r} reading",
-        )
-        reading = SensorReading(kernel.time, availability)
-        self._last = reading
-        return reading
+        availability = self._measure(kernel)
+        if not 0.0 <= availability <= 1.0:  # the clamp is a no-op inside
+            availability = clamp_fraction(availability)
+            if not 0.0 <= availability <= 1.0:  # NaN
+                ensure_fraction(availability, name=f"sensor {self.name!r} reading")
+        self._last = availability
+        return availability
 
     @property
-    def last_reading(self) -> SensorReading:
-        """Most recent reading.
+    def last_availability(self) -> float:
+        """Availability of the most recent reading.
 
         Raises
         ------
         ValueError
             If the sensor has never been read.
         """
-        if self._last is None:
+        value = self._last
+        if value is None:
             raise ValueError(f"sensor {self.name!r} has no readings yet")
-        return self._last
+        return value

@@ -24,7 +24,7 @@ when the truth for a 10 s process is much lower).
 from __future__ import annotations
 
 from repro.obs.metrics import get_registry
-from repro.sensors.base import CPUSensor, clamp_fraction
+from repro.sensors.base import CPUSensor
 from repro.sensors.loadavg import LoadAverageSensor
 from repro.sensors.probe import ProbeResult, ProbeRunner
 from repro.sensors.vmstat import VmstatSensor
@@ -40,7 +40,7 @@ class HybridSensor(CPUSensor):
     ----------
     loadavg, vmstat:
         The constituent sensors.  The hybrid only consults their
-        ``last_reading``; the measurement suite is responsible for reading
+        ``last_availability``; the measurement suite is responsible for reading
         them once per period *before* reading the hybrid.
     probe:
         The :class:`~repro.sensors.probe.ProbeRunner` used for arbitration.
@@ -91,8 +91,8 @@ class HybridSensor(CPUSensor):
         """Launch one arbitration probe now."""
 
         def arbitrate(result: ProbeResult):
-            la = self.loadavg.last_reading.availability
-            vm = self.vmstat.last_reading.availability
+            la = self.loadavg.last_availability
+            vm = self.vmstat.last_availability
             truth = result.availability
             if abs(la - truth) <= abs(vm - truth):
                 self._trusted = self.loadavg
@@ -107,5 +107,5 @@ class HybridSensor(CPUSensor):
         self.probe.launch(kernel, arbitrate)
 
     def _measure(self, kernel: Kernel) -> float:
-        raw = self._trusted.last_reading.availability
-        return clamp_fraction(raw + self._bias)
+        # read_availability clamps the sum into [0, 1].
+        return self._trusted.last_availability + self._bias

@@ -132,6 +132,9 @@ class MeasurementSuite:
 
         self._times: list[float] = []
         self._values: dict[str, list[float]] = {m: [] for m in METHODS}
+        # Bound once: a measurement round runs every 10 simulated seconds.
+        self._appends = tuple(self._values[m].append for m in METHODS)
+        self._reading_incs = tuple(c.inc for c in self._obs_readings.values())
         self._tests: list[TestObservation] = []
         self._kernel: Kernel | None = None
         self._round_listeners: list = []
@@ -171,14 +174,18 @@ class MeasurementSuite:
     def _measure_tick(self) -> None:
         kernel = self._kernel
         assert kernel is not None
+        la = self.loadavg.read_availability(kernel)
+        vm = self.vmstat.read_availability(kernel)
+        hybrid = self.hybrid.read_availability(kernel)
         self._times.append(kernel.time)
-        self._values["load_average"].append(self.loadavg.read(kernel).availability)
-        self._values["vmstat"].append(self.vmstat.read(kernel).availability)
-        self._values["nws_hybrid"].append(self.hybrid.read(kernel).availability)
-        for counter in self._obs_readings.values():
-            counter.inc()
+        append_la, append_vm, append_hybrid = self._appends
+        append_la(la)
+        append_vm(vm)
+        append_hybrid(hybrid)
+        for inc in self._reading_incs:
+            inc()
         if self._round_listeners:
-            row = {m: self._values[m][-1] for m in METHODS}
+            row = dict(zip(METHODS, (la, vm, hybrid)))
             for listener in self._round_listeners:
                 listener(kernel.time, row)
         kernel.after(self.measure_period, self._measure_tick)
@@ -193,9 +200,9 @@ class MeasurementSuite:
         kernel = self._kernel
         assert kernel is not None
         pre = {
-            "load_average": self.loadavg.last_reading.availability,
-            "vmstat": self.vmstat.last_reading.availability,
-            "nws_hybrid": self.hybrid.last_reading.availability,
+            "load_average": self.loadavg.last_availability,
+            "vmstat": self.vmstat.last_availability,
+            "nws_hybrid": self.hybrid.last_availability,
         }
         start = kernel.time
 

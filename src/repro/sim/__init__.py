@@ -17,24 +17,16 @@ exactly the mechanisms the paper's measurement anomalies depend on:
 Public surface:
 
 * :class:`repro.sim.kernel.Kernel` -- the machine: clock, event queue,
-  scheduler, accounting.
+  scheduler, accounting.  ``Kernel.run_until`` is the one stepping loop;
+  it fuses the quiet stretches between callbacks (see its module
+  docstring) and stays byte-identical to the plain event loop.
 * :class:`repro.sim.process.Process` -- a schedulable entity.
 * :mod:`repro.sim.scheduler` -- pluggable scheduling policies (decay-usage
   is the default; round-robin and fair-share exist for ablations).
 * :class:`repro.sim.host.SimHost` -- a kernel plus attached workload and
   sensors, the unit the experiment harness manipulates.
-* :mod:`repro.sim.batch` -- a faster twin of ``Kernel.run_until`` that
-  runs on the same live objects (byte-identical by contract); ``run_batch`` /
-  ``batch_unsupported_reason`` / ``ParityUnsupported`` back the
-  ``sim_engine`` dispatch in ``simulate_host``.
 """
 
-from repro.sim.batch import (
-    BATCH_KERNEL_VERSION,
-    ParityUnsupported,
-    batch_unsupported_reason,
-    run_batch,
-)
 from repro.sim.engine import EventQueue
 from repro.sim.host import SimHost
 from repro.sim.kernel import Kernel, KernelConfig
@@ -47,12 +39,8 @@ from repro.sim.scheduler import (
 )
 
 __all__ = [
-    "BATCH_KERNEL_VERSION",
     "DecayUsageScheduler",
     "EventQueue",
-    "ParityUnsupported",
-    "batch_unsupported_reason",
-    "run_batch",
     "FairShareScheduler",
     "Kernel",
     "KernelConfig",

@@ -9,8 +9,8 @@ simultaneous events) is all that is needed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from math import isfinite
 from typing import Callable
 
@@ -36,7 +36,8 @@ class EventQueue:
     (its *horizon*) and rejects both non-monotonic pops and scheduling
     meaningfully into the past: either would silently fire events out of
     timestamp order, which downstream code (sensor counter differencing,
-    the batch engine's fused loops) relies on never happening.
+    the kernel's cruises, which jump straight to the next deadline)
+    relies on never happening.
     """
 
     __slots__ = ("_counter", "_heap", "_horizon", "n_scheduled")
@@ -77,7 +78,7 @@ class EventQueue:
                 f"cannot schedule into the past: event time {time!r} is "
                 f"before the pop horizon {self._horizon!r}"
             )
-        heapq.heappush(self._heap, (time, next(self._counter), callback))
+        heappush(self._heap, (time, next(self._counter), callback))
         self.n_scheduled += 1
 
     def next_time(self) -> float:
@@ -93,16 +94,18 @@ class EventQueue:
         raises instead of silently leaving later-deadline events to fire
         out of order.
         """
-        if now < self._horizon - _PAST_TOLERANCE:
+        horizon = self._horizon
+        if now < horizon - _PAST_TOLERANCE:
             raise ValueError(
                 f"pop_due times must be non-decreasing: got {now!r} after "
-                f"horizon {self._horizon!r}"
+                f"horizon {horizon!r}"
             )
-        if now > self._horizon:
+        if now > horizon:
             self._horizon = now
+        heap = self._heap
         due = []
-        while self._heap and self._heap[0][0] <= now:
-            due.append(heapq.heappop(self._heap)[2])
+        while heap and heap[0][0] <= now:
+            due.append(heappop(heap)[2])
         return due
 
     def clear(self) -> None:

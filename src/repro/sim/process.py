@@ -114,10 +114,3 @@ class Process:
         if not wall > 0.0:
             raise ValueError(f"process {self.name!r} has not completed")
         return self.cpu_time / wall
-
-    def charge(self, cpu_seconds: float) -> None:
-        """Account ``cpu_seconds`` of execution to this process."""
-        self.cpu_time += cpu_seconds
-        sys_part = cpu_seconds * self.sys_fraction
-        self.sys_time += sys_part
-        self.user_time += cpu_seconds - sys_part

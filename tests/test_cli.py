@@ -50,6 +50,14 @@ class TestParser:
             assert args.jobs == 4 and args.cache_dir == "/tmp/c" and args.no_cache
 
 
+    def test_removed_sim_engine_option_exits_2(self, capsys, tmp_path):
+        # One kernel loop: the old engine switch is an unknown option now.
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(tmp_path / "out"), "--sim-engine", "auto"])
+        assert exc.value.code == 2
+        assert "--sim-engine" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 class TestRunCommand:
     def test_run_prints_host_summary_and_stats(self, capsys, tmp_path):
         rc = main(

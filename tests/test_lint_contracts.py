@@ -36,6 +36,40 @@ class TestEnsureFraction:
             ensure_fraction(2.0, name="vmstat reading")
 
 
+def _ensure_fraction_before(value, *, name="availability"):
+    """``ensure_fraction`` as it read before the range test came first."""
+    if not contracts_enabled():
+        return value
+    if not 0.0 <= value <= 1.0:
+        raise ContractError(f"{name} must be a fraction in [0, 1], got {value!r}")
+    return value
+
+
+def _outcome(fn, value):
+    """The return value (bit pattern included), or the error message."""
+    try:
+        result = fn(value, name="reading")
+    except ContractError as exc:
+        return ("raises", str(exc))
+    return ("returns", repr(result), math.copysign(1.0, result))
+
+
+@pytest.mark.parametrize("setting", [None, "0", "off", "FALSE", "no", "1"])
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 1e-12, 0.5, 1.0, -0.01, 1.01, math.nan, math.inf, -math.inf],
+)
+def test_range_first_matches_env_first(monkeypatch, setting, value):
+    """Testing the range before reading the environment changes no outcome."""
+    if setting is None:
+        monkeypatch.delenv(ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(ENV_VAR, setting)
+    assert _outcome(ensure_fraction, value) == _outcome(
+        _ensure_fraction_before, value
+    )
+
+
 class TestKillSwitch:
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)

@@ -387,78 +387,6 @@ class TestObservability:
 
 
 # -----------------------------------------------------------------------
-# VEC002 -- simulation entry discipline
-# -----------------------------------------------------------------------
-
-class TestSimulationEntry:
-    def test_run_until_flagged_in_experiments(self):
-        src = """
-        def study(host):
-            host.run_until(3600.0)
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == ["VEC002"]
-
-    def test_kernel_run_until_flagged_outside_packages(self):
-        src = """
-        from repro.sim.kernel import Kernel
-
-        def bench():
-            k = Kernel()
-            k.run_until(86400.0)
-        """
-        assert rule_ids(src, module="") == ["VEC002"]
-
-    def test_sim_layer_itself_silent(self):
-        src = """
-        def drive(kernel):
-            kernel.run_until(10.0)
-        """
-        assert rule_ids(src, module="repro.sim.host") == []
-
-    def test_runner_silent(self):
-        src = """
-        def drive(host):
-            host.run_until(10.0)
-        """
-        assert rule_ids(src, module="repro.runner.local") == []
-
-    def test_testbed_dispatch_site_silent(self):
-        src = """
-        def simulate_host(host, duration):
-            host.run_until(duration)
-        """
-        assert rule_ids(src, module="repro.experiments.testbed") == []
-
-    def test_simulate_host_use_silent(self):
-        src = """
-        from repro.experiments.testbed import TestbedConfig, simulate_host
-
-        def study():
-            return simulate_host("kongo", TestbedConfig(duration=3600.0))
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == []
-
-    def test_tests_directory_silent(self):
-        src = """
-        def test_kernel(host):
-            host.run_until(3600.0)
-        """
-        result = findings(src, module="")
-        assert [f.rule_id for f in result.findings] == ["VEC002"]
-        result = check_source(
-            textwrap.dedent(src), path="tests/test_sim_fake.py", module=""
-        )
-        assert [f.rule_id for f in result.findings] == []
-
-    def test_suppression_honoured(self):
-        src = """
-        def study(host):
-            host.run_until(3600.0)  # lint: ignore[VEC002] -- raw-layer demo
-        """
-        assert rule_ids(src, module="repro.experiments.fake") == []
-
-
-# -----------------------------------------------------------------------
 # FAULT001 -- resilience discipline
 # -----------------------------------------------------------------------
 

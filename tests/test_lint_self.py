@@ -61,7 +61,6 @@ def test_no_stale_suppressions_in_tree(src_lint_result):
         "DET001",
         "EXC001",
         "THRD001",
-        "VEC002",
     }
 
 

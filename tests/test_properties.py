@@ -99,8 +99,8 @@ class TestSensorBounds:
             k.at(at, lambda d=demand, n=nice: k.spawn(Process("p", cpu_demand=d, nice=n)))
         for stop in (10.0, 30.0, 60.0, 90.0):
             k.run_until(stop)
-            assert 0.0 <= la.read(k).availability <= 1.0
-            assert 0.0 <= vm.read(k).availability <= 1.0
+            assert 0.0 <= la.read_availability(k) <= 1.0
+            assert 0.0 <= vm.read_availability(k) <= 1.0
 
 
 class TestForecastBounds:
@@ -162,7 +162,7 @@ class TestFailureInjection:
         k = Kernel()
         vm = VmstatSensor()
         vm.prime(k)
-        first = vm.read(k).availability  # zero-length interval at t=0
+        first = vm.read_availability(k)  # zero-length interval at t=0
         assert 0.0 <= first <= 1.0
 
     def test_process_completing_exactly_at_tick_boundary(self):

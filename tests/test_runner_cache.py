@@ -41,35 +41,6 @@ class TestKeys:
         # Round-trips through JSON without custom encoders.
         json.dumps(canonical_config(TINY))
 
-    def test_auto_dispatch_keeps_engine_out_of_the_key(self):
-        # Under "auto" the engines are byte-identical, so a cache warmed
-        # on a batch-capable machine must stay warm where the host falls
-        # back -- and auto digests must match pre-sim_engine releases.
-        assert config_digest("thing1", TINY) == config_digest(
-            "thing1", TINY.derive(sim_engine="auto")
-        )
-
-    def test_forced_engines_key_separately(self):
-        auto = config_digest("thing1", TINY)
-        event = config_digest("thing1", TINY.derive(sim_engine="event"))
-        batch = config_digest("thing1", TINY.derive(sim_engine="batch"))
-        assert len({auto, event, batch}) == 3
-
-    def test_forced_batch_folds_in_kernel_version(self, monkeypatch):
-        import repro.sim.batch as batch_mod
-
-        pinned = TINY.derive(sim_engine="batch")
-        before = config_digest("thing1", pinned)
-        monkeypatch.setattr(
-            batch_mod, "BATCH_KERNEL_VERSION", batch_mod.BATCH_KERNEL_VERSION + 1
-        )
-        assert config_digest("thing1", pinned) != before
-        # A numeric-core revision must not disturb auto/event entries.
-        assert config_digest("thing1", TINY) == config_digest("thing1", TINY)
-        assert config_digest(
-            "thing1", TINY.derive(sim_engine="event")
-        ) == config_digest("thing1", TINY.derive(sim_engine="event"))
-
 
 class TestRoundTrip:
     def test_store_then_load_reproduces_run(self, tmp_path, tiny_run):

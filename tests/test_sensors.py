@@ -24,14 +24,14 @@ class TestLoadAverageSensor:
         k = Kernel()
         k.run_until(10.0)
         sensor = LoadAverageSensor()
-        assert sensor.read(k).availability == pytest.approx(1.0, abs=0.01)
+        assert sensor.read_availability(k) == pytest.approx(1.0, abs=0.01)
 
     def test_one_hog_reads_half(self):
         k = Kernel()
         k.spawn(Process("hog"))
         k.run_until(400.0)
         sensor = LoadAverageSensor()
-        assert sensor.read(k).availability == pytest.approx(0.5, abs=0.01)
+        assert sensor.read_availability(k) == pytest.approx(0.5, abs=0.01)
 
     def test_formula_is_one_over_load_plus_one(self):
         k = Kernel()
@@ -40,7 +40,7 @@ class TestLoadAverageSensor:
         k.run_until(600.0)
         sensor = LoadAverageSensor()
         expected = 1.0 / (k.load_average + 1.0)
-        assert sensor.read(k).availability == pytest.approx(expected)
+        assert sensor.read_availability(k) == pytest.approx(expected)
 
     def test_ncpu_aware_variant(self):
         k = Kernel(KernelConfig(ncpu=4))
@@ -48,15 +48,15 @@ class TestLoadAverageSensor:
         k.run_until(400.0)
         aware = LoadAverageSensor(ncpu_aware=True)
         # load ~1 on 4 CPUs: a newcomer still gets a full CPU.
-        assert aware.read(k).availability == pytest.approx(1.0)
+        assert aware.read_availability(k) == pytest.approx(1.0)
 
     def test_last_reading(self):
         k = Kernel()
         sensor = LoadAverageSensor()
         with pytest.raises(ValueError):
-            sensor.last_reading
-        reading = sensor.read(k)
-        assert sensor.last_reading == reading
+            sensor.last_availability
+        reading = sensor.read_availability(k)
+        assert sensor.last_availability == reading
 
 
 class TestVmstatSensor:
@@ -65,7 +65,7 @@ class TestVmstatSensor:
         sensor = VmstatSensor()
         sensor.prime(k)
         k.run_until(10.0)
-        assert sensor.read(k).availability == pytest.approx(1.0, abs=0.02)
+        assert sensor.read_availability(k) == pytest.approx(1.0, abs=0.02)
 
     def test_one_hog_reads_near_half(self):
         k = Kernel()
@@ -75,7 +75,7 @@ class TestVmstatSensor:
         sensor.prime(k)
         k.run_until(120.0)
         # idle = 0, user = 1, rq -> 1: avail = (1 + 1*0)/2 = 0.5.
-        assert sensor.read(k).availability == pytest.approx(0.5, abs=0.05)
+        assert sensor.read_availability(k) == pytest.approx(0.5, abs=0.05)
 
     def test_interval_fractions_tracked(self):
         k = Kernel()
@@ -83,7 +83,7 @@ class TestVmstatSensor:
         sensor.prime(k)
         k.spawn(Process("hog", sys_fraction=0.3))
         k.run_until(100.0)
-        sensor.read(k)
+        sensor.read_availability(k)
         assert sensor.last_sys == pytest.approx(0.3, abs=0.02)
         assert sensor.last_user == pytest.approx(0.7, abs=0.02)
         assert sensor.last_idle == pytest.approx(0.0, abs=0.02)
@@ -96,7 +96,7 @@ class TestVmstatSensor:
         sensor.prime(k)
         k.spawn(Process("gateway", sys_fraction=1.0))
         k.run_until(100.0)
-        avail = sensor.read(k).availability
+        avail = sensor.read_availability(k)
         assert avail == pytest.approx(0.0, abs=0.05)
 
     def test_double_read_same_instant_reuses_fractions(self):
@@ -104,8 +104,8 @@ class TestVmstatSensor:
         sensor = VmstatSensor()
         sensor.prime(k)
         k.run_until(10.0)
-        first = sensor.read(k).availability
-        second = sensor.read(k).availability  # zero-length interval
+        first = sensor.read_availability(k)
+        second = sensor.read_availability(k)  # zero-length interval
         assert second == pytest.approx(first, abs=0.05)
 
     def test_validation(self):
@@ -166,12 +166,12 @@ class TestHybridSensor:
         k = Kernel()
         la, vm, hybrid = self._make(k)
         k.run_until(10.0)
-        la.read(k)
-        vm.read(k)
+        la.read_availability(k)
+        vm.read_availability(k)
         assert hybrid.trusted_method == "load_average"
         assert hybrid.bias == 0.0
-        assert hybrid.read(k).availability == pytest.approx(
-            la.last_reading.availability
+        assert hybrid.read_availability(k) == pytest.approx(
+            la.last_availability
         )
 
     def test_probe_corrects_nice_blindness(self):
@@ -181,13 +181,13 @@ class TestHybridSensor:
         la, vm, hybrid = self._make(k)
         k.spawn(Process("soak", nice=19))
         k.run_until(300.0)
-        la.read(k)
-        vm.read(k)
+        la.read_availability(k)
+        vm.read_availability(k)
         hybrid.run_probe(k)
         k.run_until(305.0)
-        la.read(k)
-        vm.read(k)
-        value = hybrid.read(k).availability
+        la.read_availability(k)
+        vm.read_availability(k)
+        value = hybrid.read_availability(k)
         assert value > 0.9
         assert len(hybrid.arbitrations) == 1
         assert hybrid.bias > 0.3
@@ -199,20 +199,20 @@ class TestHybridSensor:
         la, vm, hybrid = self._make(k)
         k.spawn(Process("hog", nice=0))
         k.run_until(1800.0)
-        la.read(k)
-        vm.read(k)
+        la.read_availability(k)
+        vm.read_availability(k)
         hybrid.run_probe(k)
         k.run_until(1805.0)
-        la.read(k)
-        vm.read(k)
-        value = hybrid.read(k).availability
+        la.read_availability(k)
+        vm.read_availability(k)
+        value = hybrid.read_availability(k)
         assert value > 0.7  # overestimate vs the ~0.55 truth
 
     def test_readings_clamped(self):
         k = Kernel()
         la, vm, hybrid = self._make(k)
         k.run_until(10.0)
-        la.read(k)
-        vm.read(k)
+        la.read_availability(k)
+        vm.read_availability(k)
         hybrid._bias = 0.9  # force overshoot
-        assert hybrid.read(k).availability <= 1.0
+        assert hybrid.read_availability(k) <= 1.0

@@ -1,12 +1,11 @@
-"""Parity matrix for the batch sim engine (repro.sim.batch).
+"""Parity matrix for the fused kernel loop (``Kernel.run_until``).
 
-The batch engine's contract is *bit-identical* state, not approximate
-agreement: after ``run_batch(kernel, t)`` the kernel, every live process
+The kernel's contract is *bit-identical* state, not approximate
+agreement: after ``kernel.run_until(t)`` the kernel, every live process
 and the attached measurement suite must be byte-for-byte equal to what
-``kernel.run_until(t)`` would have produced.  These tests pin that down
-across the scheduler x workload x ncpu matrix, through ``simulate_host``
-dispatch, and for the fallback paths (counted under "auto", an error
-only when the batch engine is forced).
+the plain event loop (``tests/sim_reference.py``) produces.  These tests
+pin that down across the scheduler x workload x ncpu matrix and through
+``simulate_host``.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ import pytest
 from repro.core.mixture import AdaptiveForecaster, forecast_series
 from repro.experiments.testbed import TestbedConfig, simulate_host
 from repro.obs.exporters import deterministic_view, render_prometheus
+from repro.obs.instrument import observe_kernel
 from repro.obs.metrics import MetricsRegistry, installed
 from repro.sensors.suite import METHODS, MeasurementSuite
-from repro.sim.batch import (
-    BATCH_KERNEL_VERSION,
-    ParityUnsupported,
-    batch_unsupported_reason,
-    run_batch,
-)
 from repro.sim.host import SimHost
 from repro.sim.kernel import Kernel, KernelConfig
 from repro.sim.process import Process
@@ -36,7 +30,9 @@ from repro.sim.scheduler import (
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.distributions import Pareto
 from repro.workload.jobs import BatchJobStream, Daemon, PeriodicJob
+from repro.workload.profiles import build_host, profile_names
 from repro.workload.sessions import OnOffSession
+from tests.sim_reference import reference_run_until
 
 SCHEDULERS = {
     "decay_usage": DecayUsageScheduler,
@@ -68,8 +64,8 @@ WORKLOADS = {
 
 #: Checkpoints straddle measurement boundaries on purpose: 3599.2 lands
 #: mid-round, 3600.0 puts the (float-drifted) measure event inside the
-#: trailing ``[t_end - eps, t_end)`` window where the event path fires it
-#: after the boundary tick, and 4321.7 is nothing-aligned.
+#: trailing ``[t_end - eps, t_end)`` window where the loop fires it after
+#: the boundary tick, and 4321.7 is nothing-aligned.
 CHECKPOINTS = (3599.2, 3600.0, 4321.7)
 
 
@@ -91,7 +87,7 @@ def build_pair(sched_key: str, wl_key: str, ncpu: int):
 
 
 def kernel_state(kernel: Kernel):
-    """Everything the engines must agree on, floats kept exact via bytes."""
+    """Everything the two loops must agree on, floats kept exact via bytes."""
     scalars = np.asarray(
         [
             kernel.time,
@@ -136,102 +132,84 @@ def suite_state(suite: MeasurementSuite):
 @pytest.mark.parametrize("wl_key", sorted(WORKLOADS))
 @pytest.mark.parametrize("ncpu", [1, 2, 4])
 def test_parity_matrix(sched_key, wl_key, ncpu):
-    (host_e, suite_e), (host_b, suite_b) = build_pair(sched_key, wl_key, ncpu)
-    assert batch_unsupported_reason(host_b.kernel, suite_b) is None
+    (host_r, suite_r), (host_k, suite_k) = build_pair(sched_key, wl_key, ncpu)
     for t_end in CHECKPOINTS:
-        host_e.run_until(t_end)
-        run_batch(host_b.kernel, t_end, suite=suite_b)
+        reference_run_until(host_r.kernel, t_end)
+        host_k.kernel.run_until(t_end)
         label = f"{sched_key}/{wl_key}/ncpu={ncpu} @ t={t_end}"
-        assert kernel_state(host_e.kernel) == kernel_state(host_b.kernel), label
-        assert suite_state(suite_e) == suite_state(suite_b), label
+        assert kernel_state(host_r.kernel) == kernel_state(host_k.kernel), label
+        assert suite_state(suite_r) == suite_state(suite_k), label
 
 
 def test_mixture_winners_identical():
     """Byte-equal series must leave the forecast mixture in the same state."""
-    (host_e, suite_e), (host_b, suite_b) = build_pair("decay_usage", "bursty", 1)
-    host_e.run_until(7200.0)
-    run_batch(host_b.kernel, 7200.0, suite=suite_b)
+    (host_r, suite_r), (host_k, suite_k) = build_pair("decay_usage", "bursty", 1)
+    reference_run_until(host_r.kernel, 7200.0)
+    host_k.kernel.run_until(7200.0)
     for method in METHODS:
-        _, values_e = suite_e.series(method)
-        _, values_b = suite_b.series(method)
-        mix_e, mix_b = AdaptiveForecaster(), AdaptiveForecaster()
-        out_e = forecast_series(values_e, mix_e)
-        out_b = forecast_series(values_b, mix_b)
-        assert out_e.tobytes() == out_b.tobytes(), method
-        assert mix_e.bank.best_name() == mix_b.bank.best_name(), method
+        _, values_r = suite_r.series(method)
+        _, values_k = suite_k.series(method)
+        mix_r, mix_k = AdaptiveForecaster(), AdaptiveForecaster()
+        out_r = forecast_series(values_r, mix_r)
+        out_k = forecast_series(values_k, mix_k)
+        assert out_r.tobytes() == out_k.tobytes(), method
+        assert mix_r.bank.best_name() == mix_k.bank.best_name(), method
 
 
 def test_run_batch_without_suite():
+    """A bare kernel (no suite, so no callbacks) matches the reference."""
+
     def build():
         k = Kernel()
         k.spawn(Process("hog"))
         k.spawn(Process("soak", nice=19, sys_fraction=0.3))
         return k
 
-    k_event, k_batch = build(), build()
-    k_event.run_until(5000.0)
-    run_batch(k_batch, 5000.0)
-    assert kernel_state(k_event) == kernel_state(k_batch)
+    k_ref, k_fused = build(), build()
+    reference_run_until(k_ref, 5000.0)
+    k_fused.run_until(5000.0)
+    assert kernel_state(k_ref) == kernel_state(k_fused)
 
 
 def test_run_batch_refuses_backwards():
     k = Kernel()
-    run_batch(k, 100.0)
+    k.run_until(100.0)
     with pytest.raises(ValueError, match="backwards"):
-        run_batch(k, 50.0)
-
-
-class TestUnsupportedDetection:
-    def test_clean_kernel_supported(self):
-        assert batch_unsupported_reason(Kernel()) is None
-
-    def test_kernel_subclass(self):
-        class MyKernel(Kernel):
-            pass
-
-        assert batch_unsupported_reason(MyKernel()) == "kernel_subclass"
-
-    def test_tick_listeners(self):
-        k = Kernel()
-        k.on_tick(lambda kernel: None)
-        assert batch_unsupported_reason(k) == "tick_listeners"
-
-    def test_custom_scheduler(self):
-        class MyScheduler(DecayUsageScheduler):
-            pass
-
-        k = Kernel(None, MyScheduler())
-        assert batch_unsupported_reason(k) == "custom_scheduler"
-
-    def test_process_subclass(self):
-        class MyProcess(Process):
-            pass
-
-        k = Kernel()
-        k.spawn(MyProcess("weird"))
-        assert batch_unsupported_reason(k) == "process_subclass"
-
-    def test_round_listeners(self):
-        host = SimHost("h", seed=0)
-        suite = MeasurementSuite(host="h").attach(host)
-        suite.on_round(lambda *a, **kw: None)
-        assert batch_unsupported_reason(host.kernel, suite) == "round_listeners"
-
-    def test_detached_suite(self):
-        host_a = SimHost("a", seed=0)
-        host_b = SimHost("b", seed=0)
-        suite = MeasurementSuite(host="a").attach(host_a)
-        assert batch_unsupported_reason(host_b.kernel, suite) == "suite_detached"
-
-    def test_forced_run_batch_raises(self):
-        k = Kernel()
-        k.on_tick(lambda kernel: None)
-        with pytest.raises(ParityUnsupported, match="tick_listeners"):
-            run_batch(k, 100.0)
+        k.run_until(50.0)
 
 
 class TestSimulateHostDispatch:
+    """``simulate_host`` runs the kernel loop; the reference loop agrees."""
+
     CONFIG = TestbedConfig(duration=3600.0)
+
+    def reference_run(self, name: str):
+        """``simulate_host``'s wiring, advanced by the reference loop."""
+        config = self.CONFIG
+        host = build_host(
+            name,
+            seed=np.random.SeedSequence([config.seed, profile_names().index(name)]),
+            scheduler=DecayUsageScheduler(),
+        )
+        suite = MeasurementSuite(
+            measure_period=config.measure_period,
+            probe_period=config.probe_period,
+            test_period=config.test_period,
+            test_duration=config.test_duration,
+            warmup=config.warmup,
+            host=name,
+        ).attach(host)
+        observe_kernel(host.kernel, host=name)
+        reference_run_until(host.kernel, config.duration)
+        return {
+            "series": {
+                m: tuple(np.asarray(a).tobytes() for a in suite.series(m))
+                for m in METHODS
+            },
+            "observed": np.asarray(
+                [o.observed for o in suite.test_observations]
+            ).tobytes(),
+        }
 
     def run_state(self, run):
         return {
@@ -244,70 +222,16 @@ class TestSimulateHostDispatch:
 
     def test_engines_byte_identical_through_simulate_host(self):
         for host in ("kongo", "thing1"):
-            runs = {}
-            views = {}
-            for engine in ("event", "batch"):
-                config = TestbedConfig(duration=3600.0, sim_engine=engine)
-                with installed(MetricsRegistry()) as registry:
-                    runs[engine] = simulate_host(host, config)
-                    views[engine] = render_prometheus(deterministic_view(registry))
-            assert self.run_state(runs["event"]) == self.run_state(runs["batch"])
-            # Engine choice and wall time are excluded from the
-            # deterministic view, so telemetry is identical too.
-            assert views["event"] == views["batch"], host
-
-    def test_auto_uses_batch_and_counts_it(self):
-        with installed(MetricsRegistry()) as registry:
-            simulate_host("kongo", self.CONFIG)
-            snapshot = registry.snapshot()
-        totals = snapshot["repro_sim_engine_total"]["samples"]
-        assert [(s["labels"]["engine"], s["value"]) for s in totals] == [
-            ("batch", 1.0)
-        ]
-        assert "repro_sim_engine_fallback_total" not in snapshot
-        assert "repro_sim_engine_seconds" in snapshot
-
-    def test_auto_falls_back_counted_not_error(self, monkeypatch):
-        import repro.experiments.testbed as testbed
-
-        monkeypatch.setattr(
-            testbed, "batch_unsupported_reason", lambda k, s=None: "tick_listeners"
-        )
-        with installed(MetricsRegistry()) as registry:
-            run = simulate_host("kongo", self.CONFIG)
-            snapshot = registry.snapshot()
-        assert run.series  # the run completed on the event engine
-        totals = snapshot["repro_sim_engine_total"]["samples"]
-        assert totals[0]["labels"]["engine"] == "event"
-        fallbacks = snapshot["repro_sim_engine_fallback_total"]["samples"]
-        assert fallbacks[0]["labels"]["reason"] == "tick_listeners"
-        assert fallbacks[0]["value"] == 1.0
-
-    def test_forced_batch_raises_on_unsupported(self, monkeypatch):
-        import repro.experiments.testbed as testbed
-
-        monkeypatch.setattr(
-            testbed, "batch_unsupported_reason", lambda k, s=None: "tick_listeners"
-        )
-        config = TestbedConfig(duration=3600.0, sim_engine="batch")
-        with pytest.raises(ParityUnsupported, match="tick_listeners"):
-            simulate_host("kongo", config)
-
-    def test_forced_event_never_consults_support(self, monkeypatch):
-        import repro.experiments.testbed as testbed
-
-        def boom(*a, **kw):  # pragma: no cover - must not be called
-            raise AssertionError("support check must be skipped")
-
-        monkeypatch.setattr(testbed, "batch_unsupported_reason", boom)
-        config = TestbedConfig(duration=3600.0, sim_engine="event")
-        run = simulate_host("kongo", config)
-        assert run.series
+            with installed(MetricsRegistry()) as registry:
+                expected = self.reference_run(host)
+                reference_view = render_prometheus(deterministic_view(registry))
+            with installed(MetricsRegistry()) as registry:
+                run = simulate_host(host, self.CONFIG)
+                kernel_view = render_prometheus(deterministic_view(registry))
+            assert self.run_state(run) == expected, host
+            assert kernel_view == reference_view, host
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            TestbedConfig(sim_engine="warp")
-
-
-def test_batch_kernel_version_is_positive_int():
-    assert isinstance(BATCH_KERNEL_VERSION, int) and BATCH_KERNEL_VERSION >= 1
+        # The engine option is gone: naming it is an error, not a no-op.
+        with pytest.raises(TypeError, match="sim_engine"):
+            TestbedConfig(sim_engine="auto")

@@ -1,28 +1,31 @@
-"""Generated differential tests: ``run_batch`` against ``Kernel.run_until``.
+"""Generated differential tests: ``Kernel.run_until`` against the reference.
 
 Hypothesis builds a host from a plan -- processes with random nice
 levels, demands and system fractions, a measurement suite with short
 periods, and callbacks that spawn, sleep and kill processes mid-run (some
-from ``on_done`` hooks) -- then advances one copy with the event loop and
-one with the batch engine through the same checkpoints.  The checkpoints
-land on ticks, on callback instants and a fraction of the event epsilon
-either side of them.  After every checkpoint the kernel, every live
-process and the suite must be byte-equal (the same ``kernel_state`` /
-``suite_state`` views the parity matrix uses).
+from ``on_done`` hooks) or change a runnable process's ``nice``,
+``sys_fraction`` or ``cpu_demand`` -- then advances one copy with the
+plain event loop (``tests/sim_reference.py``) and one with the kernel's
+fused loop through the same deadlines.  The deadlines either land on
+ticks, on callback instants and a fraction of the event epsilon either
+side of them, or are one call to the horizon, or are many small steps
+(the NWS sensor-host pump and co-simulation pattern).  After every
+deadline the kernel, every live process and the suite must be byte-equal
+(the same ``kernel_state`` / ``suite_state`` views the parity matrix
+uses).
 
-A second property adds the mid-run changes the batch engine follows
-within a call instead of refusing: a tick listener, a round listener and
-a scheduler swap, each installed by a callback.  What the listeners see
-must match too.
+A second property adds mid-run changes the cruises must notice: a tick
+listener, a round listener and a scheduler swap, each installed by a
+callback.  What the listeners see must match too.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sensors.suite import MeasurementSuite
-from repro.sim.batch import batch_unsupported_reason, run_batch
 from repro.sim.kernel import Kernel, KernelConfig
 from repro.sim.process import Process, ProcessState
 from repro.sim.scheduler import (
@@ -30,6 +33,7 @@ from repro.sim.scheduler import (
     FairShareScheduler,
     RoundRobinScheduler,
 )
+from tests.sim_reference import reference_run_until
 from tests.test_sim_batch import kernel_state, suite_state
 
 SCHEDULERS = (DecayUsageScheduler, RoundRobinScheduler, FairShareScheduler)
@@ -48,7 +52,9 @@ process_spec = st.tuples(
 # (time, kind, process spec, selector, duration)
 action = st.tuples(
     st.floats(min_value=0.0, max_value=HORIZON),
-    st.sampled_from(["spawn", "spawn_chain", "sleep", "kill"]),
+    st.sampled_from(
+        ["spawn", "spawn_chain", "sleep", "kill", "renice", "resys", "redemand"]
+    ),
     process_spec,
     st.integers(min_value=0, max_value=7),
     st.floats(min_value=0.01, max_value=25.0),
@@ -75,6 +81,9 @@ plan = st.fixed_dictionaries(
             min_size=1,
             max_size=4,
         ),
+        # None: the checkpoints above; 0.0: one call to the horizon; else
+        # a step length for many small calls.
+        "step": st.sampled_from([None, None, 0.0, 0.1, 0.37, 1.0, 3.3]),
     }
 )
 
@@ -115,10 +124,28 @@ def build(p: dict, extras=()):
             ]
             if runnable:
                 kernel.sleep(runnable[selector % len(runnable)], duration)
-        else:
+        elif kind == "kill":
             live = kernel.processes
             if live:
                 kernel.kill(live[selector % len(live)])
+        else:
+            # Change a runnable process in place, typically a runner in
+            # the middle of a cruise.
+            runnable = [
+                q for q in kernel.processes if q.state is ProcessState.RUNNABLE
+            ]
+            if not runnable:
+                return
+            target = runnable[selector % len(runnable)]
+            if kind == "renice":
+                target.nice = spec[1]
+            elif kind == "resys":
+                target.sys_fraction = spec[3]
+            else:
+                # Never below what it has used: still live after the change.
+                target.cpu_demand = target.cpu_time + (
+                    INF if selector % 3 == 0 else duration
+                )
 
     for at, kind, spec, selector, duration in p["actions"]:
         kernel.at(at, lambda a=(kind, spec, selector, duration): act(*a))
@@ -141,7 +168,13 @@ def build(p: dict, extras=()):
 
 
 def checkpoints(p: dict) -> list[float]:
-    """Deadlines on and around ticks and callback instants, increasing."""
+    """The run's deadlines, increasing and ending at the horizon."""
+    if p["step"] == 0.0:
+        return [HORIZON]
+    if p["step"] is not None:
+        n = int(HORIZON / p["step"])
+        return [k * p["step"] for k in range(1, n + 1)] + [HORIZON]
+    # On and around ticks and callback instants.
     anchors = [float(int(a[0])) for a in p["actions"]] + [
         a[0] for a in p["actions"]
     ]
@@ -154,27 +187,47 @@ def checkpoints(p: dict) -> list[float]:
 
 
 def assert_same_run(p: dict, extras=()):
-    k_event, s_event, seen_event = build(p, extras)
-    k_batch, s_batch, seen_batch = build(p, extras)
+    k_ref, s_ref, seen_ref = build(p, extras)
+    k_fused, s_fused, seen_fused = build(p, extras)
     for t_end in checkpoints(p):
-        k_event.run_until(t_end)
-        if batch_unsupported_reason(k_batch, s_batch) is None:
-            run_batch(k_batch, t_end, suite=s_batch)
-        else:
-            # A listener installed in an earlier stretch: later calls are
-            # refused up front, as simulate_host would see it.
-            k_batch.run_until(t_end)
-        assert kernel_state(k_event) == kernel_state(k_batch), t_end
-        assert k_event.n_spawned == k_batch.n_spawned
-        assert k_event.n_completed == k_batch.n_completed
-        if s_event is not None:
-            assert suite_state(s_event) == suite_state(s_batch), t_end
-        assert seen_event == seen_batch, t_end
+        reference_run_until(k_ref, t_end)
+        k_fused.run_until(t_end)
+        assert kernel_state(k_ref) == kernel_state(k_fused), t_end
+        assert k_ref.n_spawned == k_fused.n_spawned
+        assert k_ref.n_completed == k_fused.n_completed
+        if s_ref is not None:
+            assert suite_state(s_ref) == suite_state(s_fused), t_end
+        assert seen_ref == seen_fused, t_end
 
 
 @given(p=plan)
 @settings(max_examples=60, deadline=None)
 def test_generated_mixes_match_event_engine(p):
+    """Random mixes, mid-cruise changes and stepping patterns: byte-equal."""
+    assert_same_run(p)
+
+
+@pytest.mark.parametrize("kind", ["renice", "resys", "redemand"])
+@pytest.mark.parametrize("runners", [1, 2])
+def test_runner_changed_mid_cruise(kind, runners):
+    """A callback changes a runner while the kernel cruises; no stale values.
+
+    One or two CPU-bound processes on one CPU under decay-usage, a suite
+    with 2.5 s rounds (so a cruise takes many callbacks), and at t = 35.3,
+    between two probes, a callback changes a runner in place.  Both loops
+    must agree byte for byte at every checkpoint.
+    """
+    initial = [("alice", 0, INF, 0.0), ("bob", 0, INF, 0.35)][:runners]
+    p = {
+        "scheduler": 0,
+        "ncpu": 1,
+        "quantum": 0.1,
+        "initial": initial,
+        "actions": [(35.3, kind, ("alice", 10, INF, 1.0), 1, 2.0)],
+        "suite": (2.5, 4, None),
+        "checkpoints": [],
+        "step": 20.0,
+    }
     assert_same_run(p)
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.sim.kernel import Kernel
 from repro.sim.process import Process, ProcessState
 
 
@@ -29,26 +30,27 @@ class TestValidation:
 
 class TestAccounting:
     def test_charge_splits_user_sys(self):
-        p = Process("p", sys_fraction=0.25)
-        p.charge(4.0)
+        kernel = Kernel()
+        p = kernel.spawn(Process("p", sys_fraction=0.25))
+        kernel.run_until(4.0)
         assert p.cpu_time == pytest.approx(4.0)
         assert p.sys_time == pytest.approx(1.0)
         assert p.user_time == pytest.approx(3.0)
 
     def test_remaining(self):
         p = Process("p", cpu_demand=10.0)
-        p.charge(3.0)
+        p.cpu_time = 3.0
         assert p.remaining == pytest.approx(7.0)
 
     def test_infinite_demand_never_finishes(self):
         p = Process("daemon")
-        p.charge(1e9)
+        p.cpu_time = 1e9
         assert p.remaining == math.inf
 
     def test_observed_availability(self):
         p = Process("p", cpu_demand=5.0)
         p.start_time = 0.0
-        p.charge(5.0)
+        p.cpu_time = 5.0
         p.end_time = 10.0
         assert p.observed_availability == pytest.approx(0.5)
 

@@ -56,8 +56,8 @@ class TestSmpSensing:
         k = Kernel(KernelConfig(ncpu=4))
         k.spawn(Process("hog"))
         k.run_until(400.0)
-        plain = LoadAverageSensor(ncpu_aware=False).read(k).availability
-        aware = LoadAverageSensor(ncpu_aware=True).read(k).availability
+        plain = LoadAverageSensor(ncpu_aware=False).read_availability(k)
+        aware = LoadAverageSensor(ncpu_aware=True).read_availability(k)
         # Truth: three CPUs idle -> a newcomer gets a full CPU.
         assert plain == pytest.approx(0.5, abs=0.02)
         assert aware == pytest.approx(1.0, abs=0.02)
@@ -65,13 +65,13 @@ class TestSmpSensing:
     def test_aware_formula_saturates_at_one(self):
         k = Kernel(KernelConfig(ncpu=2))
         k.run_until(10.0)
-        assert LoadAverageSensor(ncpu_aware=True).read(k).availability == 1.0
+        assert LoadAverageSensor(ncpu_aware=True).read_availability(k) == 1.0
 
     def test_aware_formula_below_one_when_oversubscribed(self):
         k = Kernel(KernelConfig(ncpu=2))
         for i in range(4):
             k.spawn(Process(f"hog{i}"))
         k.run_until(400.0)
-        aware = LoadAverageSensor(ncpu_aware=True).read(k).availability
+        aware = LoadAverageSensor(ncpu_aware=True).read_availability(k)
         # Load 4 on 2 CPUs: newcomer expects 2/(4+1) = 0.4.
         assert aware == pytest.approx(0.4, abs=0.03)

@@ -34,7 +34,7 @@ class TestReplayFidelity:
         readings = []
         for i in range(len(levels)):
             host.run_until(i * step + settle + 50.0)
-            readings.append(sensor.read(host.kernel).availability)
+            readings.append(sensor.read_availability(host.kernel))
         return readings
 
     def test_full_availability_segment(self):
