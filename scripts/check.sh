@@ -26,12 +26,15 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q
 echo "==> end-to-end benchmark harness self-test"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q benchmarks/e2e
 
-echo "==> committed report artifacts match a fresh default report"
+echo "==> committed report artifacts match a fresh and a warm-cache default report"
 report_dir=$(mktemp -d)
 trap 'rm -rf "$report_dir"' EXIT
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli report "$report_dir" \
-    --no-cache --jobs 2 >/dev/null
-diff -r --exclude=cache --exclude=bench --exclude=lint-cache "$report_dir" artifacts
+for run in fresh warm; do
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli report \
+        "$report_dir/$run" --cache-dir "$report_dir/cache" --jobs 2 >/dev/null
+    diff -r --exclude=cache --exclude=bench --exclude=lint-cache \
+        "$report_dir/$run" artifacts
+done
 
 echo "==> observability overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \

@@ -524,6 +524,7 @@ def _cmd_tables(args) -> int:
         table = generators[n](runner, config, engine=args.engine)
         print(table.render(with_paper=args.with_paper))
         print()
+    runner.persist_backtests()
     _print_runner_stats(runner)
     return 0
 
@@ -733,6 +734,7 @@ def _cmd_report(args) -> int:
 
     (out / "REPORT.txt").write_text("\n\n".join(summary_lines) + "\n")
     print(f"wrote REPORT.txt -- all artifacts in {out}/")
+    runner.persist_backtests()
     _print_runner_stats(runner)
     return 0
 

@@ -25,7 +25,16 @@ from repro.core.forecasters import Forecaster, default_battery
 from repro.core.windows import RingMean
 from repro.obs.metrics import get_registry
 
-__all__ = ["ForecasterBank", "AdaptiveForecaster", "forecast_series"]
+__all__ = [
+    "DEFAULT_ERROR_WINDOW",
+    "ForecasterBank",
+    "AdaptiveForecaster",
+    "default_mixture_record",
+    "forecast_series",
+]
+
+#: Recent errors that define "recently most accurate" when none is given.
+DEFAULT_ERROR_WINDOW = 50
 
 #: Wall-time buckets for ``repro_forecast_seconds`` -- day-long traces take
 #: ~100 ms batched and a few seconds streamed.
@@ -55,7 +64,7 @@ class ForecasterBank:
         self,
         forecasters: list[Forecaster] | None = None,
         *,
-        error_window: int = 50,
+        error_window: int = DEFAULT_ERROR_WINDOW,
     ):
         self._forecasters = list(forecasters) if forecasters is not None else default_battery()
         if not self._forecasters:
@@ -220,7 +229,7 @@ class AdaptiveForecaster(Forecaster):
         self,
         forecasters: list[Forecaster] | None = None,
         *,
-        error_window: int = 50,
+        error_window: int = DEFAULT_ERROR_WINDOW,
     ):
         self._bank = ForecasterBank(forecasters, error_window=error_window)
         self._error_window = error_window
@@ -288,7 +297,7 @@ def _batch_plan(forecaster: Forecaster | None):
     """
     if forecaster is None:
         members = default_battery()
-        error_window = 50
+        error_window = DEFAULT_ERROR_WINDOW
 
         def run_default(arr: np.ndarray) -> np.ndarray:
             result = mixture_backtest(
@@ -391,6 +400,19 @@ def _batch_gapped(plan, arr: np.ndarray, finite: np.ndarray) -> np.ndarray:
     forecasts = plan(run)
     k = np.cumsum(finite) - finite
     return forecasts[k]
+
+
+def default_mixture_record() -> dict:
+    """What a default :func:`forecast_series` depends on besides its input.
+
+    The member names of the default battery and the scoring window, as
+    plain JSON: a stored forecast whose record differs from this one was
+    made by another mixture and must be recomputed.
+    """
+    return {
+        "error_window": DEFAULT_ERROR_WINDOW,
+        "members": [member.name for member in default_battery()],
+    }
 
 
 def forecast_series(

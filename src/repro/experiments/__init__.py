@@ -9,7 +9,9 @@
 * :mod:`repro.experiments.results` -- result containers with formatting.
 * :mod:`repro.experiments.smp` -- the SMP extension study and sweep.
 * :mod:`repro.experiments.chaos` -- fault-plan replays of the testbed
-  against a fault-free baseline (``nws-repro chaos``).
+  against a fault-free baseline (``nws-repro chaos``).  It runs the
+  forecast service, so it is imported on first use of ``ChaosReport``,
+  ``HostChaos`` or ``run_chaos``: the report never loads ``repro.nws``.
 
 Execution goes through :class:`repro.runner.Runner` (parallel workers +
 content-addressed on-disk cache); table/figure generators all share the
@@ -20,7 +22,6 @@ Every entry point takes ``seed`` and duration parameters and is
 deterministic given them.
 """
 
-from repro.experiments.chaos import ChaosReport, HostChaos, run_chaos
 from repro.experiments.results import FigureResult, TableResult
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.experiments.figures import figure1, figure2, figure3, figure4
@@ -54,3 +55,13 @@ __all__ = [
     "table5",
     "table6",
 ]
+
+_CHAOS = ("ChaosReport", "HostChaos", "run_chaos")
+
+
+def __getattr__(name: str):
+    if name in _CHAOS:
+        from repro.experiments import chaos
+
+        return getattr(chaos, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,10 @@ Tables 2, 3 and 5 score the same forecast -- the mixture's one-step-ahead
 backtest of each 10 s measurement series -- against the test process
 (Eq. 4), the next measurement (Eq. 5) and, parenthesized in Table 5, Eq. 5
 again.  Each run's series is backtested once per method and engine and
-kept on the :class:`HostRun` (read-only), so the three tables share it.
+kept on the :class:`HostRun` (read-only), so the three tables share it;
+the 5-minute aggregates of Tables 5 and 6 are kept the same way.  A
+disk-cached runner stores these backtests with the run, so a report over
+a filled cache forecasts nothing.
 """
 
 from __future__ import annotations
@@ -130,16 +133,20 @@ def _paper_rows(table: dict, fmt=lambda v: f"{v:.1f}%") -> list[list]:
     return rows
 
 
-def _backtest(run: HostRun, method: str, engine: str) -> np.ndarray:
-    """The one-step-ahead NWS forecasts of ``run``'s ``method`` series.
+def _backtest(run: HostRun, method: str, engine: str, agg: int = 1) -> np.ndarray:
+    """The one-step-ahead NWS forecasts of ``run``'s ``method`` series,
+    aggregated into blocks of ``agg`` samples first when ``agg > 1``.
 
     Computed on first use and kept on the run, keyed by ``(method,
-    engine)``; the array is read-only because every table shares it.
+    engine, agg)``; the array is read-only because every table shares it.
     """
-    key = (method, engine)
+    key = (method, engine, agg)
     forecasts = run._forecasts.get(key)
     if forecasts is None:
-        forecasts = forecast_series(run.values(method), engine=engine)
+        values = run.values(method)
+        if agg > 1:
+            values = aggregate_series(values, agg)
+        forecasts = forecast_series(values, engine=engine)
         forecasts.flags.writeable = False
         run._forecasts[key] = forecasts
     return forecasts
@@ -346,7 +353,7 @@ def table5(
             f = _backtest(run, method, engine)
             err_orig = 100 * np.abs(f[1:] - values[1:]).mean()
             agg = aggregate_series(values, AGG)
-            fa = forecast_series(agg, engine=engine)
+            fa = _backtest(run, method, engine, AGG)
             err_agg = 100 * np.abs(fa[1:] - agg[1:]).mean()
             star = "*" if err_agg < err_orig else ""
             row.append(f"{star}{err_agg:.1f}% ({err_orig:.1f}%)")
@@ -387,11 +394,10 @@ def table6(
         row = [run.host]
         for method in METHODS:
             series = run.series[method]
-            agg_values = aggregate_series(series.values, AGG)
-            blocks = agg_values.size
+            blocks = series.values.size // AGG
             agg_times = series.times[: blocks * AGG].reshape(blocks, AGG)[:, -1]
             forecasts, truths = _align(
-                agg_times, forecast_series(agg_values, engine=engine), run.observations
+                agg_times, _backtest(run, method, engine, AGG), run.observations
             )
             row.append(f"{100 * np.abs(forecasts - truths).mean():.1f}%")
         rows.append(row)

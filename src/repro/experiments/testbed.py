@@ -116,9 +116,11 @@ class HostRun:
     observations:
         Ground-truth test-process observations (post-warmup).
 
-    The run also keeps the backtests computed from it (written and read
-    only by :mod:`repro.experiments.tables`), so every table handed this
-    object scores one shared forecast per method.
+    The run also keeps the backtests computed from it, keyed by
+    ``(method, engine, aggregation level)``: written and read by
+    :mod:`repro.experiments.tables`, so every table handed this object
+    scores one shared forecast per series, and persisted with the run by
+    :class:`repro.runner.ResultCache`.
     """
 
     host: str
@@ -126,7 +128,7 @@ class HostRun:
     series: dict[str, TraceSeries]
     observations: list[TestObservation]
     _frozen: bool = field(default=True, repr=False)
-    _forecasts: dict[tuple[str, str], np.ndarray] = field(
+    _forecasts: dict[tuple[str, str, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

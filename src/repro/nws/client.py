@@ -212,7 +212,7 @@ class HTTPTransport:
             status, raw = self._exchange(method, path, body)
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ProtocolError(
                 f"HTTP {status} with non-JSON body from {self.url}{path}"
             ) from exc

@@ -369,8 +369,9 @@ class MemoryStore:
         ``repro_memory_corrupt_journal_lines_total`` rather than aborting
         the recovery: a partial history is strictly more useful to the
         forecasters than none.  So are lines whose numbers overflow a
-        float, and lines whose time is non-finite or earlier than the
-        last accepted one, which :meth:`publish` would have rejected.
+        float, lines that are not valid UTF-8 or nest too deeply for the
+        JSON decoder, and lines whose time is non-finite or earlier than
+        the last accepted one, which :meth:`publish` would have rejected.
 
         Raises
         ------
@@ -391,7 +392,11 @@ class MemoryStore:
         match = _SAMPLE_LINE.fullmatch
         # read_text translates \r\n and lone \r to \n like line iteration
         # does; splitlines() would also split on \x0b, \x85, \u2028, ...
-        for line in path.read_text(encoding="utf-8").split("\n"):
+        # Bytes that are not UTF-8 decode to lone surrogates, which only
+        # the line holding them fails on (encode() below).
+        for line in path.read_text(
+            encoding="utf-8", errors="surrogateescape"
+        ).split("\n"):
             canonical = match(line)
             if canonical is not None:
                 t, v = float(canonical[1]), float(canonical[2])
@@ -400,15 +405,18 @@ class MemoryStore:
                 if not line:
                     continue
                 try:
+                    line.encode("utf-8")
                     sample = json.loads(line)
                     t = float(sample["t"])
                     v = float(sample["v"])
                 except (
-                    json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
+                    json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError, RecursionError,
                 ):
                     # Journal corruption (torn write, bad field, an int
-                    # beyond float range): count the line and keep going
-                    # -- recovery is best-effort.
+                    # beyond float range, invalid UTF-8, absurd nesting):
+                    # count the line and keep going -- recovery is
+                    # best-effort.
                     self._obs_corrupt.inc()
                     continue
             if not math.isfinite(t) or (times and t < times[-1]):
@@ -468,7 +476,10 @@ class MemoryStore:
             payload = json.loads(path.read_text(encoding="utf-8"))
             series = payload["series"]
             return {str(name): str(file) for name, file in series.items()}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError):
+        except (
+            json.JSONDecodeError, KeyError, TypeError, ValueError,
+            AttributeError, RecursionError,
+        ):
             # Corrupt catalog: the journals themselves are still intact,
             # so rebuild the mapping from their filenames (best-effort).
             return {

@@ -106,7 +106,10 @@ class _Handler(BaseHTTPRequestHandler):
         if length == 0:
             return {}
         raw = self.rfile.read(length)
-        payload = json.loads(raw.decode("utf-8"))
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body nests too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload

@@ -295,7 +295,7 @@ class ServiceCore:
             )
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise ValueError(f"{manifest_path} must hold a JSON object")
@@ -356,7 +356,10 @@ class ServiceCore:
                 )
                 for r in payload["registrations"]
             ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        except (
+            json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError, RecursionError,
+        ):
             # Snapshot writes are atomic, so this only guards against a
             # foreign/hand-edited file (an oversized expires_at, say);
             # registrations are re-creatable state (components

@@ -11,7 +11,8 @@ The one public entry point for monitored testbed simulations::
 * :class:`Runner` -- fans cache misses out over worker processes
   (results are byte-identical to serial runs: per-host seeds are derived
   inside the simulation) and persists results across interpreter
-  restarts through :class:`ResultCache`.
+  restarts through :class:`ResultCache`; ``persist_backtests()``
+  re-stores runs whose table backtests grew, so warm reports load them.
 * :class:`ResultCache` -- the on-disk half: atomic writes,
   corrupt-entry detection, ``clear()``.
 * :func:`config_digest` -- the stable content address:

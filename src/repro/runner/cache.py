@@ -5,9 +5,16 @@ Layout (under the cache root, default ``artifacts/cache/``)::
     <root>/<digest[:2]>/<digest>.npz
 
 Each entry is a single uncompressed ``.npz`` holding the run's series
-arrays, ground-truth observation arrays, and a ``meta`` member (UTF-8
-JSON as a ``uint8`` array -- no pickling anywhere, ``allow_pickle`` stays
-False on load).  Writes are atomic: the entry is assembled in a temporary
+arrays, ground-truth observation arrays, the one-step-ahead backtests the
+tables computed from the run (``HostRun._forecasts``, all in one
+``forecasts`` member), and a ``meta`` member (UTF-8 JSON as a ``uint8``
+array -- no pickling anywhere, ``allow_pickle`` stays False on load).
+The meta records which default mixture made the backtests
+(:func:`~repro.core.mixture.default_mixture_record`); backtests made by
+another mixture are dropped on load, so the tables recompute them, and
+an entry without backtests loads as a run without any.
+
+Writes are atomic: the entry is assembled in a temporary
 file in the same directory and ``os.replace``-d into place, so a reader
 never sees a half-written entry and concurrent writers of the same digest
 simply last-write-wins with identical bytes.
@@ -27,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.mixture import default_mixture_record
 from repro.experiments.testbed import HostRun, TestbedConfig
 from repro.runner.keys import CACHE_FORMAT, canonical_config
 from repro.sensors.suite import TestObservation
@@ -67,12 +75,19 @@ def _encode(run: HostRun) -> dict[str, np.ndarray]:
         arrays[f"obs_pre__{method}"] = np.asarray(
             [o.premeasurements[method] for o in run.observations], dtype=np.float64
         )
+    # One member for all backtests, in key order: every member costs a
+    # read on load.
+    backtests = sorted(run._forecasts)
+    if backtests:
+        arrays["forecasts"] = np.concatenate([run._forecasts[k] for k in backtests])
     meta = {
         "format": CACHE_FORMAT,
         "host": run.host,
         "config": canonical_config(run.config),
         "methods": methods,
         "n_observations": len(run.observations),
+        "mixture": default_mixture_record(),
+        "backtests": backtests,
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     arrays["meta"] = np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
@@ -99,15 +114,32 @@ def _decode(data) -> HostRun:
         pre[m].shape != (n,) for m in methods
     ):
         raise ValueError("observation arrays truncated")
+    pre = {m: pre[m].tolist() for m in methods}
     observations = [
         TestObservation(
-            start_time=float(starts[i]),
-            premeasurements={m: float(pre[m][i]) for m in methods},
-            observed=float(observed[i]),
+            start_time=start,
+            premeasurements={m: pre[m][i] for m in methods},
+            observed=seen,
         )
-        for i in range(n)
+        for i, (start, seen) in enumerate(zip(starts.tolist(), observed.tolist()))
     ]
-    return HostRun(host=host, config=config, series=series, observations=observations)
+    run = HostRun(host=host, config=config, series=series, observations=observations)
+    backtests = [tuple(key) for key in meta.get("backtests", ())]
+    if backtests and meta["mixture"] == default_mixture_record():
+        sizes = []
+        for method, _engine, agg in backtests:
+            if type(agg) is not int or agg < 1:
+                raise ValueError(f"bad aggregation level {agg!r}")
+            sizes.append(series[method].values.size // agg)
+        flat = data["forecasts"]
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            raise ValueError("backtests truncated")
+        flat.flags.writeable = False
+        offset = 0
+        for key, size in zip(backtests, sizes):
+            run._forecasts[key] = flat[offset : offset + size]
+            offset += size
+    return run
 
 
 class ResultCache:

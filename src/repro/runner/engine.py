@@ -28,6 +28,13 @@ and a snapshot that cannot merge is dropped and counted in
 Cache hits (memory or disk) return stored results and do not replay
 telemetry.
 
+A disk entry also carries the backtests the tables computed from its run
+(``HostRun._forecasts``).  They are added after the run is stored, so
+:meth:`Runner.persist_backtests` re-stores each memoized run whose
+backtests grew since it was stored or loaded; the report and table
+commands call it once at the end, and a warm report then forecasts
+nothing.
+
 Worker failures do not take the batch down: a host whose worker raised --
 or whose pool broke entirely (``BrokenProcessPool``, e.g. an OOM-killed
 child) -- is re-simulated in-process under a bounded
@@ -78,6 +85,8 @@ class RunnerStats:
     ``misses`` counts distinct simulations actually performed;
     ``sim_seconds`` sums per-host wall time (CPU-side, so with ``jobs > 1``
     it exceeds elapsed wall time -- the ratio is worker utilisation).
+    ``backtests_loaded`` counts backtests read with disk hits and
+    ``backtests_stored`` those written that their entry did not hold.
     """
 
     memory_hits: int = 0
@@ -86,6 +95,8 @@ class RunnerStats:
     corrupt: int = 0
     retries: int = 0
     snapshot_errors: int = 0
+    backtests_loaded: int = 0
+    backtests_stored: int = 0
     sim_seconds: float = 0.0
     host_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -95,6 +106,8 @@ class RunnerStats:
             f"memory_hits={self.memory_hits} disk_hits={self.disk_hits} "
             f"misses={self.misses} corrupt={self.corrupt} "
             f"retries={self.retries} snapshot_errors={self.snapshot_errors} "
+            f"backtests_loaded={self.backtests_loaded} "
+            f"backtests_stored={self.backtests_stored} "
             f"sim_seconds={self.sim_seconds:.3f}"
         )
 
@@ -203,6 +216,8 @@ class Runner:
             self.cache = ResultCache(cache)
         self.stats = RunnerStats()
         self._memo: dict[str, HostRun] = {}
+        # digest -> how many backtests its disk entry holds
+        self._on_disk: dict[str, int] = {}
         registry = get_registry()
         self._obs_hits = {
             layer: registry.counter("repro_runner_cache_hits_total", layer=layer)
@@ -277,6 +292,7 @@ class Runner:
                 self._memo[digest] = run
                 if self.cache is not None:
                     self.cache.store(digest, run)
+                    self._on_disk[digest] = len(run._forecasts)
                 for i in pending[digest]:
                     results[i] = run
 
@@ -305,8 +321,10 @@ class Runner:
             self._obs_corrupt.inc()
         if run is not None:
             self.stats.disk_hits += 1
+            self.stats.backtests_loaded += len(run._forecasts)
             self._obs_hits["disk"].inc()
             self._memo[digest] = run
+            self._on_disk[digest] = len(run._forecasts)
         return run
 
     def _simulate(
@@ -435,11 +453,31 @@ class Runner:
         self.stats.host_seconds[host] = wall
         self._obs_sims[mode].inc()
 
+    def persist_backtests(self) -> int:
+        """Re-store every memoized run whose backtests grew since it was
+        stored or loaded; returns the entries rewritten (0 with no cache).
+
+        Entries that did not grow are left alone, so a report over a
+        filled cache writes nothing.
+        """
+        if self.cache is None:
+            return 0
+        rewritten = 0
+        for digest, run in self._memo.items():
+            held = self._on_disk.get(digest, 0)
+            if len(run._forecasts) > held:
+                self.cache.store(digest, run)
+                self.stats.backtests_stored += len(run._forecasts) - held
+                self._on_disk[digest] = len(run._forecasts)
+                rewritten += 1
+        return rewritten
+
     # ------------------------------------------------------------ hygiene
 
     def clear_memory(self) -> None:
         """Drop the in-process memo (the disk cache is untouched)."""
         self._memo.clear()
+        self._on_disk.clear()
 
     def clear_disk(self) -> int:
         """Delete every on-disk entry; returns entries removed (0 if no cache)."""

@@ -205,14 +205,15 @@ class TestSharedBacktest:
             values for values in calls
             if not any(values is run.values(m) for run in runs for m in METHODS)
         ]
-        # Table 5's 5-minute aggregates: one backtest each, never shared.
+        # Table 5's 5-minute aggregates: one backtest each.
         assert len(aggregates) == len(runs) * len(METHODS)
         assert {values.size for values in aggregates} == {
             run.values(m).size // tables.AGG for run in runs for m in METHODS
         }
 
         for run in runs:
-            assert len(run._forecasts) == len(METHODS)
+            # Raw and aggregated, both kept on the run.
+            assert len(run._forecasts) == 2 * len(METHODS)
             for forecasts in run._forecasts.values():
                 assert not forecasts.flags.writeable
                 with pytest.raises(ValueError):

@@ -50,6 +50,23 @@ print("\\n".join(heavy))
 """
 
 
+#: The report's set-up imports alone: the forecast service (and the HTTP
+#: stack its client and server pull in) belongs to ``serve``, ``obs`` and
+#: ``chaos``, not to ``report``, ``tables`` or ``figures``.
+REPORT_PROGRAM = """
+import sys
+
+import repro.cli, repro.experiments, repro.runner, repro.report.export
+
+service = sorted(
+    name for name in sys.modules
+    if name == "repro.nws" or name.startswith("repro.nws.")
+    or name == "http.client"
+)
+print("\\n".join(service))
+"""
+
+
 def run_fresh(program: str) -> subprocess.CompletedProcess:
     """Run ``program`` in a fresh interpreter that imports this ``repro``."""
     env = dict(os.environ)
@@ -69,6 +86,22 @@ def test_report_and_service_load_neither_scipy_nor_the_linter():
     done = run_fresh(PROGRAM)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], f"imported at start-up:\n{done.stdout}"
+
+
+def test_report_does_not_load_the_forecast_service():
+    done = run_fresh(REPORT_PROGRAM)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"imported at start-up:\n{done.stdout}"
+
+
+def test_chaos_harness_loads_on_first_use():
+    done = run_fresh(
+        "import sys, repro.experiments\n"
+        "assert 'repro.experiments.chaos' not in sys.modules\n"
+        "from repro.experiments import run_chaos\n"
+        "assert run_chaos.__module__ == 'repro.experiments.chaos'\n"
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_contracts_live_outside_the_linter():

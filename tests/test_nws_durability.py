@@ -26,6 +26,7 @@ from repro.nws import (
     ServerOverloaded,
     ServiceCore,
 )
+from repro.nws.client import HTTPTransport
 from repro.nws.durable import (
     JournalWriter,
     atomic_replace_bytes,
@@ -36,7 +37,12 @@ from repro.nws.service import (
     request_deadline,
     set_request_deadline,
 )
-from repro.nws.wire import DEADLINE_HEADER, canonical, encode_report
+from repro.nws.wire import (
+    DEADLINE_HEADER,
+    ProtocolError,
+    canonical,
+    encode_report,
+)
 from repro.obs import MetricsRegistry, installed
 
 
@@ -401,6 +407,81 @@ class TestMalformedStateDirectory:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"nws-repro {command}: ")
         assert MANIFEST_NAME in captured.err
+
+
+
+#: Nesting deep enough that ``json.loads`` raises RecursionError.
+DEEP = b"[" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """Absurd nesting takes each JSON boundary's usual rule for bad input."""
+
+    def _state(self, tmp_path):
+        core = ServiceCore(("default",), directory=tmp_path)
+        for i in range(3):
+            core.publish("default", "cpu.a", float(i), 0.5)
+        core.register("default", "sensor.a", "sensor", {}, ttl=60.0)
+        core.close()
+        return tmp_path / "default"
+
+    def test_request_body_is_a_bad_request(self):
+        with installed(MetricsRegistry()):
+            with ForecastServer(tenants=("default",)) as server:
+                request = urllib.request.Request(
+                    f"{server.url}/v1/default/publish",
+                    data=DEEP,
+                    method="POST",
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    urllib.request.urlopen(request)
+                assert info.value.code == 400
+                error = json.loads(info.value.read())["error"]
+                assert error["code"] == "bad_request"
+                assert server.core._obs_errors.keys() == {"bad_request"}
+
+    def test_response_body_is_a_protocol_error(self, monkeypatch):
+        transport = HTTPTransport("http://127.0.0.1:9")
+        monkeypatch.setattr(
+            transport, "_exchange", lambda method, path, body: (200, DEEP)
+        )
+        with pytest.raises(ProtocolError, match="non-JSON"):
+            transport._request("GET", "/v1/default/series")
+
+    def test_journal_line_is_skipped_and_counted(self, tmp_path):
+        journal = self._state(tmp_path) / "cpu.a.jsonl"
+        with journal.open("rb") as f:
+            intact = f.read()
+        atomic_replace_bytes(journal, intact + DEEP + b"\n")
+        with installed(MetricsRegistry()) as registry:
+            restored = ServiceCore.restore(tmp_path)
+            assert restored.tenant("default").memory.count("cpu.a") == 3
+            assert (
+                counter_value(registry, "repro_memory_corrupt_journal_lines_total")
+                == 1
+            )
+            restored.close()
+
+    def test_catalog_falls_back_to_journal_filenames(self, tmp_path):
+        tenant = self._state(tmp_path)
+        atomic_replace_bytes(tenant / "series.json", DEEP)
+        restored = ServiceCore.restore(tmp_path)
+        assert restored.tenant("default").memory.count("cpu.a") == 3
+        restored.close()
+
+    def test_manifest_is_a_value_error_naming_the_file(self, tmp_path):
+        atomic_replace_bytes(tmp_path / MANIFEST_NAME, DEEP)
+        with pytest.raises(ValueError, match=MANIFEST_NAME):
+            ServiceCore.restore(tmp_path)
+
+    def test_registration_snapshot_is_skipped(self, tmp_path):
+        tenant = self._state(tmp_path)
+        atomic_replace_bytes(tenant / "registrations.json", DEEP)
+        restored = ServiceCore.restore(tmp_path)
+        assert restored.lookup("default") == []
+        assert restored.tenant("default").memory.count("cpu.a") == 3
+        restored.close()
 
 
 # ----------------------------------------------------- overload protection

@@ -134,6 +134,25 @@ class TestJournalRecovery:
         with pytest.raises(RuntimeError, match="persistence"):
             MemoryStore().recover("s")
 
+    def test_invalid_utf8_lines_are_skipped_and_counted(self, tmp_path):
+        # One bad byte used to fail the whole journal's decode.  Each line
+        # holding one is skipped -- even where the JSON around it would
+        # parse -- and every other line is recovered.
+        path = self._journal(tmp_path)
+        expected = MemoryStore(capacity=100, directory=tmp_path)
+        expected.recover("s")
+        lines = path.read_bytes().split(b"\n")
+        lines.insert(1, b'{"t": 0.5, "v": 0.5, "note": "\xff"}')
+        lines.insert(3, b"\xc3(")
+        lines.insert(5, b'\xed\xa0\x80{"t": 1.5, "v": 0.5}')
+        path.write_bytes(b"\n".join(lines))
+        with installed(MetricsRegistry()) as registry:
+            fresh = MemoryStore(capacity=100, directory=tmp_path)
+            assert fresh.recover("s") == 5
+            assert _corrupt_lines(registry) == 3
+        for got, want in zip(fresh.fetch("s"), expected.fetch("s")):
+            assert got.tobytes() == want.tobytes()
+
     def test_oversized_numbers_are_skipped_and_counted(self, tmp_path):
         # An integer beyond float range parses as JSON but overflows
         # float(): a corrupt line, not a crashed recovery.
