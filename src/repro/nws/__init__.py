@@ -24,8 +24,9 @@ long-running service:
   ``query`` / ``register`` surface whether the transport executes a
   shared :class:`~repro.nws.service.ServiceCore` in-process or speaks
   the versioned JSON wire format of :mod:`repro.nws.wire` to a
-  :class:`~repro.nws.server.ForecastServer` (a multi-tenant
-  ``ThreadingHTTPServer``; see ``nws-repro serve``).
+  :class:`~repro.nws.server.ForecastServer` (a multi-tenant threading
+  TCP server with its own lean HTTP/1.1 framing, one write per message
+  on both ends; see ``nws-repro serve``).
 * :mod:`repro.nws.loadtest` drives either transport with a seeded,
   byte-reproducible load test (see ``nws-repro loadtest``).
 

@@ -34,6 +34,9 @@ __all__ = ["MeasurementSuite", "TestObservation", "METHODS"]
 #: Method column order used by every paper table.
 METHODS = ("load_average", "vmstat", "nws_hybrid")
 
+#: Seconds into a measurement interval at which test processes start.
+TEST_OFFSET = 5.0
+
 
 @dataclass(frozen=True)
 class TestObservation:
@@ -165,7 +168,7 @@ class MeasurementSuite:
         kernel.after(self.probe_period + 0.5, self._probe_tick)
         # Test processes start mid-measurement-interval, after warmup.
         if self.test_period is not None:
-            first_test = max(self.test_period, self.warmup) + 5.0
+            first_test = max(self.test_period, self.warmup) + TEST_OFFSET
             kernel.after(first_test - kernel.time, self._test_tick)
         return self
 

@@ -50,9 +50,9 @@ print("\\n".join(heavy))
 """
 
 
-#: The report's set-up imports alone: the forecast service (and the HTTP
-#: stack its client and server pull in) belongs to ``serve``, ``obs`` and
-#: ``chaos``, not to ``report``, ``tables`` or ``figures``.
+#: The report's set-up imports alone: the forecast service belongs to
+#: ``serve``, ``obs`` and ``chaos``, not to ``report``, ``tables`` or
+#: ``figures``.
 REPORT_PROGRAM = """
 import sys
 
@@ -64,6 +64,22 @@ service = sorted(
     or name == "http.client"
 )
 print("\\n".join(service))
+"""
+
+
+#: Both ends of the forecast wire frame HTTP/1.1 themselves: neither may
+#: bring back the stdlib HTTP stack or the ``email`` header parser under it.
+WIRE_PROGRAM = """
+import sys
+
+import repro.nws.server, repro.nws.client
+
+stdlib_http = sorted(
+    name for name in sys.modules
+    if name in ("http.server", "http.client")
+    or name == "email" or name.startswith("email.")
+)
+print("\\n".join(stdlib_http))
 """
 
 
@@ -92,6 +108,12 @@ def test_report_does_not_load_the_forecast_service():
     done = run_fresh(REPORT_PROGRAM)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], f"imported at start-up:\n{done.stdout}"
+
+
+def test_wire_ends_load_no_stdlib_http_framing():
+    done = run_fresh(WIRE_PROGRAM)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"imported by the wire ends:\n{done.stdout}"
 
 
 def test_chaos_harness_loads_on_first_use():
