@@ -54,9 +54,12 @@ from repro.nws.nameserver import Registration
 
 __all__ = [
     "DEADLINE_HEADER",
+    "MAX_HEADERS",
+    "MAX_LINE",
     "WIRE_VERSION",
     "ProtocolError",
     "canonical",
+    "closes",
     "code_for_exception",
     "decode_fetch",
     "decode_registration",
@@ -207,6 +210,16 @@ def decode_registration(payload: dict) -> Registration:
 #: Defined here because both transport ends must agree on it: the client
 #: transport attaches it, the server parses it into a request deadline.
 DEADLINE_HEADER = "X-NWS-Deadline"
+
+#: HTTP framing bounds both ends hold the other to: the stdlib's
+#: per-line byte limit and header count.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+
+def closes(connection: bytes) -> bool:
+    """Whether a ``Connection`` header value carries the ``close`` token."""
+    return b"close" in [token.strip() for token in connection.lower().split(b",")]
 
 
 # ------------------------------------------------------------------- errors
