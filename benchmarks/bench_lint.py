@@ -4,9 +4,9 @@ The lint pass runs on every ``scripts/check.sh`` invocation and inside
 tier-1 via ``tests/test_lint_self.py``; this bench keeps it cheap enough
 to stay there.  Two budgets:
 
-* a **cold** full-tree run -- per-file rules plus all three semantic
-  passes (symbol table, call graph, taint fixpoint, race reachability)
-  -- must finish in < 10 s;
+* a **cold** full-tree run -- the per-file rules (PROTO001, EXC001,
+  FAULT001, DUR001, OBS002) plus the THRD001 whole-program pass (symbol
+  table, call graph, race reachability) -- must finish in < 10 s;
 * a **warm** run against the content-addressed cache must finish in
   < 1 s, which is what makes the check.sh lint stage near-free when
   nothing changed.

@@ -16,6 +16,10 @@ else
     echo "==> ruff not installed; skipping (pip install ruff to enable)"
 fi
 
+# Domain lint: only the rules no later stage replaces -- PROTO001, EXC001,
+# FAULT001, DUR001, OBS002, the THRD001 race pass, and LINT001 for stale
+# suppressions.  Determinism, units and heap order are left to pytest,
+# the report diffs below and the runtime contracts.
 echo "==> nws-repro lint src/repro benchmarks examples (cached)"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint src/repro \
     benchmarks examples --cache-dir artifacts/lint-cache

@@ -42,8 +42,8 @@ go to stderr so stdout stays byte-stable.
     a baseline directory; exits 1 when a benchmark regressed beyond the
     noise tolerance.
 ``nws-repro lint [PATHS] [--format text|json] [--select/--ignore RULE]``
-    Run the domain-aware static-analysis pass (determinism, unit safety,
-    forecaster protocol, ...) over the given files or directories.
+    Run the domain-aware static-analysis pass (forecaster protocol,
+    durable writes, service races, ...) over the given files or directories.
     Exits 1 when unsuppressed findings remain, 2 on unknown rule ids.
 ``nws-repro chaos [--plan NAME] [--seed S] [--duration SEC] [--jobs N]``
     Replay the testbed under a named fault plan (``--list-plans`` shows
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_lint = sub.add_parser(
-        "lint", help="domain-aware static analysis (determinism, units, protocol)"
+        "lint", help="domain-aware static analysis (protocol, durability, races)"
     )
     p_lint.add_argument(
         "paths",
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="output_format",
         help="report format (default: text)",
@@ -839,7 +839,6 @@ def _cmd_lint(args) -> int:
         all_rules,
         lint_paths,
         render_json,
-        render_sarif,
         render_text,
     )
 
@@ -863,9 +862,7 @@ def _cmd_lint(args) -> int:
     except (UnknownRuleError, FileNotFoundError) as exc:
         print(f"nws-repro lint: {exc}", file=sys.stderr)
         return 2
-    render = {"json": render_json, "sarif": render_sarif}.get(
-        args.output_format, render_text
-    )
+    render = render_json if args.output_format == "json" else render_text
     print(render(result))
     return result.exit_code
 

@@ -478,7 +478,7 @@ def forecast_series(
         registry.counter("repro_forecast_gap_steps_total").inc(
             int(arr.size - np.count_nonzero(finite))
         )
-    start = time.perf_counter()  # lint: ignore[DET001] -- engine telemetry only, never feeds results
+    start = time.perf_counter()
     if gapped:
         if plan is not None:
             out = _batch_gapped(plan, arr, finite)
@@ -495,7 +495,7 @@ def forecast_series(
         for t in range(1, arr.size):
             out[t] = model.forecast()
             model.update(arr[t])
-    elapsed = time.perf_counter() - start  # lint: ignore[DET001] -- engine telemetry only, never feeds results
+    elapsed = time.perf_counter() - start
     registry.histogram(
         "repro_forecast_seconds", buckets=_ENGINE_BUCKETS, engine=chosen
     ).observe(elapsed)

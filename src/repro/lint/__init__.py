@@ -1,13 +1,15 @@
 """``repro.lint``: domain-aware static analysis for this reproduction.
 
-The test suite checks *results*; this package checks *invariants the
-results silently depend on*: bit-reproducible simulations, fraction-typed
-availability values, and the exact streaming-forecaster protocol of
-paper Section 3.  See :mod:`repro.lint.rules` for the rule catalogue and
-:mod:`repro.contracts` for the runtime counterparts (kept outside this
-package so the simulator and the server never load the linter).  Once
-callers have moved to a new entry point, the old one is deleted rather
-than policed by a rule.
+The test suite, the report artifact diff and the runtime contracts
+(:mod:`repro.contracts`) check *results*; this package keeps only the
+rules for defects none of them sees: forecasters that grow a per-instance
+``__dict__``, swallowed service errors, undocumented metrics, journal
+writes that tear on a crash, unlocked writes on thread-reachable paths,
+and stale suppressions.  A rule whose seeded defect another gate already
+catches is deleted rather than kept as a second opinion.  See
+:mod:`repro.lint.rules` and :mod:`repro.lint.semantic` for the rule
+catalogue.  Once callers have moved to a new entry point, the old one is
+deleted rather than policed by a rule.
 
 Programmatic use::
 
@@ -25,7 +27,7 @@ from repro.lint import semantic as _semantic  # noqa: F401 -- registers project 
 from repro.lint.cache import LintCache
 from repro.lint.findings import Finding
 from repro.lint.registry import ModuleContext, Rule, all_rules, register, rule_ids
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import (
     LintResult,
     UnknownRuleError,
@@ -51,7 +53,6 @@ __all__ = [
     "project_from_sources",
     "register",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_ids",
 ]

@@ -16,7 +16,7 @@ class Finding:
     line / col:
         1-based line and 0-based column of the offending node.
     rule_id:
-        Identifier of the rule that fired (e.g. ``DET001``).
+        Identifier of the rule that fired (e.g. ``DUR001``).
     message:
         Human-readable description, including the fix direction.
     """

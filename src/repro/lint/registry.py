@@ -6,9 +6,8 @@ Every rule is a subclass of :class:`Rule` registered via the
 records; the runner handles path walking, scoping, and suppression.
 
 Rules may be *scoped* to dotted package prefixes (``scope``): the
-determinism rule, for example, only applies inside ``repro.sim``,
-``repro.core`` and ``repro.analysis`` -- real wall-clock use in
-``repro.live`` is the whole point of that package.
+swallowed-error rule, for example, only applies inside ``repro.nws`` and
+``repro.live``, the service layers whose failures must stay visible.
 """
 
 from __future__ import annotations

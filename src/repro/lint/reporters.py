@@ -1,31 +1,15 @@
-"""Render a :class:`~repro.lint.runner.LintResult` as text, JSON or SARIF."""
+"""Render a :class:`~repro.lint.runner.LintResult` as text or JSON."""
 
 from __future__ import annotations
 
 import json
 
-from repro.lint.findings import Finding
-from repro.lint.registry import all_rules
-from repro.lint.runner import (
-    PARSE_RULE_ID,
-    UNUSED_SUPPRESSION_RULE_ID,
-    LintResult,
-)
+from repro.lint.runner import LintResult
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_json"]
 
 #: Schema version of the JSON report; bump on breaking changes.
 JSON_VERSION = 1
-
-#: SARIF spec version emitted by :func:`render_sarif`.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-#: Descriptions for the runner's pseudo-rules (not in the registry).
-_PSEUDO_RULES = {
-    PARSE_RULE_ID: "file cannot be read or parsed",
-    UNUSED_SUPPRESSION_RULE_ID: "suppression comment silences nothing",
-}
 
 
 def render_text(result: LintResult) -> str:
@@ -55,76 +39,5 @@ def render_json(result: LintResult) -> str:
         "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [finding.to_dict() for finding in result.suppressed],
         "ok": result.ok,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_result(finding: Finding, *, suppressed: bool) -> dict:
-    entry: dict = {
-        "ruleId": finding.rule_id,
-        "level": "error",
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                }
-            }
-        ],
-    }
-    if finding.line > 0:
-        # SARIF regions are 1-based in both axes; findings carry 0-based
-        # columns.  A finding with no usable line omits the region.
-        entry["locations"][0]["physicalLocation"]["region"] = {
-            "startLine": finding.line,
-            "startColumn": finding.col + 1,
-        }
-    if suppressed:
-        entry["suppressions"] = [{"kind": "inSource"}]
-    return entry
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 report -- the interchange format CI annotators consume.
-
-    Every registered rule (plus the ``LINT000``/``LINT001`` pseudo-rules)
-    appears in the tool's rule metadata; suppressed findings are emitted
-    with an ``inSource`` suppression so viewers can fold them away.
-    """
-    rules_meta = [
-        {
-            "id": rule.rule_id,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-        }
-        for rule in all_rules()
-    ]
-    rules_meta.extend(
-        {"id": rule_id, "shortDescription": {"text": text}}
-        for rule_id, text in _PSEUDO_RULES.items()
-    )
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "nws-repro-lint",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": [
-                    *(
-                        _sarif_result(finding, suppressed=False)
-                        for finding in result.findings
-                    ),
-                    *(
-                        _sarif_result(finding, suppressed=True)
-                        for finding in result.suppressed
-                    ),
-                ],
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

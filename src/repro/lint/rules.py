@@ -3,40 +3,16 @@
 Each rule guards an invariant the test suite cannot see directly but the
 paper's results depend on:
 
-``DET001``
-    Simulations must be bit-reproducible.  Inside ``repro.sim``,
-    ``repro.core`` and ``repro.analysis`` nothing may read the wall clock
-    or draw from global RNG state; randomness and time arrive as injected
-    ``numpy.random.Generator`` / simulated-clock objects.
-``UNIT001``
-    Availability is a fraction in [0, 1]; percentages, fractions,
-    seconds and milliseconds must never be added, subtracted or compared
-    across units, and fraction-valued names must not be compared against
-    literals outside [0, 1].
 ``PROTO001``
     Every :class:`repro.core.forecasters.Forecaster` subclass is a cheap
     streaming estimator: it provides ``update`` and ``forecast``,
     ``forecast`` takes no positional arguments (the paper's Section 3
     protocol), and declares ``__slots__`` so per-measurement allocation
     stays flat across a battery of dozens of instances.
-``MUT001``
-    No mutable default arguments anywhere -- shared-state defaults break
-    both determinism and re-entrancy.
-``HEAP001``
-    ``heapq.heappush`` call sites must push a tuple with a tie-breaker
-    counter; heap order among equal deadlines is otherwise unstable and
-    simulations stop being reproducible (the :class:`repro.sim.engine.
-    EventQueue` FIFO promise).
 ``EXC001``
     No bare ``except`` or swallowed exceptions in the service layer
     (``repro.nws``, ``repro.live``): a sensor that eats its own errors
     reports stale availability instead of dying visibly.
-``OBS001``
-    Observability discipline: ``tracer.span(...)`` must be used as a
-    ``with`` context expression (an unentered span never records and
-    silently loses its interval), and instrumented packages
-    (``repro.sim``, ``repro.nws``, ``repro.core``) must not ``print()``
-    -- output flows through the metrics registry and exporters.
 ``FAULT001``
     Resilience discipline: retry loops in the service layer and runner
     (``repro.nws``, ``repro.runner``) must go through
@@ -74,199 +50,12 @@ from repro.lint.findings import Finding
 from repro.lint.registry import ModuleContext, Rule, register
 
 __all__ = [
-    "DeterminismRule",
-    "UnitSafetyRule",
     "ForecasterProtocolRule",
-    "MutableDefaultRule",
-    "HeapStabilityRule",
     "SwallowedErrorRule",
-    "ObservabilityRule",
-    "SimulationEntryRule",
     "ResilienceRule",
     "MetricInventoryRule",
     "DurabilityRule",
 ]
-
-
-# --------------------------------------------------------------------------
-# DET001 -- determinism
-# --------------------------------------------------------------------------
-
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-#: numpy.random attributes that *construct* injectable RNG state rather
-#: than touching the global generator.
-_NP_RANDOM_OK = {
-    "default_rng",
-    "Generator",
-    "BitGenerator",
-    "SeedSequence",
-    "RandomState",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
-
-#: stdlib ``random`` attributes that are injectable instances, not the
-#: module-level generator.
-_STDLIB_RANDOM_OK = {"Random"}
-
-
-@register
-class DeterminismRule(Rule):
-    rule_id = "DET001"
-    title = "no wall clocks or global RNG state in deterministic packages"
-    rationale = (
-        "simulations must be bit-reproducible; time and randomness are "
-        "injected as simulated clocks and numpy Generators"
-    )
-    scope = ("repro.sim", "repro.core", "repro.analysis")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            full = _resolve(dotted, aliases)
-            if full in _WALL_CLOCK:
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    f"wall-clock call {full}() is nondeterministic; "
-                    "use the simulated kernel clock instead",
-                )
-            elif full.startswith("random.") and full.split(".")[1] not in _STDLIB_RANDOM_OK:
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    f"{full}() draws from the module-level random state; "
-                    "inject a numpy.random.Generator instead",
-                )
-            elif (
-                full.startswith("numpy.random.")
-                and full.split(".")[2] not in _NP_RANDOM_OK
-            ):
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    f"{full}() mutates numpy's global RNG state; "
-                    "inject a numpy.random.Generator instead",
-                )
-            elif full.endswith(".default_rng") and not node.args and not node.keywords:
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    "default_rng() without a seed draws OS entropy; "
-                    "thread a seed or SeedSequence through instead",
-                )
-
-
-# --------------------------------------------------------------------------
-# UNIT001 -- unit safety
-# --------------------------------------------------------------------------
-
-_UNIT_SUFFIXES = (
-    ("_pct", "pct"),
-    ("_percent", "pct"),
-    ("_frac", "frac"),
-    ("_fraction", "frac"),
-    ("_seconds", "seconds"),
-    ("_secs", "seconds"),
-    ("_sec", "seconds"),
-    ("_ms", "ms"),
-    ("_millis", "ms"),
-)
-
-
-def _unit_of(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return None
-    for suffix, unit in _UNIT_SUFFIXES:
-        if name.endswith(suffix):
-            return unit
-    return None
-
-
-def _is_fraction_like(node: ast.AST) -> bool:
-    """Name that by convention holds an availability fraction."""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return False
-    return "availability" in name or _unit_of(node) == "frac"
-
-
-@register
-class UnitSafetyRule(Rule):
-    rule_id = "UNIT001"
-    title = "no cross-unit arithmetic; availability literals stay in [0, 1]"
-    rationale = (
-        "percent/fraction and seconds/milliseconds mix-ups survive every "
-        "test that only checks shapes; catch them at the identifier level"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-                left, right = _unit_of(node.left), _unit_of(node.right)
-                if left and right and left != right:
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"arithmetic mixes units: {left} and {right}; "
-                        "convert explicitly before combining",
-                    )
-            elif isinstance(node, ast.Compare):
-                operands = [node.left, *node.comparators]
-                for a, b in zip(operands, operands[1:]):
-                    ua, ub = _unit_of(a), _unit_of(b)
-                    if ua and ub and ua != ub:
-                        yield ctx.finding(
-                            node,
-                            self.rule_id,
-                            f"comparison mixes units: {ua} and {ub}; "
-                            "convert explicitly before comparing",
-                        )
-                for a, b in zip(operands, operands[1:]):
-                    for named, literal in ((a, b), (b, a)):
-                        if (
-                            _is_fraction_like(named)
-                            and isinstance(literal, ast.Constant)
-                            and isinstance(literal.value, (int, float))
-                            and not isinstance(literal.value, bool)
-                            and not 0.0 <= float(literal.value) <= 1.0
-                        ):
-                            yield ctx.finding(
-                                node,
-                                self.rule_id,
-                                f"availability fraction compared against "
-                                f"{literal.value!r}, outside [0, 1]; "
-                                "availability is a fraction, not a percent",
-                            )
 
 
 # --------------------------------------------------------------------------
@@ -397,100 +186,6 @@ class ForecasterProtocolRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# MUT001 -- mutable default arguments
-# --------------------------------------------------------------------------
-
-_MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter"}
-
-
-@register
-class MutableDefaultRule(Rule):
-    rule_id = "MUT001"
-    title = "no mutable default arguments"
-    rationale = (
-        "a mutable default is shared across calls: state leaks between "
-        "simulations and breaks re-entrancy"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = [*node.args.defaults, *node.args.kw_defaults]
-            for default in defaults:
-                if default is None:
-                    continue
-                mutable = isinstance(default, (ast.List, ast.Dict, ast.Set))
-                if isinstance(default, ast.Call):
-                    name = _dotted(default.func)
-                    mutable = name is not None and name.split(".")[-1] in _MUTABLE_CALLS
-                if mutable:
-                    label = getattr(node, "name", "<lambda>")
-                    yield ctx.finding(
-                        default,
-                        self.rule_id,
-                        f"mutable default argument in {label}(); "
-                        "default to None and create inside the function",
-                    )
-
-
-# --------------------------------------------------------------------------
-# HEAP001 -- heap stability
-# --------------------------------------------------------------------------
-
-_COUNTERISH = ("counter", "count", "seq", "tiebreak", "serial")
-
-
-def _is_tiebreaker(node: ast.AST) -> bool:
-    if isinstance(node, ast.Call):
-        name = _dotted(node.func)
-        if name is None:
-            return False
-        last = name.split(".")[-1]
-        return last in ("next", "count") or any(
-            token in last.lower() for token in _COUNTERISH
-        )
-    name = _dotted(node)
-    if name is not None:
-        return any(token in name.split(".")[-1].lower() for token in _COUNTERISH)
-    return False
-
-
-@register
-class HeapStabilityRule(Rule):
-    rule_id = "HEAP001"
-    title = "heappush entries carry a tie-breaker counter"
-    rationale = (
-        "equal-deadline events must pop FIFO or simulations are not "
-        "reproducible; tuples need a monotonic sequence number"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None or _resolve(dotted, aliases) != "heapq.heappush":
-                continue
-            if len(node.args) < 2:
-                continue
-            item = node.args[1]
-            if (
-                isinstance(item, ast.Tuple)
-                and len(item.elts) >= 2
-                and any(_is_tiebreaker(elt) for elt in item.elts)
-            ):
-                continue
-            yield ctx.finding(
-                node,
-                self.rule_id,
-                "heappush entry has no tie-breaker: push "
-                "(key, next(counter), payload) so equal keys pop FIFO",
-            )
-
-
-# --------------------------------------------------------------------------
 # EXC001 -- bare except / swallowed errors in the service layer
 # --------------------------------------------------------------------------
 
@@ -529,73 +224,6 @@ class SwallowedErrorRule(Rule):
                     self.rule_id,
                     "exception handler swallows the error; re-raise, "
                     "return a sentinel, or record the failure",
-                )
-
-
-# --------------------------------------------------------------------------
-# OBS001 -- observability discipline
-# --------------------------------------------------------------------------
-
-#: Packages where print() is forbidden (presentation layers like
-#: repro.report / repro.cli legitimately print; instrumented domain
-#: packages must route output through the registry and exporters).
-_NO_PRINT_PREFIXES = ("repro.sim", "repro.nws", "repro.core")
-
-
-@register
-class ObservabilityRule(Rule):
-    rule_id = "OBS001"
-    title = "spans are context-managed; instrumented packages do not print"
-    rationale = (
-        "a span that is never entered records nothing and silently loses "
-        "its interval; print() in instrumented code bypasses the "
-        "deterministic exporters"
-    )
-    scope = (
-        "repro.sim",
-        "repro.nws",
-        "repro.core",
-        "repro.sensors",
-        "repro.schedapp",
-        "repro.obs",
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        in_with: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    in_with.add(id(item.context_expr))
-        no_print = any(
-            ctx.module == prefix or ctx.module.startswith(prefix + ".")
-            for prefix in _NO_PRINT_PREFIXES
-        )
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "span"
-                and id(node) not in in_with
-            ):
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    ".span(...) outside a with statement never finishes; "
-                    "use 'with tracer.span(...):' so the interval records "
-                    "even on error",
-                )
-            elif (
-                no_print
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield ctx.finding(
-                    node,
-                    self.rule_id,
-                    "print() in an instrumented package; emit through the "
-                    "metrics registry / exporters (or move presentation "
-                    "code to repro.report / repro.cli)",
                 )
 
 

@@ -4,7 +4,7 @@ Suppression syntax
 ------------------
 A finding is suppressed by a comment on its own line::
 
-    t = time.time()          # noqa-like: "lint: ignore[DET001] -- reason"
+    path.write_text(s)       # noqa-like: "lint: ignore[DUR001] -- reason"
     value = risky()          # "lint: ignore" silences every rule
 
 Suppression comments are extracted with :mod:`tokenize`, so the pattern

@@ -8,19 +8,14 @@ inferred ``self.<attr>`` types) and a conservative
 :class:`~repro.lint.semantic.callgraph.CallGraph` -- and each registered
 :class:`ProjectRule` analyzes it.
 
-Shipped passes
---------------
-DET002 (:mod:`.taint`)
-    Interprocedural determinism taint: wall-clock/RNG values laundered
-    through helpers into ``repro.sim``/``repro.core``/``repro.analysis``.
-UNIT002 (:mod:`.units`)
-    Cross-boundary unit inference: an argument whose inferred dimension
-    (``frac``/``pct``/``seconds``/``ms``) contradicts the callee
-    parameter's.
+Shipped pass
+------------
 THRD001 (:mod:`.races`)
     Shared-state race detector: unsynchronized writes reachable from
     executor tasks, ``Thread`` targets, observability callbacks, and the
-    periodic NWS service entry points.
+    periodic NWS service entry points.  A lock dropped from such a path
+    passes the test suite and the report diff, so this pass is its only
+    check.
 
 Writing a semantic pass
 -----------------------
@@ -41,7 +36,8 @@ Writing a semantic pass
       that function with its resolution (``callee`` when it is a project
       function, ``external`` when it expands to an imported dotted name,
       neither when unknown);
-    * ``project.callgraph.reachable_from(roots)`` for flow questions;
+    * ``project.callgraph.callees[qualname]`` -- the resolved project
+      functions it calls, for reachability questions;
     * ``project.finding_for(info, node, rule_id, message)`` to emit a
       correctly-located finding.
 
@@ -53,9 +49,10 @@ Writing a semantic pass
     except by ``# lint: ignore[...]``.
 
 4.  **Test with** :func:`project_from_sources`, which builds a project
-    from ``{dotted module name: source}`` without touching disk.  Every
-    shipped pass has a fixture test proving one true positive its
-    per-file sibling misses -- keep that bar.
+    from ``{dotted module name: source}`` without touching disk.  A pass
+    earns its place only with a defect no other gate (the tests, the
+    report artifact diff, the runtime contracts) catches; pin that
+    defect in its fixture test.
 
 5.  **Document** the rule in the README rule catalog.  Suppressions,
     ``--select``/``--ignore``, reporters and the lint cache all work for
@@ -72,25 +69,19 @@ from repro.lint.semantic.project import (
 )
 from repro.lint.semantic.symbols import ClassInfo, FunctionInfo, SymbolTable
 
-# Importing the pass modules registers their rules.
-from repro.lint.semantic.taint import DeterminismTaintRule, compute_taint
-from repro.lint.semantic.units import CrossBoundaryUnitRule, infer_param_units
+# Importing the pass module registers its rule.
 from repro.lint.semantic.races import SharedStateRaceRule, thread_entry_roots
 
 __all__ = [
     "CallGraph",
     "CallSite",
     "ClassInfo",
-    "CrossBoundaryUnitRule",
-    "DeterminismTaintRule",
     "FunctionInfo",
     "Project",
     "ProjectRule",
     "SharedStateRaceRule",
     "SymbolTable",
     "build_project",
-    "compute_taint",
-    "infer_param_units",
     "project_from_sources",
     "thread_entry_roots",
 ]

@@ -70,7 +70,6 @@ class CallGraph:
         self.table = table
         self.sites: dict[str, list[CallSite]] = {}
         self.callees: dict[str, set[str]] = {}
-        self.callers: dict[str, set[str]] = {}
         self._local_types: dict[str, dict[str, ClassInfo]] = {}
 
     @classmethod
@@ -95,7 +94,6 @@ class CallGraph:
                 target = self.table.method_on(site.callee_class, "__init__")
             if target is not None:
                 out.add(target.qualname)
-                self.callers.setdefault(target.qualname, set()).add(info.qualname)
 
     def local_types(self, info: FunctionInfo) -> dict[str, ClassInfo]:
         """Local name -> project class, from annotations and assignments."""
@@ -256,17 +254,3 @@ class CallGraph:
                 full = resolve(chain, self.table.aliases.get(caller.module, {}))
                 return self.table.functions.get(full)
         return None
-
-    # --------------------------------------------------------- reachability
-
-    def reachable_from(self, roots: set[str]) -> set[str]:
-        """Qualnames reachable from ``roots`` through resolved edges."""
-        seen = set()
-        todo = [q for q in roots if q in self.table.functions]
-        while todo:
-            current = todo.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            todo.extend(self.callees.get(current, ()))
-        return seen

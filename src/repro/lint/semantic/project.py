@@ -31,15 +31,6 @@ class Project:
         self.symbols = SymbolTable.build(self.contexts)
         self.callgraph = CallGraph.build(self.symbols)
 
-    def functions_in(self, *prefixes: str) -> Iterator[FunctionInfo]:
-        """Functions whose module sits under any of the dotted prefixes."""
-        for info in self.symbols.functions.values():
-            if not prefixes or any(
-                info.module == p or info.module.startswith(p + ".")
-                for p in prefixes
-            ):
-                yield info
-
     def finding_for(
         self, info: FunctionInfo, node: ast.AST, rule_id: str, message: str
     ) -> Finding:

@@ -36,8 +36,6 @@ class FunctionInfo:
     path: str
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None  #: owning class qualname, or None
-    params: tuple[str, ...] = ()  #: positional params, ``self`` stripped
-    keyword_only: tuple[str, ...] = ()
 
     @property
     def is_method(self) -> bool:
@@ -62,15 +60,6 @@ class ClassInfo:
     #: ``self.<attr>`` -> class qualname, inferred from annotated
     #: constructor params and direct constructor calls.
     attr_types: dict[str, str] = field(default_factory=dict)
-
-
-def _param_names(
-    node: ast.FunctionDef | ast.AsyncFunctionDef, *, is_method: bool
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    positional = [a.arg for a in (*node.args.posonlyargs, *node.args.args)]
-    if is_method and positional and positional[0] in ("self", "cls"):
-        positional = positional[1:]
-    return tuple(positional), tuple(a.arg for a in node.args.kwonlyargs)
 
 
 def _annotation_name(node: ast.AST | None) -> str | None:
@@ -141,7 +130,6 @@ class SymbolTable:
         class_name: str | None = None,
     ) -> None:
         qualname = f"{prefix}.{node.name}"
-        positional, kwonly = _param_names(node, is_method=class_name is not None)
         self.functions[qualname] = FunctionInfo(
             qualname=qualname,
             module=module,
@@ -149,8 +137,6 @@ class SymbolTable:
             path=ctx.path,
             node=node,
             class_name=class_name,
-            params=positional,
-            keyword_only=kwonly,
         )
         if class_name is not None:
             self.classes[class_name].methods[node.name] = self.functions[qualname]

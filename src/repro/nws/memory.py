@@ -47,6 +47,9 @@ __all__ = ["MemoryStore"]
 
 _CATALOG_NAME = "series.json"
 
+#: Longest file name, in bytes, that Linux filesystems accept.
+_NAME_MAX = 255
+
 
 def _json_float(x: float) -> str:
     """``json.dumps``-compatible rendering of one float.
@@ -155,6 +158,9 @@ class MemoryStore:
         time, value = float(time), float(value)
         _check_time(series, time)
         with self._lock:
+            if self.directory is not None and series not in self._catalog:
+                self._catalog[series] = _journal_name(series)
+                self._write_catalog()
             times = self._times.setdefault(series, [])
             values = self._values.setdefault(series, [])
             if times and time < times[-1]:
@@ -179,9 +185,6 @@ class MemoryStore:
             # Journal while still holding the lock so a concurrent
             # checkpoint (replace) can never drop an in-flight append.
             if self.directory is not None:
-                if series not in self._catalog:
-                    self._catalog[series] = f"{_safe(series)}.jsonl"
-                    self._write_catalog()
                 # Resolve-and-cache here, under the lock: building a Path
                 # (and re-hashing it inside JournalWriter) per sample
                 # costs more than the buffered append itself.
@@ -304,6 +307,9 @@ class MemoryStore:
             times = times[-self.capacity :]
             values = values[-self.capacity :]
         with self._lock:
+            if self.directory is not None and series not in self._catalog:
+                self._catalog[series] = _journal_name(series)
+                self._write_catalog()
             self._times[series] = times
             self._values[series] = values
             if self.directory is not None:
@@ -319,9 +325,6 @@ class MemoryStore:
         supersedes them, and ``os.replace`` swaps the inode out from
         under any cached ``O_APPEND`` handle.
         """
-        if series not in self._catalog:
-            self._catalog[series] = f"{_safe(series)}.jsonl"
-            self._write_catalog()
         path = self.journal_path(series)
         data = "".join(
             _encode_sample(t, v) + "\n"
@@ -375,12 +378,12 @@ class MemoryStore:
 
         Raises
         ------
-        RuntimeError
+        ValueError
             If the store has no persistence directory.
         """
         path = self.journal_path(series)
         if path is None:
-            raise RuntimeError("this MemoryStore has no persistence directory")
+            raise ValueError("this MemoryStore has no persistence directory")
         # Read barrier: surface this store's own buffered appends before
         # reading the file, so publish -> recover on one store is lossless
         # even with group commit.
@@ -444,11 +447,11 @@ class MemoryStore:
 
         Raises
         ------
-        RuntimeError
+        ValueError
             If the store has no persistence directory.
         """
         if self.directory is None:
-            raise RuntimeError("this MemoryStore has no persistence directory")
+            raise ValueError("this MemoryStore has no persistence directory")
         return {series: self.recover(series) for series in sorted(self._catalog)}
 
     def sync(self) -> None:
@@ -496,6 +499,24 @@ class MemoryStore:
 def _check_time(series: str, time: float) -> None:
     if not math.isfinite(time):
         raise ValueError(f"non-finite measurement time for {series!r}: {time}")
+
+
+def _journal_name(series: str) -> str:
+    """The journal file name of a new series.
+
+    Checked before the series' first sample or history is kept, so a
+    name the filesystem cannot create is a ``ValueError`` that changes
+    nothing, not an ``OSError`` once the sample is already in memory.
+    """
+    filename = f"{_safe(series)}.jsonl"
+    size = len(filename.encode("utf-8"))
+    if size > _NAME_MAX:
+        raise ValueError(
+            f"series name of {len(series)} characters is too long: its "
+            f"journal file name would be {size} bytes, over the "
+            f"{_NAME_MAX}-byte limit"
+        )
+    return filename
 
 
 def _safe(name: str) -> str:

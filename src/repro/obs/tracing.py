@@ -3,14 +3,14 @@
 A :class:`Tracer` owns a clock callable and a list of finished
 :class:`SpanRecord` entries.  In simulated systems the clock is the
 simulation clock, so traces are bit-reproducible across runs with the same
-seed (lint rule DET001 still holds: nothing here reads the wall clock).
+seed: nothing here reads the wall clock.
 Wall-clock tracing belongs exclusively to the ``repro.live`` adapter,
 which constructs a tracer around ``time.monotonic``.
 
 Two ways to produce spans:
 
-* context-managed (the only form allowed in instrumented modules -- lint
-  rule OBS001)::
+* context-managed (the form instrumented modules use: a span that is
+  never entered records nothing)::
 
       with tracer.span("nws.advance", until=3600.0):
           system.advance(3600.0)

@@ -36,8 +36,6 @@ class Daemon:
         long-running job.
     sys_fraction:
         System-time share of its CPU consumption.
-    start_at:
-        Simulated time at which the daemon is spawned (default 0).
     """
 
     def __init__(
@@ -46,31 +44,22 @@ class Daemon:
         *,
         nice: int = 0,
         sys_fraction: float = 0.02,
-        start_at: float = 0.0,
     ):
         self.name = str(name)
         self.nice = int(nice)
         self.sys_fraction = float(sys_fraction)
-        self.start_at = float(start_at)
         self.process: Process | None = None
 
     def start(self, kernel: Kernel, rng: np.random.Generator) -> None:
-        """Attach to ``kernel``; called by :meth:`SimHost.attach`."""
-
-        def spawn():
-            self.process = kernel.spawn(
-                Process(
-                    self.name,
-                    cpu_demand=float("inf"),
-                    nice=self.nice,
-                    sys_fraction=self.sys_fraction,
-                )
+        """Spawn the daemon on ``kernel``; called by :meth:`SimHost.attach`."""
+        self.process = kernel.spawn(
+            Process(
+                self.name,
+                cpu_demand=float("inf"),
+                nice=self.nice,
+                sys_fraction=self.sys_fraction,
             )
-
-        if self.start_at <= kernel.time:
-            spawn()
-        else:
-            kernel.at(self.start_at, spawn)
+        )
 
 
 class BatchJobStream:

@@ -9,16 +9,16 @@ from repro.cli import main
 from repro.lint import lint_paths
 from repro.lint.cache import LintCache, content_digest, file_key, run_key
 
-DIRTY = "import time\n\n\ndef stamp():\n    return time.time()\n"
-CLEAN = "def stamp(now):\n    return now\n"
+DIRTY = "import json\n\n\ndef save(path, state):\n    path.write_text(json.dumps(state))\n"
+CLEAN = "def save(path, state):\n    return state\n"
 
 
 def make_pkg(root: Path, source: str = DIRTY) -> Path:
     pkg = root / "repro"
-    (pkg / "sim").mkdir(parents=True)
+    (pkg / "nws").mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
-    (pkg / "sim" / "__init__.py").write_text("")
-    (pkg / "sim" / "engine.py").write_text(source)
+    (pkg / "nws" / "__init__.py").write_text("")
+    (pkg / "nws" / "store.py").write_text(source)
     return pkg
 
 
@@ -30,10 +30,10 @@ def test_keys_change_with_content_selection_and_path():
     assert digest != content_digest(CLEAN)
     base = run_key([("a.py", digest)], None, None)
     assert base != run_key([("a.py", content_digest(CLEAN))], None, None)
-    assert base != run_key([("a.py", digest)], ["DET001"], None)
+    assert base != run_key([("a.py", digest)], ["DUR001"], None)
     assert base != run_key([("b.py", digest)], None, None)
-    assert file_key("a.py", digest, ["DET001"]) != file_key(
-        "a.py", digest, ["DET001", "UNIT001"]
+    assert file_key("a.py", digest, ["DUR001"]) != file_key(
+        "a.py", digest, ["DUR001", "EXC001"]
     )
 
 
@@ -57,7 +57,7 @@ def test_editing_a_file_invalidates_the_run_key(tmp_path):
     cache_dir = tmp_path / "cache"
     dirty = lint_paths([pkg], cache_dir=cache_dir)
     assert not dirty.ok
-    (pkg / "sim" / "engine.py").write_text(CLEAN)
+    (pkg / "nws" / "store.py").write_text(CLEAN)
     fixed = lint_paths([pkg], cache_dir=cache_dir)
     assert not fixed.from_cache
     assert fixed.ok
@@ -69,9 +69,9 @@ def test_rule_selection_is_part_of_the_key(tmp_path):
     pkg = make_pkg(tmp_path)
     cache_dir = tmp_path / "cache"
     lint_paths([pkg], cache_dir=cache_dir)
-    narrowed = lint_paths([pkg], select=["MUT001"], cache_dir=cache_dir)
+    narrowed = lint_paths([pkg], select=["EXC001"], cache_dir=cache_dir)
     assert not narrowed.from_cache
-    assert narrowed.ok  # DET001 finding must not leak from the full run
+    assert narrowed.ok  # DUR001 finding must not leak from the full run
 
 
 def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
@@ -82,7 +82,7 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
         entry.write_text("{not json")
     result = lint_paths([pkg], cache_dir=cache_dir)
     assert not result.from_cache
-    assert [f.rule_id for f in result.findings] == ["DET001"]
+    assert [f.rule_id for f in result.findings] == ["DUR001"]
 
 
 def test_cache_disabled_by_default(tmp_path):
@@ -113,39 +113,44 @@ def test_cache_store_and_load_round_trip(tmp_path):
 
 
 def test_unused_suppression_reported_as_lint001(tmp_path):
-    pkg = make_pkg(
-        tmp_path,
-        "def stamp(now):\n"
-        "    return now  # lint: ignore[DET001] -- nothing fires here\n",
-    )
-    result = lint_paths([pkg])
-    (finding,) = result.findings
-    assert finding.rule_id == "LINT001"
-    assert finding.line == 2
-    assert "silences nothing" in finding.message
+    # The second input is the seeded defect: a suppression left on an
+    # event-queue push that no rule flags.  Nothing but LINT001 sees it.
+    sources = {
+        "plain": "def save(path, state):\n"
+        "    return state  # lint: ignore[DUR001] -- nothing fires here\n",
+        "seeded": "def push(heap, time, callback):\n"
+        "    heappush(heap, (time, next(COUNTER), callback))"
+        "  # lint: ignore[HEAP001] -- counter is the tie-breaker\n",
+    }
+    for name, source in sources.items():
+        result = lint_paths([make_pkg(tmp_path / name, source)])
+        (finding,) = result.findings
+        assert finding.rule_id == "LINT001"
+        assert finding.line == 2
+        assert "silences nothing" in finding.message
 
 
 def test_used_suppression_not_reported(tmp_path):
     pkg = make_pkg(
         tmp_path,
         DIRTY.replace(
-            "time.time()",
-            "time.time()  # lint: ignore[DET001] -- fixture wants wall clock",
+            "json.dumps(state))",
+            "json.dumps(state))  # lint: ignore[DUR001] -- fixture wants a torn write",
         ),
     )
     result = lint_paths([pkg])
     assert result.ok
-    assert [f.rule_id for f in result.suppressed] == ["DET001"]
+    assert [f.rule_id for f in result.suppressed] == ["DUR001"]
 
 
 def test_unused_check_skipped_when_registry_is_narrowed(tmp_path):
     pkg = make_pkg(
         tmp_path,
-        "def stamp(now):\n"
-        "    return now  # lint: ignore[DET001] -- nothing fires here\n",
+        "def save(path, state):\n"
+        "    return state  # lint: ignore[DUR001] -- nothing fires here\n",
     )
-    assert lint_paths([pkg], select=["DET001"]).ok
-    assert lint_paths([pkg], ignore=["MUT001"]).ok
+    assert lint_paths([pkg], select=["DUR001"]).ok
+    assert lint_paths([pkg], ignore=["EXC001"]).ok
 
 
 def test_docstring_suppression_examples_are_inert(tmp_path):
@@ -153,21 +158,21 @@ def test_docstring_suppression_examples_are_inert(tmp_path):
     # its line nor be flagged as an unused suppression.
     pkg = make_pkg(
         tmp_path,
-        '"""Example: time.time()  # lint: ignore[DET001] -- docs only."""\n'
-        "import time\n\n\n"
-        "def stamp():\n"
-        "    return time.time()\n",
+        '"""Example: path.write_text(s)  # lint: ignore[DUR001] -- docs only."""\n'
+        "import json\n\n\n"
+        "def save(path, state):\n"
+        "    path.write_text(json.dumps(state))\n",
     )
     result = lint_paths([pkg])
-    assert [f.rule_id for f in result.findings] == ["DET001"]
+    assert [f.rule_id for f in result.findings] == ["DUR001"]
     assert result.suppressed == []
 
 
 def test_lint001_survives_the_warm_cache(tmp_path):
     pkg = make_pkg(
         tmp_path,
-        "def stamp(now):\n"
-        "    return now  # lint: ignore[DET001] -- nothing fires here\n",
+        "def save(path, state):\n"
+        "    return state  # lint: ignore[DUR001] -- nothing fires here\n",
     )
     cache_dir = tmp_path / "cache"
     cold = lint_paths([pkg], cache_dir=cache_dir)
@@ -180,8 +185,8 @@ def test_lint001_survives_the_warm_cache(tmp_path):
 def test_json_report_includes_lint001(tmp_path, capsys):
     pkg = make_pkg(
         tmp_path,
-        "def stamp(now):\n"
-        "    return now  # lint: ignore -- nothing fires here\n",
+        "def save(path, state):\n"
+        "    return state  # lint: ignore -- nothing fires here\n",
     )
     assert main(["lint", str(pkg), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

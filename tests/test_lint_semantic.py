@@ -1,8 +1,8 @@
-"""Whole-program semantic analysis: symbols, call graph, and the three
-interprocedural passes (DET002, UNIT002, THRD001).
+"""Whole-program semantic analysis: symbols, call graph, and THRD001.
 
-Each pass has a seeded fixture proving a true positive its per-file
-sibling cannot see: the violation only exists across a call boundary.
+THRD001's fixtures prove true positives no per-file rule can see: the
+racy write and the thread entry point that reaches it sit in different
+functions, often in different modules.
 """
 
 from __future__ import annotations
@@ -10,36 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.lint import check_source, project_from_sources
-from repro.lint.semantic import (
-    CrossBoundaryUnitRule,
-    DeterminismTaintRule,
-    SharedStateRaceRule,
-    compute_taint,
-    thread_entry_roots,
-)
+from repro.lint.semantic import SharedStateRaceRule, thread_entry_roots
 
 # ---------------------------------------------------------------- fixtures
-
-CLOCK_HELPER = '''\
-"""Helper outside the deterministic packages -- DET001 does not apply."""
-
-import time
-
-
-def wall_now():
-    return time.time()
-'''
-
-SIM_USES_HELPER = '''\
-"""Deterministic package module that launders a wall clock in."""
-
-from repro.trace.clockutil import wall_now
-
-
-def schedule():
-    stamp = wall_now()
-    return stamp
-'''
 
 
 def _findings(rule, project):
@@ -99,181 +72,6 @@ def test_callgraph_never_guesses_unresolvable_calls():
     )
     (site,) = project.callgraph.sites["repro.pkg.mod.f"]
     assert site.callee is None
-
-
-# ------------------------------------------------------------------ DET002
-
-
-def test_det002_catches_laundered_wall_clock_that_det001_misses():
-    project = project_from_sources(
-        {
-            "repro.trace.clockutil": CLOCK_HELPER,
-            "repro.sim.engine": SIM_USES_HELPER,
-        }
-    )
-    (finding,) = _findings(DeterminismTaintRule(), project)
-    assert finding.rule_id == "DET002"
-    assert finding.path.endswith("repro/sim/engine.py")
-    assert "wall_now" in finding.message
-    assert "time.time" in finding.message
-    # The per-file determinism rule is silent on the same sim module: the
-    # helper lives outside DET001's scope and the call site looks benign.
-    per_file = check_source(
-        SIM_USES_HELPER, module="repro.sim.engine", select=["DET001"]
-    )
-    assert per_file.findings == []
-
-
-def test_det002_skips_direct_source_calls_in_det001_jurisdiction():
-    project = project_from_sources(
-        {
-            "repro.sim.engine": (
-                "import time\n"
-                "def stamp():\n"
-                "    return time.time()\n"
-            )
-        }
-    )
-    assert _findings(DeterminismTaintRule(), project) == []
-
-
-def test_det002_flags_tainted_argument_flowing_into_protected_package():
-    project = project_from_sources(
-        {
-            "repro.sim.engine": "def advance(until):\n    return until\n",
-            "repro.experiments.driver": (
-                "import time\n"
-                "from repro.sim.engine import advance\n"
-                "def run():\n"
-                "    deadline = time.time() + 5.0\n"
-                "    return advance(deadline)\n"
-            ),
-        }
-    )
-    (finding,) = _findings(DeterminismTaintRule(), project)
-    assert finding.path.endswith("repro/experiments/driver.py")
-    assert "advance" in finding.message
-
-
-def test_det002_propagates_through_instance_attributes():
-    project = project_from_sources(
-        {
-            "repro.trace.meta": (
-                "import time\n"
-                "class RunStamp:\n"
-                "    def __init__(self):\n"
-                "        self.started = time.time()\n"
-                "    def start(self):\n"
-                "        return self.started\n"
-            ),
-            "repro.core.predictorx": (
-                "from repro.trace.meta import RunStamp\n"
-                "def origin(stamp: RunStamp):\n"
-                "    return stamp.start()\n"
-            ),
-        }
-    )
-    (finding,) = _findings(DeterminismTaintRule(), project)
-    assert finding.path.endswith("repro/core/predictorx.py")
-
-
-def test_det002_clean_when_values_are_injected():
-    project = project_from_sources(
-        {
-            "repro.sim.engine": (
-                "def advance(clock):\n"
-                "    return clock()\n"
-            ),
-            "repro.experiments.driver": (
-                "from repro.sim.engine import advance\n"
-                "def run(now):\n"
-                "    return advance(now)\n"
-            ),
-        }
-    )
-    assert _findings(DeterminismTaintRule(), project) == []
-
-
-def test_compute_taint_records_provenance_chain():
-    project = project_from_sources({"repro.trace.clockutil": CLOCK_HELPER})
-    state = compute_taint(project)
-    desc = state.tainted_returns["repro.trace.clockutil.wall_now"]
-    assert "time.time" in desc
-    assert "wall_now" in desc
-
-
-# ------------------------------------------------------------------ UNIT002
-
-
-def test_unit002_catches_cross_boundary_mixup_that_unit001_misses():
-    callee = "def utilisation(cpu_pct):\n    return cpu_pct / 100.0\n"
-    caller = (
-        "from repro.analysis.report import utilisation\n"
-        "def summarise(avail_frac):\n"
-        "    return utilisation(avail_frac)\n"
-    )
-    project = project_from_sources(
-        {"repro.analysis.report": callee, "repro.experiments.summary": caller}
-    )
-    (finding,) = _findings(CrossBoundaryUnitRule(), project)
-    assert finding.rule_id == "UNIT002"
-    assert "'frac'" in finding.message and "'pct'" in finding.message
-    # UNIT001 sees each file alone and has no mixed-unit expression.
-    assert check_source(callee, select=["UNIT001"]).findings == []
-    assert check_source(caller, select=["UNIT001"]).findings == []
-
-
-def test_unit002_accepts_matching_units_and_explicit_conversions():
-    project = project_from_sources(
-        {
-            "repro.analysis.report": (
-                "def utilisation(cpu_pct):\n    return cpu_pct\n"
-            ),
-            "repro.experiments.summary": (
-                "from repro.analysis.report import utilisation\n"
-                "def ok(load_pct, avail_frac):\n"
-                "    utilisation(load_pct)\n"
-                "    utilisation(avail_frac * 100.0)\n"
-            ),
-        }
-    )
-    assert _findings(CrossBoundaryUnitRule(), project) == []
-
-
-def test_unit002_infers_fraction_from_ensure_fraction_contract():
-    project = project_from_sources(
-        {
-            "repro.core.predictorx": (
-                "from repro.contracts import ensure_fraction\n"
-                "def predict(value):\n"
-                "    return ensure_fraction(value)\n"
-            ),
-            "repro.experiments.driver": (
-                "from repro.core.predictorx import predict\n"
-                "def run(elapsed_seconds):\n"
-                "    return predict(elapsed_seconds)\n"
-            ),
-        }
-    )
-    (finding,) = _findings(CrossBoundaryUnitRule(), project)
-    assert "'seconds'" in finding.message and "'frac'" in finding.message
-
-
-def test_unit002_checks_keyword_arguments():
-    project = project_from_sources(
-        {
-            "repro.analysis.report": (
-                "def window(span_seconds=10.0):\n    return span_seconds\n"
-            ),
-            "repro.experiments.driver": (
-                "from repro.analysis.report import window\n"
-                "def run(timeout_ms):\n"
-                "    return window(span_seconds=timeout_ms)\n"
-            ),
-        }
-    )
-    (finding,) = _findings(CrossBoundaryUnitRule(), project)
-    assert "span_seconds" in finding.message
 
 
 # ------------------------------------------------------------------ THRD001
@@ -373,6 +171,29 @@ def test_thrd001_nws_pump_is_a_root_by_convention():
     (finding,) = _findings(SharedStateRaceRule(), project)
     assert "self._rounds" in finding.message
     assert "pump" in finding.message
+    # Seeded defect: NameServer.refresh checks the entry under the lock
+    # but writes it back outside.  No test or report run races on it.
+    project = project_from_sources(
+        {
+            "repro.nws.nameserver": (
+                "import threading\n"
+                "class NameServer:\n"
+                "    def __init__(self):\n"
+                "        self._lock = threading.Lock()\n"
+                "        self._entries = {}\n"
+                "    def _require_live(self, name):\n"
+                "        with self._lock:\n"
+                "            return self._entries[name]\n"
+                "    def refresh(self, name, *, ttl):\n"
+                "        entry = self._require_live(name)\n"
+                "        self._entries[name] = entry\n"
+                "        return entry\n"
+            )
+        }
+    )
+    (finding,) = _findings(SharedStateRaceRule(), project)
+    assert "self._entries" in finding.message
+    assert "refresh" in finding.message
 
 
 def test_thrd001_out_of_scope_packages_never_flagged():
@@ -393,42 +214,38 @@ def test_thrd001_out_of_scope_packages_never_flagged():
 # --------------------------------------------------------- runner plumbing
 
 
-def test_semantic_findings_flow_through_check_source_and_suppressions():
-    source = (
-        "import time\n"
-        "def helper():\n"
-        "    return time.time()\n"
-        "def schedule():\n"
-        "    return helper()\n"
-    )
-    result = check_source(source, module="repro.sim.engine")
-    # DET001 fires on the direct source call, DET002 on the laundered one.
-    assert [f.rule_id for f in result.findings] == ["DET001", "DET002"]
+RACY_PUMP = (
+    "class HostX:\n"
+    "    def __init__(self):\n"
+    "        self._rounds = []\n"
+    "    def pump(self, path):\n"
+    "        path.write_text('x')\n"
+    "        self._rounds.append(path)\n"
+)
 
-    suppressed = source.replace(
-        "    return time.time()",
-        "    return time.time()  # lint: ignore[DET001] -- fixture",
+
+def test_semantic_findings_flow_through_check_source_and_suppressions():
+    result = check_source(RACY_PUMP, module="repro.nws.hostx")
+    # DUR001 is a per-file rule, THRD001 a whole-program one.
+    assert [f.rule_id for f in result.findings] == ["DUR001", "THRD001"]
+
+    suppressed = RACY_PUMP.replace(
+        "path.write_text('x')",
+        "path.write_text('x')  # lint: ignore[DUR001] -- fixture",
     ).replace(
-        "    return helper()",
-        "    return helper()  # lint: ignore[DET002] -- fixture",
+        "self._rounds.append(path)",
+        "self._rounds.append(path)  # lint: ignore[THRD001] -- fixture",
     )
-    result = check_source(suppressed, module="repro.sim.engine")
+    result = check_source(suppressed, module="repro.nws.hostx")
     assert result.findings == []
-    assert sorted(f.rule_id for f in result.suppressed) == ["DET001", "DET002"]
+    assert sorted(f.rule_id for f in result.suppressed) == ["DUR001", "THRD001"]
 
 
 def test_semantic_rules_selectable_by_id():
-    source = (
-        "import time\n"
-        "def helper():\n"
-        "    return time.time()\n"
-        "def schedule():\n"
-        "    return helper()\n"
-    )
-    selected = check_source(source, module="repro.sim.engine", select=["DET002"])
-    assert [f.rule_id for f in selected.findings] == ["DET002"]
-    ignored = check_source(source, module="repro.sim.engine", ignore=["DET002"])
-    assert [f.rule_id for f in ignored.findings] == ["DET001"]
+    selected = check_source(RACY_PUMP, module="repro.nws.hostx", select=["THRD001"])
+    assert [f.rule_id for f in selected.findings] == ["THRD001"]
+    ignored = check_source(RACY_PUMP, module="repro.nws.hostx", ignore=["THRD001"])
+    assert [f.rule_id for f in ignored.findings] == ["DUR001"]
 
 
 def test_duplicate_rule_id_registration_rejected():
@@ -438,7 +255,7 @@ def test_duplicate_rule_id_registration_rejected():
 
         @register
         class Clash(Rule):  # pragma: no cover - never runs
-            rule_id = "DET002"
+            rule_id = "THRD001"
             title = "clash"
 
             def check(self, ctx):

@@ -487,6 +487,44 @@ class TestDeeplyNestedJson:
 # ----------------------------------------------------- overload protection
 
 
+class TestTypedStoreErrors:
+    """Inputs the store cannot honour are 400s that change nothing."""
+
+    def test_overlong_series_name_is_a_bad_request(self, tmp_path):
+        name = "x" * 300
+        core = ServiceCore(("default",), directory=tmp_path)
+        server = ForecastServer(core).start()
+        try:
+            status, payload, _ = http(
+                f"{server.url}/v1/default/publish",
+                {"series": name, "time": 0.0, "value": 0.5},
+            )
+            assert status == 400
+            assert payload["error"]["code"] == "bad_request"
+            assert "255-byte" in payload["error"]["message"]
+            memory = core.tenant("default").memory
+            assert memory.count(name) == 0
+            assert memory.series_names() == []
+        finally:
+            server.stop()  # fsyncs the journals: nothing may be left pending
+        assert not (tmp_path / "default" / "series.json").exists()
+
+    def test_replace_rejects_an_overlong_series_name(self, tmp_path):
+        core = ServiceCore(("default",), directory=tmp_path)
+        memory = core.tenant("default").memory
+        with pytest.raises(ValueError, match="255-byte"):
+            memory.replace("\u00e9" * 125, [0.0], [0.5])  # 250 chars, 256 bytes
+        assert memory.series_names() == []
+        core.close()
+
+    def test_recover_without_a_state_directory_is_a_bad_request(self):
+        with ForecastServer(tenants=("default",)) as server:
+            client = NWSClient.connect(server.url)
+            with pytest.raises(ValueError, match="persistence directory"):
+                client.recover("a")
+            assert server.core._obs_errors.keys() == {"bad_request"}
+
+
 class TestLoadShedding:
     def test_zero_capacity_sheds_with_429_and_retry_after(self):
         with installed(MetricsRegistry()) as registry:

@@ -131,7 +131,7 @@ class TestJournalRecovery:
         assert store.recover("never-published") == 0
 
     def test_recover_without_directory_raises(self):
-        with pytest.raises(RuntimeError, match="persistence"):
+        with pytest.raises(ValueError, match="persistence"):
             MemoryStore().recover("s")
 
     def test_invalid_utf8_lines_are_skipped_and_counted(self, tmp_path):

@@ -120,7 +120,7 @@ class TestMemoryStore:
         assert small.recover("s") == 10
 
     def test_recover_without_directory_rejected(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             MemoryStore().recover("s")
 
     def test_as_trace(self):

@@ -96,15 +96,13 @@ class TestIoPattern:
 
 
 class TestDaemon:
-    def test_spawns_at_start_time(self):
+    def test_spawns_at_attach_and_accrues_cpu(self):
         k = Kernel()
-        d = Daemon("late", start_at=10.0)
+        d = Daemon("soaker")
         d.start(k, np.random.default_rng(5))
-        k.run_until(5.0)
-        assert d.process is None
-        k.run_until(15.0)
         assert d.process is not None
-        assert d.process.cpu_time == pytest.approx(5.0, rel=0.1)
+        k.run_until(10.0)
+        assert d.process.cpu_time == pytest.approx(10.0, rel=0.1)
 
 
 class TestBatchJobStream:
