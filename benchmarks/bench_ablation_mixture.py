@@ -10,9 +10,10 @@ thing1 and kongo load-average traces and checks the claim.
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.core.batch import member_forecasts
 from repro.core.errors import one_step_prediction_errors
 from repro.core.forecasters import default_battery
-from repro.core.mixture import AdaptiveForecaster, forecast_series
+from repro.core.mixture import forecast_series
 from repro.experiments.testbed import TestbedConfig
 from repro.runner import default_runner
 
@@ -23,12 +24,12 @@ def _scores(host: str, seed: int) -> dict[str, float]:
     run = default_runner().run_one(host, TestbedConfig(duration=HOURS6, seed=seed))
     values = run.values("load_average")
     scores = {}
-    # Fresh members, so the vectorized batch engine serves every score
-    # (bit-identical to streaming; see repro.core.batch).
+    # The vectorized batch engine serves every score (bit-identical to
+    # streaming; see repro.core.batch).
     for member in default_battery():
-        f = forecast_series(values, member, engine="batch")
+        f = member_forecasts(member, values)
         scores[member.name] = one_step_prediction_errors(f[1:], values[1:]).mae
-    f = forecast_series(values, AdaptiveForecaster(), engine="batch")
+    f = forecast_series(values)
     scores["nws_adaptive"] = one_step_prediction_errors(f[1:], values[1:]).mae
     return scores
 

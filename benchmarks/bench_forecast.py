@@ -1,11 +1,12 @@
-"""Forecast engine benchmarks: batch speedup and streaming-path overhead.
+"""Forecast path benchmarks: batch speedup and streaming-path overhead.
 
 Two contracts worth numbers (ISSUE 4's acceptance bar):
 
-* the vectorized batch engine must beat the streaming path by >= 10x on a
-  day-long trace (86 400 samples, the paper's 10-second cadence) while
-  staying bit-identical;
-* the engine dispatch and telemetry added around the streaming loop must
+* the vectorized batch engine (``forecast_series(values)``) must beat
+  streaming a fresh mixture (``forecast_series(values,
+  AdaptiveForecaster())``) by >= 10x on a day-long trace (86 400 samples,
+  the paper's 10-second cadence) while staying bit-identical;
+* the gap handling and telemetry added around the streaming loop must
   cost < 5 % versus the bare loop ``forecast_series`` used to be.
 """
 
@@ -40,8 +41,7 @@ def _legacy_forecast_series(values: np.ndarray) -> np.ndarray:
     """The pre-engine ``forecast_series`` body: a bare streaming loop.
 
     This is the reference the streaming path is measured against -- the
-    dispatch, freshness checks and telemetry wrapped around it must stay
-    in the noise.
+    gap handling and telemetry wrapped around it must stay in the noise.
     """
     model = AdaptiveForecaster()
     out = np.empty(values.size)
@@ -68,10 +68,12 @@ def test_batch_speedup(benchmark):
     values = _trace(DAY_SAMPLES)
 
     start = time.perf_counter()
-    streamed = run_once(benchmark, lambda: forecast_series(values, engine="stream"))
+    streamed = run_once(
+        benchmark, lambda: forecast_series(values, AdaptiveForecaster())
+    )
     stream_s = time.perf_counter() - start
 
-    batch_s, batched = _best_of(lambda: forecast_series(values, engine="batch"), 3)
+    batch_s, batched = _best_of(lambda: forecast_series(values), 3)
 
     assert np.array_equal(streamed, batched, equal_nan=True)
     speedup = stream_s / batch_s
@@ -82,13 +84,13 @@ def test_batch_speedup(benchmark):
 
 
 def test_streaming_overhead(benchmark):
-    """Engine dispatch + telemetry cost < 5 % on the streaming path."""
+    """Gap handling + telemetry cost < 5 % on the streaming path."""
     values = _trace(20_000, seed=11)
 
     def measured():
         legacy_s, legacy = _best_of(lambda: _legacy_forecast_series(values), 3)
         stream_s, streamed = _best_of(
-            lambda: forecast_series(values, engine="stream"), 3
+            lambda: forecast_series(values, AdaptiveForecaster()), 3
         )
         return legacy_s, legacy, stream_s, streamed
 

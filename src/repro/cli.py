@@ -6,9 +6,7 @@ Commands
     Run (or warm the result cache for) testbed simulations and print a
     per-host summary plus the runner's cache statistics.
 ``nws-repro tables [--table N] [--seed S] [--hours H] [--with-paper]``
-    Print reproduced Tables 1-6 (all by default).  ``tables`` and
-    ``report`` accept ``--engine {auto,batch,stream}`` to pick the
-    forecast backtesting engine (outputs are bit-identical either way).
+    Print reproduced Tables 1-6 (all by default).
 ``nws-repro figures [--figure N] [--seed S] [--out DIR]``
     ASCII-render reproduced Figures 1-4 and optionally export their data
     as CSV.
@@ -103,18 +101,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "batch", "stream"),
-        default="auto",
-        help=(
-            "forecast backtesting engine (bit-identical output; batch is "
-            ">= 10x faster on day-long traces)"
-        ),
-    )
-
-
 def _make_runner(args):
     """A Runner configured from the shared execution flags."""
     from repro.runner import Runner
@@ -167,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument(
         "--with-paper", action="store_true", help="also print the paper's values"
     )
-    _add_engine_arg(p_tables)
     _add_runner_args(p_tables)
 
     p_figures = sub.add_parser("figures", help="regenerate paper figures")
@@ -217,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--figure3-days", type=float, default=7.0, help="Figure 3 trace length"
     )
-    _add_engine_arg(p_report)
     _add_runner_args(p_report)
 
     p_chaos = sub.add_parser(
@@ -529,7 +513,7 @@ def _cmd_tables(args) -> int:
             return 2
     runner = _make_runner(args)
     for n in wanted:
-        table = generators[n](runner, config, engine=args.engine)
+        table = generators[n](runner, config)
         print(table.render(with_paper=args.with_paper))
         print()
     runner.persist_backtests()
@@ -725,7 +709,7 @@ def _cmd_report(args) -> int:
     for n, fn in enumerate(
         (table1, table2, table3, table4, table5, table6), start=1
     ):
-        table = fn(runner, config, engine=args.engine)
+        table = fn(runner, config)
         export_table_csv(table, out / f"table{n}.csv")
         text = table.render(with_paper=True)
         (out / f"table{n}.txt").write_text(text + "\n")

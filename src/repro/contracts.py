@@ -4,9 +4,8 @@ The linter (:mod:`repro.lint`) proves at the AST level that availability
 identifiers are treated as fractions; these validators enforce the same
 invariant on *values* at the subsystem boundaries -- the sensor read path
 and the predictor ingest path.  They are assert-cheap (one comparison
-chain per call) and can be disabled wholesale for production hot loops by
-setting ``REPRO_CONTRACTS=0`` in the environment.  This module imports
-only the standard library, so using a contract never loads the linter.
+chain per call) and always on.  This module imports only the standard
+library, so using a contract never loads the linter.
 
 ``ContractError`` subclasses :class:`ValueError`, so callers that already
 guard against bad measurements with ``except ValueError`` keep working.
@@ -15,30 +14,12 @@ guard against bad measurements with ``except ValueError`` keep working.
 from __future__ import annotations
 
 import functools
-import os
 
-__all__ = [
-    "ContractError",
-    "checked_fraction",
-    "contracts_enabled",
-    "ensure_fraction",
-]
-
-#: Environment variable consulted on every failing check; any of ``0``,
-#: ``off``, ``false``, ``no`` (case-insensitive) disables the runtime
-#: contracts.
-ENV_VAR = "REPRO_CONTRACTS"
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
+__all__ = ["ContractError", "checked_fraction", "ensure_fraction"]
 
 
 class ContractError(ValueError):
     """A runtime value violated a domain contract."""
-
-
-def contracts_enabled() -> bool:
-    """Whether runtime contracts are active (default: yes)."""
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in _DISABLED_VALUES
 
 
 def ensure_fraction(value: float, *, name: str = "availability") -> float:
@@ -51,14 +32,11 @@ def ensure_fraction(value: float, *, name: str = "availability") -> float:
     Raises
     ------
     ContractError
-        If the value is NaN, infinite, or outside [0, 1] -- unless
-        contracts are disabled via ``REPRO_CONTRACTS=0``, in which case
-        the value passes through untouched.
+        If the value is NaN, infinite, or outside [0, 1].
     """
     # NaN fails both comparisons, so this one chain catches NaN, +/-inf
-    # and out-of-range values alike.  The environment is read only for a
-    # value that fails it: a passing value is returned either way.
-    if 0.0 <= value <= 1.0 or not contracts_enabled():
+    # and out-of-range values alike.
+    if 0.0 <= value <= 1.0:
         return value
     raise ContractError(f"{name} must be a fraction in [0, 1], got {value!r}")
 
@@ -68,8 +46,7 @@ def checked_fraction(func):
 
     Applied to sensor measurement entry points so a drifting formula
     fails loudly at the source instead of poisoning downstream
-    forecasts.  Honours the same ``REPRO_CONTRACTS`` kill switch as
-    :func:`ensure_fraction` (checked per call, so tests can toggle it).
+    forecasts.
     """
 
     @functools.wraps(func)

@@ -13,8 +13,9 @@ subpackage reimplements that design:
 * :mod:`repro.core.mixture` -- the adaptive "best recent forecaster"
   mixture, plus a static bank for head-to-head comparisons.
 * :mod:`repro.core.batch` -- the vectorized whole-series backtesting
-  engine behind ``forecast_series(..., engine="batch")`` (bit-identical
-  to streaming, >= 10x faster on day-long traces).
+  engine behind ``forecast_series(values)`` with no forecaster given
+  (bit-identical to streaming, >= 10x faster on day-long traces); a
+  forecaster instance is streamed instead.
 * :mod:`repro.core.errors` -- the error metrics of paper Equations 3-5.
 * :mod:`repro.core.predictor` -- a high-level facade tying sensing,
   aggregation and forecasting together.

@@ -42,8 +42,9 @@ equality per battery member and for the mixture winner sequence.
 
 Metrics
 -------
-Engine selection and wall time are recorded by
-:func:`repro.core.mixture.forecast_series` (not here), under:
+:func:`repro.core.mixture.forecast_series` runs this engine for the
+default mixture (no forecaster given) and streams any forecaster
+instance; it records the path taken and the wall time (not here), under:
 
 * ``repro_forecast_engine_total`` (counter; label ``engine`` in
   ``batch|stream``) -- which engine served each call;
@@ -88,7 +89,7 @@ __all__ = [
 
 
 class BatchUnsupported(ValueError):
-    """The forecaster has no batch kernel (or carries streaming state)."""
+    """The forecaster has no batch kernel."""
 
 
 # --------------------------------------------------------------------------
@@ -297,10 +298,9 @@ def supports_batch(forecaster: Forecaster) -> bool:
 def member_forecasts(forecaster: Forecaster, values: np.ndarray) -> np.ndarray:
     """One-step-ahead forecasts of a single battery member, vectorized.
 
-    ``values`` must be a validated 1-D float64 array (see
-    :func:`repro.core.mixture.forecast_series`, which performs the
-    validation and freshness checks).  The forecaster instance supplies
-    parameters only; its streaming state is neither read nor mutated.
+    ``values`` must be an all-finite 1-D float64 array.  The forecaster
+    instance supplies parameters only; its streaming state is neither
+    read nor mutated, so the forecasts are those of a fresh instance.
 
     Raises
     ------
@@ -310,8 +310,8 @@ def member_forecasts(forecaster: Forecaster, values: np.ndarray) -> np.ndarray:
     kernel = _KERNELS.get(type(forecaster))
     if kernel is None:
         raise BatchUnsupported(
-            f"no batch kernel for {type(forecaster).__name__}; "
-            "use engine='stream'"
+            f"no batch kernel for {type(forecaster).__name__}; stream it "
+            "with repro.core.mixture.forecast_series(values, forecaster)"
         )
     return kernel(forecaster, values)
 

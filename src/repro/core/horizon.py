@@ -68,9 +68,7 @@ def future_averages(values, horizon: int) -> np.ndarray:
     return aggregate_series(values, horizon)
 
 
-def horizon_error_profile(
-    values, horizons=(1, 6, 30, 90, 180), *, engine: str = "auto"
-) -> list[HorizonError]:
+def horizon_error_profile(values, horizons=(1, 6, 30, 90, 180)) -> list[HorizonError]:
     """Error-versus-horizon curve for one availability series.
 
     Parameters
@@ -79,10 +77,6 @@ def horizon_error_profile(
         1-D series of base-period measurements (e.g. 10 s frames).
     horizons:
         Aggregation levels to evaluate; each needs at least 8 blocks.
-    engine:
-        Backtesting engine passed to
-        :func:`~repro.core.mixture.forecast_series` (bit-identical output
-        either way).
 
     Returns
     -------
@@ -98,7 +92,7 @@ def horizon_error_profile(
         if h < 1 or arr.size // h < 8:
             continue
         blocks = aggregate_series(arr, h)
-        forecasts = forecast_series(blocks, engine=engine)
+        forecasts = forecast_series(blocks)
         direct = float(np.abs(forecasts[1:] - blocks[1:]).mean())
         persistent = float(np.abs(blocks[:-1] - blocks[1:]).mean())
         out.append(

@@ -15,12 +15,7 @@ import time
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchUnsupported,
-    member_forecasts,
-    mixture_backtest,
-    supports_batch,
-)
+from repro.core.batch import mixture_backtest
 from repro.core.forecasters import Forecaster, default_battery
 from repro.core.windows import RingMean
 from repro.obs.metrics import get_registry
@@ -278,90 +273,6 @@ class AdaptiveForecaster(Forecaster):
         )
 
 
-def _is_fresh(member: Forecaster) -> bool:
-    """A fresh forecaster has nothing to forecast from yet."""
-    try:
-        member.forecast()
-    except ValueError:
-        return True
-    return False
-
-
-def _batch_plan(forecaster: Forecaster | None):
-    """Build a closure running the batch engine for ``forecaster``.
-
-    Raises :class:`~repro.core.batch.BatchUnsupported` when the batch
-    engine cannot reproduce the streaming path exactly: an unknown
-    forecaster type, or an instance that already absorbed measurements
-    (the batch engine always backtests from a cold start).
-    """
-    if forecaster is None:
-        members = default_battery()
-        error_window = DEFAULT_ERROR_WINDOW
-
-        def run_default(arr: np.ndarray) -> np.ndarray:
-            result = mixture_backtest(
-                arr, members, error_window=error_window
-            )
-            registry = get_registry()
-            registry.counter("repro_forecaster_updates_total").inc(arr.size)
-            registry.counter("repro_forecaster_switches_total").inc(
-                result.n_switches
-            )
-            return result.forecasts
-
-        return run_default
-    if isinstance(forecaster, AdaptiveForecaster):
-        if type(forecaster) is not AdaptiveForecaster:
-            raise BatchUnsupported(
-                f"{type(forecaster).__name__} subclasses AdaptiveForecaster "
-                "and may override its dynamics; use engine='stream'"
-            )
-        if forecaster.bank.n_updates:
-            raise BatchUnsupported(
-                "forecaster already absorbed measurements; reset() it or "
-                "use engine='stream'"
-            )
-        members = forecaster.bank.forecasters
-        unsupported = [m.name for m in members if not supports_batch(m)]
-        if unsupported:
-            raise BatchUnsupported(
-                f"battery members without batch kernels: {unsupported}; "
-                "use engine='stream'"
-            )
-        stale = [m.name for m in members if not _is_fresh(m)]
-        if stale:
-            raise BatchUnsupported(
-                f"battery members already absorbed measurements: {stale}; "
-                "reset() them or use engine='stream'"
-            )
-        error_window = forecaster._error_window
-
-        def run_mixture(arr: np.ndarray) -> np.ndarray:
-            result = mixture_backtest(
-                arr, members, error_window=error_window
-            )
-            registry = get_registry()
-            registry.counter("repro_forecaster_updates_total").inc(arr.size)
-            registry.counter("repro_forecaster_switches_total").inc(
-                result.n_switches
-            )
-            return result.forecasts
-
-        return run_mixture
-    if not supports_batch(forecaster):
-        raise BatchUnsupported(
-            f"no batch kernel for {type(forecaster).__name__}; "
-            "use engine='stream'"
-        )
-    if not _is_fresh(forecaster):
-        raise BatchUnsupported(
-            "forecaster already absorbed measurements; reset() it or "
-            "use engine='stream'"
-        )
-    return lambda arr: member_forecasts(forecaster, arr)
-
-
 def _stream_gapped(model: Forecaster, arr: np.ndarray) -> np.ndarray:
     """Streaming engine over a NaN-gapped series (hold-last / skip-update).
 
@@ -381,10 +292,11 @@ def _stream_gapped(model: Forecaster, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_gapped(plan, arr: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """Batch engine over a NaN-gapped series, bit-identical to streaming.
+def _batch_gapped(arr: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """The default mixture, batched, over a NaN-gapped series.
 
-    Gap compression: run the kernel over the finite subsequence ``comp``,
+    Bit-identical to streaming a fresh :class:`AdaptiveForecaster`.  Gap
+    compression: run the kernel over the finite subsequence ``comp``,
     then scatter ``out[t] = F[k_t]`` where ``k_t`` counts finite values
     before ``t`` -- the forecast state at ``t`` is exactly the finite
     prefix, which *is* the hold-last / skip-update semantics of the
@@ -397,9 +309,14 @@ def _batch_gapped(plan, arr: np.ndarray, finite: np.ndarray) -> np.ndarray:
     if comp.size == 0:
         return np.full(arr.size, np.nan)
     run = comp if finite[-1] else np.append(comp, comp[-1])
-    forecasts = plan(run)
+    result = mixture_backtest(
+        run, default_battery(), error_window=DEFAULT_ERROR_WINDOW
+    )
+    registry = get_registry()
+    registry.counter("repro_forecaster_updates_total").inc(run.size)
+    registry.counter("repro_forecaster_switches_total").inc(result.n_switches)
     k = np.cumsum(finite) - finite
-    return forecasts[k]
+    return result.forecasts[k]
 
 
 def default_mixture_record() -> dict:
@@ -415,12 +332,7 @@ def default_mixture_record() -> dict:
     }
 
 
-def forecast_series(
-    values,
-    forecaster: Forecaster | None = None,
-    *,
-    engine: str = "auto",
-) -> np.ndarray:
+def forecast_series(values, forecaster: Forecaster | None = None) -> np.ndarray:
     """One-step-ahead forecasts over a whole series.
 
     ``result[t]`` is the forecast for ``values[t]`` made after seeing
@@ -430,27 +342,20 @@ def forecast_series(
     NaN entries mark *gaps* (readings lost in flight -- see
     :mod:`repro.faults`): the forecaster skips them without updating, so
     ``result[t]`` is the forecast from the finite prefix of
-    ``values[:t]``, NaN until the first finite value has been seen.  Both
-    engines implement this identically (bit-for-bit); infinite entries
-    are still rejected.
+    ``values[:t]``, NaN until the first finite value has been seen.
+    Infinite entries are rejected.
 
     Parameters
     ----------
     values:
         1-D array-like of measurements (NaN = gap).
     forecaster:
-        Any :class:`Forecaster`; defaults to a fresh
-        :class:`AdaptiveForecaster` with the default battery.
-    engine:
-        ``"stream"`` replays the series through the forecaster one update
-        at a time.  ``"batch"`` runs the vectorized engine
-        (:mod:`repro.core.batch`) -- bit-identical output, >= 10x faster
-        on day-long traces -- and requires a *fresh* batch-supported
-        forecaster (or ``None``); it reads only the forecaster's
-        parameters and, unlike streaming, leaves the instance untouched.
-        ``"auto"`` (default) uses batch when ``forecaster`` is ``None``
-        and streaming otherwise, so callers who pass an instance to
-        inspect its telemetry afterwards keep streaming semantics.
+        ``None`` (default) backtests the default mixture with the
+        vectorized engine (:mod:`repro.core.batch`), bit-identical to
+        streaming a fresh :class:`AdaptiveForecaster` and >= 10x faster
+        on day-long traces.  Any :class:`Forecaster` instance is streamed
+        one update at a time instead, so it absorbs the series and its
+        telemetry can be inspected afterwards.
 
     Returns
     -------
@@ -464,39 +369,20 @@ def forecast_series(
     gapped = not finite.all()
     if gapped and np.isinf(arr).any():
         raise ValueError("values contains infinite entries")
-    if engine not in ("auto", "batch", "stream"):
-        raise ValueError(
-            f"engine must be 'auto', 'batch' or 'stream', got {engine!r}"
-        )
-    plan = None
-    if engine == "batch" or (engine == "auto" and forecaster is None):
-        plan = _batch_plan(forecaster)
-    chosen = "batch" if plan is not None else "stream"
+    engine = "batch" if forecaster is None else "stream"
     registry = get_registry()
-    registry.counter("repro_forecast_engine_total", engine=chosen).inc()
+    registry.counter("repro_forecast_engine_total", engine=engine).inc()
     if gapped:
         registry.counter("repro_forecast_gap_steps_total").inc(
             int(arr.size - np.count_nonzero(finite))
         )
     start = time.perf_counter()
-    if gapped:
-        if plan is not None:
-            out = _batch_gapped(plan, arr, finite)
-        else:
-            model = forecaster if forecaster is not None else AdaptiveForecaster()
-            out = _stream_gapped(model, arr)
-    elif plan is not None:
-        out = plan(arr)
+    if forecaster is None:
+        out = _batch_gapped(arr, finite)
     else:
-        model = forecaster if forecaster is not None else AdaptiveForecaster()
-        out = np.empty(arr.size)
-        out[0] = np.nan
-        model.update(arr[0])
-        for t in range(1, arr.size):
-            out[t] = model.forecast()
-            model.update(arr[t])
+        out = _stream_gapped(forecaster, arr)
     elapsed = time.perf_counter() - start
     registry.histogram(
-        "repro_forecast_seconds", buckets=_ENGINE_BUCKETS, engine=chosen
+        "repro_forecast_seconds", buckets=_ENGINE_BUCKETS, engine=engine
     ).observe(elapsed)
     return out

@@ -5,21 +5,19 @@ whose ``rows`` hold this reproduction's numbers and whose ``paper`` field
 holds the values published in the paper for side-by-side comparison.
 
 Every generator shares one uniform signature, ``tableN(runner=None,
-config=None, *, seed=7, duration=DAY, engine="auto")``: simulations flow
-through a :class:`repro.runner.Runner` (the process-wide default when none
-is given), so Tables 1-5 share one 24-hour testbed run, Table 6 derives
-its medium-term variant (5-minute test process hourly) from the same base
+config=None, *, seed=7, duration=DAY)``: simulations flow through a
+:class:`repro.runner.Runner` (the process-wide default when none is
+given), so Tables 1-5 share one 24-hour testbed run, Table 6 derives its
+medium-term variant (5-minute test process hourly) from the same base
 config via :meth:`TestbedConfig.derive`, and a parallel or disk-cached
-runner accelerates every table at once.  ``engine`` selects the
-:func:`~repro.core.mixture.forecast_series` backtesting engine
-(``"auto"``/``"batch"``/``"stream"`` -- bit-identical outputs either way;
-Tables 1 and 4 accept it for uniformity but compute no forecasts).
+runner accelerates every table at once.
 
 Tables 2, 3 and 5 score the same forecast -- the mixture's one-step-ahead
 backtest of each 10 s measurement series -- against the test process
 (Eq. 4), the next measurement (Eq. 5) and, parenthesized in Table 5, Eq. 5
-again.  Each run's series is backtested once per method and engine and
-kept on the :class:`HostRun` (read-only), so the three tables share it;
+again.  Each run's series is backtested once per method, by the batched
+default mixture of :func:`~repro.core.mixture.forecast_series`, and kept
+on the :class:`HostRun` (read-only), so the three tables share it;
 the 5-minute aggregates of Tables 5 and 6 are kept the same way.  A
 disk-cached runner stores these backtests with the run, so a report over
 a filled cache forecasts nothing.
@@ -159,20 +157,20 @@ def _paper_rows(table: dict, fmt=lambda v: f"{v:.1f}%") -> list[list]:
     return rows
 
 
-def _backtest(run: HostRun, method: str, engine: str, agg: int = 1) -> np.ndarray:
+def _backtest(run: HostRun, method: str, agg: int = 1) -> np.ndarray:
     """The one-step-ahead NWS forecasts of ``run``'s ``method`` series,
     aggregated into blocks of ``agg`` samples first when ``agg > 1``.
 
-    Computed on first use and kept on the run, keyed by ``(method,
-    engine, agg)``; the array is read-only because every table shares it.
+    Computed on first use and kept on the run, keyed by ``(method, agg)``;
+    the array is read-only because every table shares it.
     """
-    key = (method, engine, agg)
+    key = (method, agg)
     forecasts = run._forecasts.get(key)
     if forecasts is None:
         values = run.values(method)
         if agg > 1:
             values = aggregate_series(values, agg)
-        forecasts = forecast_series(values, engine=engine)
+        forecasts = forecast_series(values)
         forecasts.flags.writeable = False
         run._forecasts[key] = forecasts
     return forecasts
@@ -207,7 +205,6 @@ def table1(
     *,
     seed: int = 7,
     duration: float = DAY,
-    engine: str = "auto",
 ) -> TableResult:
     """Mean absolute measurement errors (24-hour period).
 
@@ -239,7 +236,6 @@ def table2(
     *,
     seed: int = 7,
     duration: float = DAY,
-    engine: str = "auto",
 ) -> TableResult:
     """Mean true forecasting errors, with measurement errors in parens.
 
@@ -255,7 +251,7 @@ def table2(
         for method in METHODS:
             forecasts, truths = _align(
                 run.series[method].times,
-                _backtest(run, method, engine),
+                _backtest(run, method),
                 run.observations,
             )
             true_err = 100 * np.abs(forecasts - truths).mean()
@@ -285,7 +281,6 @@ def table3(
     *,
     seed: int = 7,
     duration: float = DAY,
-    engine: str = "auto",
 ) -> TableResult:
     """Mean absolute one-step-ahead prediction errors.
 
@@ -299,7 +294,7 @@ def table3(
         row = [run.host]
         for method in METHODS:
             values = run.values(method)
-            f = _backtest(run, method, engine)
+            f = _backtest(run, method)
             row.append(f"{100 * np.abs(f[1:] - values[1:]).mean():.1f}%")
         rows.append(row)
     return TableResult(
@@ -317,7 +312,6 @@ def table4(
     *,
     seed: int = 7,
     duration: float = DAY,
-    engine: str = "auto",
 ) -> TableResult:
     """Hurst estimate and variance of original vs 5-minute-averaged series.
 
@@ -361,7 +355,6 @@ def table5(
     *,
     seed: int = 7,
     duration: float = DAY,
-    engine: str = "auto",
 ) -> TableResult:
     """One-step-ahead prediction errors for 5-minute aggregated series.
 
@@ -376,10 +369,10 @@ def table5(
         row = [run.host]
         for method in METHODS:
             values = run.values(method)
-            f = _backtest(run, method, engine)
+            f = _backtest(run, method)
             err_orig = 100 * np.abs(f[1:] - values[1:]).mean()
             agg = aggregate_series(values, AGG)
-            fa = _backtest(run, method, engine, AGG)
+            fa = _backtest(run, method, AGG)
             err_agg = 100 * np.abs(fa[1:] - agg[1:]).mean()
             star = "*" if err_agg < err_orig else ""
             row.append(f"{star}{err_agg:.1f}% ({err_orig:.1f}%)")
@@ -403,7 +396,6 @@ def table6(
     *,
     seed: int = 7,
     duration: float = DAY,
-    engine: str = "auto",
 ) -> TableResult:
     """Mean true forecasting errors for 5-minute average CPU availability.
 
@@ -425,7 +417,7 @@ def table6(
             blocks = series.values.size // AGG
             agg_times = series.times[: blocks * AGG].reshape(blocks, AGG)[:, -1]
             forecasts, truths = _align(
-                agg_times, _backtest(run, method, engine, AGG), run.observations
+                agg_times, _backtest(run, method, AGG), run.observations
             )
             error = 100 * np.abs(forecasts - truths).mean() if truths.size else math.nan
             row.append(f"{error:.1f}%")

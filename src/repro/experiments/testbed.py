@@ -117,7 +117,7 @@ class HostRun:
         Ground-truth test-process observations (post-warmup).
 
     The run also keeps the backtests computed from it, keyed by
-    ``(method, engine, aggregation level)``: written and read by
+    ``(method, aggregation level)``: written and read by
     :mod:`repro.experiments.tables`, so every table handed this object
     scores one shared forecast per series, and persisted with the run by
     :class:`repro.runner.ResultCache`.

@@ -99,7 +99,9 @@ Forecast backtesting engine (``repro.core.mixture.forecast_series`` /
 ``repro.core.batch``):
 
 * ``repro_forecast_engine_total`` (counter; label ``engine`` in
-  ``batch|stream``) -- which engine served each whole-series backtest.
+  ``batch|stream``) -- which engine served each whole-series backtest:
+  ``batch`` for the default mixture, ``stream`` for a forecaster
+  instance.
 * ``repro_forecast_seconds`` (histogram; label ``engine``) -- wall time
   per ``forecast_series`` call, per engine (the only wall-clock metric in
   ``repro.core``; it never feeds results, so determinism holds).

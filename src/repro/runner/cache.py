@@ -127,7 +127,7 @@ def _decode(data) -> HostRun:
     backtests = [tuple(key) for key in meta.get("backtests", ())]
     if backtests and meta["mixture"] == default_mixture_record():
         sizes = []
-        for method, _engine, agg in backtests:
+        for method, agg in backtests:
             if type(agg) is not int or agg < 1:
                 raise ValueError(f"bad aggregation level {agg!r}")
             sizes.append(series[method].values.size // agg)

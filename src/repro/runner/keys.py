@@ -30,8 +30,9 @@ __all__ = ["CACHE_FORMAT", "canonical_config", "config_digest"]
 
 #: On-disk layout version; bump when the serialization format (the stored
 #: config included) changes so stale entries miss instead of loading
-#: garbage.  Format 2 stores a config with one field fewer than format 1.
-CACHE_FORMAT = 2
+#: garbage.  Format 2 stores a config with one field fewer than format 1;
+#: format 3 keys stored backtests by ``(method, agg)``, without an engine.
+CACHE_FORMAT = 3
 
 
 def canonical_config(config: TestbedConfig) -> dict:

@@ -49,8 +49,7 @@ class CPUSensor(ABC):
 
         The clamp bounds overshoot; :func:`~repro.contracts.ensure_fraction`
         then catches what a clamp cannot -- NaN from a broken formula would
-        otherwise poison every downstream forecast (disable via
-        ``REPRO_CONTRACTS=0``).
+        otherwise poison every downstream forecast.
         """
         availability = self._measure(kernel)
         if not 0.0 <= availability <= 1.0:  # the clamp is a no-op inside

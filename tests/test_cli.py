@@ -51,11 +51,18 @@ class TestParser:
 
 
     def test_removed_sim_engine_option_exits_2(self, capsys, tmp_path):
-        # One kernel loop: the old engine switch is an unknown option now.
-        with pytest.raises(SystemExit) as exc:
-            main(["report", str(tmp_path / "out"), "--sim-engine", "auto"])
-        assert exc.value.code == 2
-        assert "--sim-engine" in capsys.readouterr().err
+        # One kernel loop, and the input picks the forecast path: the old
+        # engine switches are unknown options now.
+        out = str(tmp_path / "out")
+        for argv, option in (
+            (["report", out, "--sim-engine", "auto"], "--sim-engine"),
+            (["tables", "--engine", "batch"], "--engine"),
+            (["report", out, "--engine", "stream"], "--engine"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert option in capsys.readouterr().err, argv
         assert not (tmp_path / "out").exists()
 
 class TestRunCommand:

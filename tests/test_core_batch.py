@@ -1,9 +1,10 @@
 """Streaming/batch parity for the vectorized backtesting engine.
 
-The contract under test is *bit-identity*: ``forecast_series(values,
-engine="batch")`` must return exactly the floats the streaming path
-returns -- per battery member and for the full mixture -- on every trace
-shape the testbed produces.  Comparisons therefore use
+The contract under test is *bit-identity*: ``forecast_series(values)``
+(the batched default mixture) must return exactly the floats of
+``forecast_series(values, AdaptiveForecaster())`` (streaming), and each
+member kernel exactly the floats of streaming that member, on every
+trace shape the testbed produces.  Comparisons therefore use
 ``np.array_equal(..., equal_nan=True)``, never ``approx``.
 """
 
@@ -25,6 +26,7 @@ from repro.core.forecasters import (
     default_battery,
 )
 from repro.core.mixture import AdaptiveForecaster, ForecasterBank, forecast_series
+from repro.obs.metrics import MetricsRegistry, installed
 
 RNG = np.random.default_rng(20260806)
 
@@ -84,13 +86,30 @@ def _assert_identical(a: np.ndarray, b: np.ndarray, label: str) -> None:
     assert np.array_equal(a, b, equal_nan=True), label
 
 
+def _member_batch(member, values: np.ndarray) -> np.ndarray:
+    """``member_forecasts`` over ``values``, gaps filled hold-last.
+
+    The kernels take all-finite input, so they run on the finite values,
+    padded by one when the trace ends in a gap, and each step reads the
+    forecast made from the finite values before it: the gap compression
+    ``forecast_series`` applies to the default mixture.
+    """
+    finite = np.isfinite(values)
+    comp = values[finite]
+    if comp.size == 0:
+        return np.full(values.size, np.nan)
+    if not finite[-1]:
+        comp = np.append(comp, comp[-1])
+    return member_forecasts(member, comp)[np.cumsum(finite) - finite]
+
+
 class TestMemberParity:
     @pytest.mark.parametrize("trace", sorted(TRACES), ids=str)
     def test_every_default_member_bit_identical(self, trace):
         values = TRACES[trace]
         for stream_member, batch_member in zip(default_battery(), default_battery()):
-            expected = forecast_series(values, stream_member, engine="stream")
-            got = forecast_series(values, batch_member, engine="batch")
+            expected = forecast_series(values, stream_member)
+            got = _member_batch(batch_member, values)
             _assert_identical(expected, got, f"{batch_member.name} on {trace}")
 
     def test_member_forecasts_leaves_instance_untouched(self):
@@ -109,8 +128,8 @@ class TestMixtureParity:
     @pytest.mark.parametrize("trace", sorted(TRACES), ids=str)
     def test_mixture_bit_identical(self, trace):
         values = TRACES[trace]
-        expected = forecast_series(values, engine="stream")
-        got = forecast_series(values, engine="batch")
+        expected = forecast_series(values, AdaptiveForecaster())
+        got = forecast_series(values)
         _assert_identical(expected, got, f"mixture on {trace}")
 
     def test_winner_sequence_matches_streaming_bank(self):
@@ -128,11 +147,17 @@ class TestMixtureParity:
 
     def test_auto_defaults_to_batch_for_default_mixture(self):
         values = TRACES["smooth"]
+        registry = MetricsRegistry()
+        with installed(registry):
+            got = forecast_series(values)
         _assert_identical(
-            forecast_series(values),
-            forecast_series(values, engine="batch"),
-            "auto vs batch",
+            got,
+            mixture_backtest(values, default_battery()).forecasts,
+            "default vs mixture_backtest",
         )
+        engines = registry.counter
+        assert engines("repro_forecast_engine_total", engine="batch").value == 1
+        assert engines("repro_forecast_engine_total", engine="stream").value == 0
 
     def test_auto_streams_when_instance_passed(self):
         model = AdaptiveForecaster()
@@ -142,55 +167,34 @@ class TestMixtureParity:
 
     def test_custom_error_window_honoured(self):
         values = TRACES["uniform"]
-        expected = forecast_series(
-            values, AdaptiveForecaster(error_window=7), engine="stream"
-        )
-        got = forecast_series(
-            values, AdaptiveForecaster(error_window=7), engine="batch"
-        )
+        expected = forecast_series(values, AdaptiveForecaster(error_window=7))
+        got = mixture_backtest(values, default_battery(), error_window=7).forecasts
         _assert_identical(expected, got, "error_window=7")
 
 
 class TestEngineDispatch:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            forecast_series([0.1, 0.2], engine="turbo")
+        # The input picks the path: naming an engine is an error now.
+        with pytest.raises(TypeError, match="engine"):
+            forecast_series([0.1, 0.2], engine="batch")
 
     def test_batch_rejects_unsupported_forecaster(self):
-        with pytest.raises(BatchUnsupported):
-            forecast_series(TRACES["len5"], AR1Forecaster(), engine="batch")
-
-    def test_batch_rejects_used_member(self):
-        member = LastValue()
-        member.update(0.5)
-        with pytest.raises(BatchUnsupported, match="absorbed"):
-            forecast_series(TRACES["len5"], member, engine="batch")
-
-    def test_batch_rejects_used_mixture(self):
-        model = AdaptiveForecaster()
-        model.update(0.5)
-        with pytest.raises(BatchUnsupported, match="absorbed"):
-            forecast_series(TRACES["len5"], model, engine="batch")
+        with pytest.raises(BatchUnsupported, match="AR1Forecaster"):
+            member_forecasts(AR1Forecaster(), TRACES["len5"])
 
     def test_stream_accepts_anything(self):
-        out = forecast_series(TRACES["len5"], AR1Forecaster(), engine="stream")
+        out = forecast_series(TRACES["len5"], AR1Forecaster())
         assert out.size == 5
-
-    def test_batch_does_not_mutate_mixture(self):
-        model = AdaptiveForecaster()
-        forecast_series(TRACES["len50"], model, engine="batch")
-        assert model.bank.n_updates == 0
 
     def test_validation_precedes_dispatch(self):
         # NaN is a valid gap marker now; infinities are still rejected.
         for bad in ([], [[0.1, 0.2]], [0.1, np.inf], [np.nan, -np.inf]):
-            with pytest.raises(ValueError):
-                forecast_series(bad, engine="batch")
+            for forecaster in (None, LastValue()):
+                with pytest.raises(ValueError):
+                    forecast_series(bad, forecaster)
 
     def test_gap_semantics_hold_last_skip_update(self):
-        out = forecast_series(
-            [0.5, np.nan, np.nan, 0.7], LastValue(), engine="stream"
-        )
+        out = forecast_series([0.5, np.nan, np.nan, 0.7], LastValue())
         # No forecast before the first finite value; gaps hold the last
         # forecast and do not count as measurements.
         assert np.isnan(out[0])
@@ -220,10 +224,10 @@ class TestResetRoundTrip:
     def test_adaptive_forecaster_reset_round_trip(self):
         values = RNG.uniform(0.0, 1.0, 200)
         used = AdaptiveForecaster()
-        forecast_series(values, used, engine="stream")
+        forecast_series(values, used)
         used.reset()
         _assert_identical(
-            forecast_series(values, used, engine="stream"),
-            forecast_series(values, engine="stream"),
+            forecast_series(values, used),
+            forecast_series(values, AdaptiveForecaster()),
             "reset mixture vs fresh mixture",
         )

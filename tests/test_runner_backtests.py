@@ -46,9 +46,9 @@ def count_forecasts(monkeypatch) -> list:
     calls = []
     forecast_series = tables.forecast_series
 
-    def counting(values, **kwargs):
+    def counting(values):
         calls.append(values.size)
-        return forecast_series(values, **kwargs)
+        return forecast_series(values)
 
     monkeypatch.setattr(tables, "forecast_series", counting)
     return calls
@@ -74,6 +74,19 @@ class TestWarmReport:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_tables_after_report_store_nothing(self, tmp_path, capsys):
+        # One backtest per (method, aggregation level), whichever command
+        # made it: the tables read the report's and add none.
+        cache = str(tmp_path / "cache")
+        report = [
+            "report", str(tmp_path / "out"), "--hours", "2",
+            "--figure3-days", "0.25", "--cache-dir", cache,
+        ]
+        assert main(report) == 0
+        assert "backtests_stored=54" in capsys.readouterr().err
+        assert main(["tables", "--hours", "2", "--cache-dir", cache]) == 0
+        assert "backtests_loaded=54 backtests_stored=0" in capsys.readouterr().err
 
     def test_warm_run_forecasts_nothing_and_writes_nothing(
         self, tmp_path, monkeypatch
@@ -164,8 +177,8 @@ class TestStaleBacktests:
     def test_backtest_of_the_wrong_length_is_corrupt(self, tmp_path):
         run = simulate_host("thing1", CONFIG)
         digest = config_digest("thing1", CONFIG)
-        forecasts = tables._backtest(run, "vmstat", "auto")
-        run._forecasts[("vmstat", "auto", 1)] = forecasts[:-1]
+        forecasts = tables._backtest(run, "vmstat")
+        run._forecasts[("vmstat", 1)] = forecasts[:-1]
         cache = ResultCache(tmp_path)
         path = cache.store(digest, run)
 
