@@ -83,15 +83,28 @@ def test_batch_speedup(benchmark):
     assert speedup >= 10.0, f"batch speedup {speedup:.1f}x < 10x"
 
 
+#: Rounds of the streaming-overhead gate; each times both legs once.
+OVERHEAD_ROUNDS = 7
+
+
 def test_streaming_overhead(benchmark):
-    """Gap handling + telemetry cost < 5 % on the streaming path."""
+    """Gap handling + telemetry cost < 5 % on the streaming path.
+
+    The two legs alternate round by round, and each keeps its best of
+    ``OVERHEAD_ROUNDS``: a machine that slows down for a while slows
+    both legs alike instead of the one that happened to run then.
+    """
     values = _trace(20_000, seed=11)
 
     def measured():
-        legacy_s, legacy = _best_of(lambda: _legacy_forecast_series(values), 3)
-        stream_s, streamed = _best_of(
-            lambda: forecast_series(values, AdaptiveForecaster()), 3
-        )
+        legacy_s = stream_s = float("inf")
+        for _ in range(OVERHEAD_ROUNDS):
+            seconds, legacy = _best_of(lambda: _legacy_forecast_series(values), 1)
+            legacy_s = min(legacy_s, seconds)
+            seconds, streamed = _best_of(
+                lambda: forecast_series(values, AdaptiveForecaster()), 1
+            )
+            stream_s = min(stream_s, seconds)
         return legacy_s, legacy, stream_s, streamed
 
     legacy_s, legacy, stream_s, streamed = run_once(benchmark, measured)

@@ -303,6 +303,11 @@ class HTTPTransport:
             raise ProtocolError(
                 f"HTTP {status} with non-JSON body from {self.url}{path}"
             ) from exc
+        if not isinstance(payload, dict):
+            raise ProtocolError(
+                f"HTTP {status} with a JSON {type(payload).__name__}, not an "
+                f"object, from {self.url}{path}"
+            )
         if status != 200:
             raise_for_envelope(status, payload)
         return payload

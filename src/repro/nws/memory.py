@@ -20,6 +20,18 @@ regex; any other line (other spacing or key order, bare integers,
 surrounding whitespace, torn writes) falls back to ``json.loads`` under
 the same skip-and-count rules, so both paths yield the same samples.
 
+Each series is held as two ``array('d')`` buffers -- times and values,
+8 bytes a sample -- and every sample has a *sequence number* that is
+never reused within the store.  A series' samples count up by one from
+the start of its *run*; a run begins at a series' first publish (also
+after :meth:`MemoryStore.forget`), at :meth:`MemoryStore.replace` and at
+:meth:`MemoryStore.recover`, and each run starts a fresh range drawn from
+one per-store counter.  So a sequence number names exactly one
+``(t, v)`` for ever, and :meth:`MemoryStore.fetch` returns, next to a
+window's arrays, the number of its first sample (:class:`Window`): two
+windows of one run overlap exactly where their numbers do.  The HTTP
+fetch path keys its text memo on this (:class:`repro.nws.wire.SampleText`).
+
 Journal appends go through a :class:`~repro.nws.durable.JournalWriter`
 (group commit every ``journal_flush_lines`` appends); whole-file state
 -- the catalog, and the journal itself when :meth:`replace` checkpoints
@@ -29,10 +41,12 @@ it after retention compaction -- is rewritten atomically via
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
@@ -43,9 +57,13 @@ from repro.nws.errors import SeriesUnavailable
 from repro.obs.metrics import get_registry
 from repro.trace.series import TraceSeries
 
-__all__ = ["MemoryStore"]
+__all__ = ["MemoryStore", "Window"]
 
 _CATALOG_NAME = "series.json"
+
+#: Sequence numbers one run may use: run ``r`` numbers its samples from
+#: ``r * _RUN_SPAN`` up, so runs never share a number.
+_RUN_SPAN = 1 << 64
 
 #: Longest file name, in bytes, that Linux filesystems accept.
 _NAME_MAX = 255
@@ -83,6 +101,19 @@ _NUMBER = (
     r"|NaN|-?Infinity)"
 )
 _SAMPLE_LINE = re.compile(r'\{"t": %s, "v": %s\}' % (_NUMBER, _NUMBER))
+
+
+class Window(tuple):
+    """One fetched window: the pair ``(times, values)`` of float64 arrays.
+
+    ``first_seq`` is the sequence number of the window's first sample;
+    the others follow it one by one.
+    """
+
+    def __new__(cls, times: np.ndarray, values: np.ndarray, first_seq: int):
+        window = super().__new__(cls, (times, values))
+        window.first_seq = first_seq
+        return window
 
 
 class MemoryStore:
@@ -127,8 +158,12 @@ class MemoryStore:
         # from the main/forecaster path; every access to the series maps
         # goes through this lock.
         self._lock = threading.Lock()
-        self._times: dict[str, list[float]] = {}
-        self._values: dict[str, list[float]] = {}
+        self._times: dict[str, array] = {}
+        self._values: dict[str, array] = {}
+        # Sequence number of each series' first retained sample, and the
+        # start of each new run.
+        self._first: dict[str, int] = {}
+        self._run_starts = itertools.count(0, _RUN_SPAN)
         registry = get_registry()
         self._registry = registry
         self._obs_publishes: dict[str, object] = {}
@@ -161,8 +196,13 @@ class MemoryStore:
             if self.directory is not None and series not in self._catalog:
                 self._catalog[series] = _journal_name(series)
                 self._write_catalog()
-            times = self._times.setdefault(series, [])
-            values = self._values.setdefault(series, [])
+            times = self._times.get(series)
+            if times is None:
+                times = self._times[series] = array("d")
+                values = self._values[series] = array("d")
+                self._first[series] = next(self._run_starts)
+            else:
+                values = self._values[series]
             if times and time < times[-1]:
                 raise ValueError(
                     f"out-of-order measurement for {series!r}: "
@@ -181,6 +221,7 @@ class MemoryStore:
                 dropped = len(times) - self.capacity
                 del times[:dropped]
                 del values[:dropped]
+                self._first[series] += dropped
                 self._obs_evictions.inc(dropped)
             # Journal while still holding the lock so a concurrent
             # checkpoint (replace) can never drop an in-flight append.
@@ -211,13 +252,15 @@ class MemoryStore:
         start: float = -np.inf,
         stop: float = np.inf,
         limit: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> Window:
         """(times, values) for ``series``, newest-retained window.
 
         The keyword names match :meth:`repro.nws.client.NWSClient.fetch`
         exactly -- one fetch signature across the whole stack.  The
         window is found by bisection on the sorted timestamps and only
         it is copied, so a fetch costs O(log n + window), not O(n).
+        The returned :class:`Window` unpacks as ``times, values`` and
+        carries the sequence number of its first sample.
 
         Parameters
         ----------
@@ -249,9 +292,16 @@ class MemoryStore:
                 lo = hi = 0
             if limit is not None:
                 lo = max(lo, hi - limit)
+            # The slices are copies the returned arrays view, so the
+            # store's own buffers never export a view and stay resizable.
             times, values = times[lo:hi], self._values[series][lo:hi]
+            first = self._first[series] + lo
         self._obs_fetches.inc()
-        return np.array(times, dtype=np.float64), np.array(values, dtype=np.float64)
+        return Window(
+            np.frombuffer(times, dtype=np.float64),
+            np.frombuffer(values, dtype=np.float64),
+            first,
+        )
 
     def tail(self, series: str, offset: int) -> tuple[int, float, list[float]]:
         """``(retained count, newest time, values[offset:])`` in one read.
@@ -271,7 +321,7 @@ class MemoryStore:
             if times is None:
                 raise SeriesUnavailable(series, sorted(self._times))
             newest = times[-1] if times else math.nan
-            fresh = self._values[series][offset:]
+            fresh = self._values[series][offset:].tolist()
             count = len(times)
         self._obs_fetches.inc()
         return count, newest, fresh
@@ -291,10 +341,11 @@ class MemoryStore:
         critical section -- atomically rewritten (``os.replace``) to
         exactly the new retained history -- so journals stop growing
         without bound and :meth:`recover` always reproduces what
-        retention kept.  Returns the new retained length.
+        retention kept.  The history starts a new run of sequence
+        numbers.  Returns the new retained length.
         """
-        times = [float(t) for t in times]
-        values = [float(v) for v in values]
+        times = array("d", [float(t) for t in times])
+        values = array("d", [float(v) for v in values])
         if len(times) != len(values):
             raise ValueError(
                 f"times/values length mismatch: {len(times)} != {len(values)}"
@@ -312,6 +363,7 @@ class MemoryStore:
                 self._write_catalog()
             self._times[series] = times
             self._values[series] = values
+            self._first[series] = next(self._run_starts)
             if self.directory is not None:
                 self._checkpoint_locked(series)
         return len(times)
@@ -346,6 +398,7 @@ class MemoryStore:
             existed = series in self._times
             self._times.pop(series, None)
             self._values.pop(series, None)
+            self._first.pop(series, None)
         return existed
 
     # ----------------------------------------------------------- recovery
@@ -364,7 +417,8 @@ class MemoryStore:
     def recover(self, series: str) -> int:
         """Reload ``series`` from the persistence journal.
 
-        Returns the number of samples recovered (bounded by capacity).
+        Returns the number of samples recovered (bounded by capacity);
+        the recovered history starts a new run of sequence numbers.
         Lines exactly as :meth:`publish` writes them are decoded with one
         regex match; every other line takes the ``json.loads`` path.
         Truncated or otherwise unparsable journal lines -- the normal
@@ -431,9 +485,12 @@ class MemoryStore:
         if len(times) > self.capacity:
             times = times[-self.capacity :]
             values = values[-self.capacity :]
+        # Parsed into lists, which grow faster than arrays, then packed.
+        times, values = array("d", times), array("d", values)
         with self._lock:
             self._times[series] = times
             self._values[series] = values
+            self._first[series] = next(self._run_starts)
         self._obs_recoveries.inc()
         self._obs_recovered.inc(len(times))
         return len(times)

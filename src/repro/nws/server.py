@@ -77,6 +77,7 @@ from repro.nws.wire import (
     MAX_HEADERS,
     MAX_LINE,
     WIRE_VERSION,
+    SampleText,
     canonical,
     closes,
     encode_fetch,
@@ -386,6 +387,9 @@ class ForecastServer:
         self.shutdown_timeout = shutdown_timeout
         self.unclean_shutdowns = 0
         self._maintenance_interval = maintenance_interval
+        # The text of the last window served per series, one memo per
+        # tenant (see repro.nws.wire.SampleText).
+        self._fetch_memo = {name: SampleText() for name in self.core.tenant_names()}
         self._httpd = _App((host, port), _Handler)
         self._httpd.forecast_server = self
         self.host, self.port = self._httpd.server_address[:2]
@@ -508,9 +512,12 @@ class ForecastServer:
         Returns the number of series compacted.  The server refreshes its
         own TTL'd ``forecaster.server`` registration per tenant,
         re-registering when it lapsed -- the same recovery a crashed
-        sensor host performs.
+        sensor host performs -- and drops the remembered fetch text of
+        series the memory no longer holds.
         """
         compacted = self.core.maintain()
+        for tenant, memo in self._fetch_memo.items():
+            memo.retain(self.core.tenant(tenant).memory.series_names())
         for tenant in self.core.tenant_names():
             try:
                 self.core.refresh(
@@ -645,7 +652,7 @@ class ForecastServer:
 
     def _op_fetch(self, tenant: str, body: dict) -> dict:
         series = _field(body, "series", str)
-        times, values = self.core.fetch(
+        window = self.core.fetch(
             tenant,
             series,
             start=_field(body, "start", float, float("-inf")),
@@ -654,7 +661,10 @@ class ForecastServer:
                 None if body.get("limit") is None else _field(body, "limit", int)
             ),
         )
-        return encode_fetch(series, times, values)
+        times, values = window
+        return self._fetch_memo[tenant].bind(
+            encode_fetch(series, times, values), window.first_seq
+        )
 
     def _op_query(self, tenant: str, body: dict) -> dict:
         report = self.core.query(

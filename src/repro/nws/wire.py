@@ -35,12 +35,28 @@ header for non-NWS clients.
 Encoding is canonical (sorted keys, compact separators), so identical
 responses are identical bytes -- the property the deterministic loadtest
 digests rely on.
+
+Sample windows are the one payload whose text repeats from request to
+request: a client polling the last hour gets back the same samples, one
+or two newer each time.  So the server keeps, per live series, the JSON
+text of the last window it served (:class:`SampleText`): one joined
+string per array, keyed by the sequence number of its first sample
+(:class:`repro.nws.memory.Window`).  A sequence number names one
+``(t, v)`` for ever, so where a new window's numbers overlap the
+remembered ones its text does too; :func:`canonical` cuts that overlap
+out of the remembered strings at the commas and formats only the
+samples it has not seen.  The bytes are the ones ``json.dumps`` writes
+for the same payload by construction; floats are never compared or
+hashed, since ``0.0 == -0.0`` and NaN equals nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+
+import numpy as np
 
 from repro.faults.policy import RetryError
 from repro.nws.errors import (
@@ -58,6 +74,7 @@ __all__ = [
     "MAX_LINE",
     "WIRE_VERSION",
     "ProtocolError",
+    "SampleText",
     "canonical",
     "closes",
     "code_for_exception",
@@ -86,14 +103,21 @@ def canonical(payload: dict) -> bytes:
     ``NaN`` is emitted as the literal ``NaN`` (stock ``json`` behaviour,
     accepted by the stock parser); forecast error bars are NaN until the
     mixture has scored once, and round-tripping that honestly matters
-    more than strict-JSON purity.
+    more than strict-JSON purity.  A samples payload bound to a
+    :class:`SampleText` is written from its memo, to the same bytes.
     """
+    if type(payload) is _NumberedSamples:
+        return payload.memo.render(payload)
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode(
         "utf-8"
     )
 
 
 def _check_version(payload: dict) -> dict:
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"malformed payload: expected a JSON object, got {type(payload).__name__}"
+        )
     version = payload.get("version")
     if version != WIRE_VERSION:
         raise ProtocolError(
@@ -153,26 +177,156 @@ def decode_report(payload: dict) -> ForecastReport:
 
 def encode_fetch(series: str, times, values) -> dict:
     """A fetched (times, values) window as a versioned JSON-safe dict."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    value_list = values.tolist()
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            value_list[i] = None
     return {
         "version": WIRE_VERSION,
         "kind": "samples",
         "series": series,
-        "times": [float(t) for t in times],
-        "values": [_finite_or_none(v) for v in values],
-        "n": int(len(times)),
+        "times": times.tolist(),
+        "values": value_list,
+        "n": len(times),
     }
 
 
-def decode_fetch(payload: dict) -> tuple[list[float], list[float]]:
-    _check_version(payload)
+_NUMBER_TYPES = frozenset({float, int})
+_NULLABLE_TYPES = _NUMBER_TYPES | {type(None)}
+
+
+def _float_list(payload: dict, key: str, types: frozenset) -> list[float]:
+    """``payload[key]`` as floats: a flat JSON array of ``types`` only."""
     try:
-        times = [float(t) for t in payload["times"]]
-        values = [_float_or_nan(v) for v in payload["values"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        items = payload[key]
+    except KeyError as exc:
         raise ProtocolError(f"malformed samples payload: {exc}") from exc
+    if not isinstance(items, list):
+        raise ProtocolError(
+            f"malformed samples payload: {key!r} is {type(items).__name__}, "
+            "not a JSON array"
+        )
+    kinds = set(map(type, items))
+    if kinds <= {float}:
+        return items[:]
+    if not kinds <= types:
+        raise ProtocolError(
+            f"malformed samples payload: {key!r} holds "
+            f"{', '.join(sorted(k.__name__ for k in kinds - types))}"
+        )
+    try:
+        # None becomes NaN: the wire's stand-in for a non-finite value.
+        return np.array(items, dtype=np.float64).tolist()
+    except OverflowError as exc:
+        raise ProtocolError(f"malformed samples payload: {exc}") from exc
+
+
+def decode_fetch(payload: dict) -> tuple[list[float], list[float]]:
+    """``(times, values)`` float lists of a samples payload.
+
+    Each array is checked and converted as a whole: ``times`` must be a
+    flat JSON array of numbers, ``values`` of numbers or ``null`` (read
+    as NaN).  Anything else is a :class:`ProtocolError`.
+    """
+    _check_version(payload)
+    times = _float_list(payload, "times", _NUMBER_TYPES)
+    values = _float_list(payload, "values", _NULLABLE_TYPES)
     if len(times) != len(values):
         raise ProtocolError("malformed samples payload: times/values mismatch")
     return times, values
+
+
+#: The elements of a JSON array exactly as :func:`canonical` writes them
+#: (``encode(items)[1:-1]``): the same C encoder, so the same bytes.
+_encode_array = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _cut(text: str, head: int, tail: int) -> str:
+    """``text``, a comma-joined array body, without its first ``head``
+    and last ``tail`` elements (no element contains a comma)."""
+    start = 0
+    for _ in range(head):
+        start = text.index(",", start) + 1
+    end = len(text)
+    for _ in range(tail):
+        end = text.rindex(",", start, end)
+    return text[start:end]
+
+
+class _NumberedSamples(dict):
+    """A samples payload bound to a memo and its window's first sequence
+    number (:meth:`SampleText.bind`)."""
+
+    __slots__ = ("first_seq", "memo")
+
+
+class SampleText:
+    """The JSON text of the last sample window served, per series.
+
+    One entry per series: the window's first sequence number, its
+    length and the comma-joined text of its ``times`` and ``values``.
+    :meth:`render` reuses the part of a remembered window that the new
+    one overlaps -- the same sequence numbers, hence the same samples --
+    and formats only the rest, so serving a sliding window costs in
+    proportion to the samples that are new to it.  Entries are immutable
+    tuples read and swapped under a lock, so concurrent handler threads
+    each see a whole window, and the last one written wins; any entry
+    gives the right bytes, because reuse is keyed by sequence number.
+    :meth:`retain` drops the entries of series that are gone.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._windows: dict[str, tuple[int, int, str, str]] = {}
+
+    def bind(self, payload: dict, first_seq: int) -> dict:
+        """``payload``, an :func:`encode_fetch` of a window whose first
+        sample has sequence number ``first_seq``, for :func:`canonical`
+        to write from this memo.  The dict's contents are unchanged."""
+        bound = _NumberedSamples(payload)
+        bound.first_seq = first_seq
+        bound.memo = self
+        return bound
+
+    def render(self, payload: _NumberedSamples) -> bytes:
+        """``canonical(payload)``, reusing the series' remembered text."""
+        series = payload["series"]
+        times, values = payload["times"], payload["values"]
+        first, n = payload.first_seq, len(times)
+        kept = 0
+        with self._lock:
+            old = self._windows.get(series)
+        if old is not None:
+            skip = first - old[0]
+            if 0 <= skip < old[1]:
+                kept = min(n, old[1] - skip)
+        if kept:
+            tail = old[1] - skip - kept
+            times_text = _cut(old[2], skip, tail)
+            values_text = _cut(old[3], skip, tail)
+            if kept < n:
+                times_text += "," + _encode_array(times[kept:])[1:-1]
+                values_text += "," + _encode_array(values[kept:])[1:-1]
+        else:
+            times_text = _encode_array(times)[1:-1]
+            values_text = _encode_array(values)[1:-1]
+        with self._lock:
+            self._windows[series] = (first, n, times_text, values_text)
+        return (
+            '{"kind":"samples","n":%d,"series":%s,"times":[%s],"values":[%s],'
+            '"version":%d}\n'
+            % (n, json.dumps(series), times_text, values_text, payload["version"])
+        ).encode("utf-8")
+
+    def retain(self, live) -> None:
+        """Forget the windows of every series not in ``live``."""
+        live = set(live)
+        with self._lock:
+            for series in [s for s in self._windows if s not in live]:
+                del self._windows[series]
 
 
 # -------------------------------------------------------------- registrations

@@ -243,6 +243,26 @@ class TestSensorHostAbsorbs:
             times, _ = memory.fetch(host.series_name(method))
             assert times.tolist() == [t for t in range(10, 201, 10) if not 60 <= t < 100]
 
+    def test_late_delayed_delivery_is_tallied_not_stored(self):
+        # Every reading at 50..140 s is held back up to 45 s; one that
+        # comes due after a newer reading was published lands behind the
+        # head, and the host counts it instead of storing it.
+        plan = FaultPlan("p").publish_delay(1.0, max_delay=45.0, start=50.0, stop=150.0)
+        faults = compiled(plan)
+        memory = MemoryStore()
+        host = SensorHost("thing1", NameServer(), memory, seed=3, faults=faults)
+        host.pump(300.0)
+        delayed = faults.counts("injected")["publish_delay"]
+        assert delayed == 10 * len(METHODS)
+        stored = 0
+        for method in METHODS:
+            times, _ = memory.fetch(host.series_name(method))
+            assert times.tolist() == sorted(times.tolist())
+            stored += sum(50 <= t < 150 for t in times.tolist())
+        rejected = faults.counts("absorbed")["publish_rejected"]
+        assert rejected > 0
+        assert rejected == delayed - stored
+
 
 class TestTallyMetrics:
     def test_tallies_mirror_registry_counters(self):

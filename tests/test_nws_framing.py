@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.faults import CircuitBreaker, CircuitOpenError, RetryError, RetryPolicy
 from repro.nws import ForecastServer, NWSClient, ServiceCore
 from repro.nws.client import FramingError, HTTPTransport
-from repro.nws.wire import ERROR_STATUS, canonical
+from repro.nws.wire import ERROR_STATUS, ProtocolError, canonical
 from repro.obs.metrics import MetricsRegistry, installed
 
 PUBLISH = b'{"series":"cpu.a","time":%d,"value":0.5}'
@@ -292,6 +292,33 @@ def stub(request):
     server = StubServer(BROKEN_REPLIES[request.param])
     yield server
     server.close()
+
+
+class TestNonObjectBodies:
+    """A well-framed reply whose JSON is not an object is a ProtocolError."""
+
+    @pytest.mark.parametrize("body", [b"[]", b"1", b'"x"', b"null"])
+    @pytest.mark.parametrize("status", [200, 404])
+    def test_every_operation_raises_typed(self, status, body):
+        stub = StubServer(
+            b"HTTP/1.1 %d Whatever\r\nContent-Length: %d\r\n\r\n%s"
+            % (status, len(body), body)
+        )
+        try:
+            transport = HTTPTransport(stub.url, timeout=5.0)
+            calls = [
+                lambda: transport.publish("default", "cpu.a", 0.0, 0.5),
+                lambda: transport.fetch(
+                    "default", "cpu.a", start=-float("inf"), stop=float("inf"), limit=None
+                ),
+                lambda: transport.query("default", "cpu.a", horizon=1),
+                lambda: transport.lookup("default", None),
+            ]
+            for call in calls:
+                with pytest.raises(ProtocolError, match="not an object"):
+                    call()
+        finally:
+            stub.close()
 
 
 class TestClientFraming:

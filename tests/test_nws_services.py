@@ -1,5 +1,8 @@
 """Tests for repro.nws (the NWS service architecture)."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,57 @@ class TestNameServer:
         ns.unregister("m")
         ns.unregister("m")
         assert len(ns) == 0
+
+    def test_concurrent_refresh_loses_no_registration(self):
+        # Registrars re-register their sensors with a new attribute each
+        # time while other threads refresh every sensor and look them up.
+        # The clock yields to other threads, as a slow clock source would:
+        # a refresh that read an entry, then wrote it back after a newer
+        # register, would bring the old attributes back.
+        def clock():
+            time.sleep(1e-6)
+            return 0.0
+
+        ns = NameServer(clock=clock)
+        names = [f"sensor.cpu.{k}" for k in range(3)]
+        rounds = 300
+        stale: list[tuple[str, int, str]] = []
+        done = threading.Event()
+
+        def registrar(name):
+            for i in range(rounds):
+                ns.register(name, "sensor", {"v": str(i)}, ttl=1e9)
+                seen = ns.get(name).attributes["v"]
+                if seen != str(i):
+                    stale.append((name, i, seen))
+
+        def refresher():
+            while not done.is_set():
+                for name in names:
+                    try:
+                        ns.refresh(name, ttl=1e9)
+                    except RegistrationLapsed:
+                        pass  # not registered yet
+
+        def looker():
+            while not done.is_set():
+                ns.lookup("sensor")
+
+        helpers = [threading.Thread(target=f) for f in (refresher, refresher, looker)]
+        registrars = [threading.Thread(target=registrar, args=(n,)) for n in names]
+        try:
+            for thread in helpers + registrars:
+                thread.start()
+            for thread in registrars:
+                thread.join()
+        finally:
+            done.set()
+            for thread in helpers:
+                thread.join()
+        assert stale == []
+        assert {e.name: e.attributes["v"] for e in ns.lookup("sensor")} == {
+            name: str(rounds - 1) for name in names
+        }
 
 
 class TestMemoryStore:

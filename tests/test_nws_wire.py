@@ -203,3 +203,51 @@ class TestErrorEnvelopes:
     def test_malformed_envelope(self):
         with pytest.raises(ProtocolError, match="malformed"):
             raise_for_envelope(500, {"version": WIRE_VERSION, "error": "boom"})
+
+
+class TestNonObjectPayloads:
+    """Every decoder meets a JSON array, number, string or null typed."""
+
+    DECODERS = {
+        "decode_fetch": decode_fetch,
+        "decode_report": decode_report,
+        "decode_registration": decode_registration,
+        "raise_for_envelope": lambda payload: raise_for_envelope(404, payload),
+    }
+
+    @pytest.mark.parametrize("payload", [[], 1, "x", None], ids=repr)
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    def test_is_a_protocol_error(self, decoder, payload):
+        with pytest.raises(ProtocolError, match="JSON object"):
+            self.DECODERS[decoder](payload)
+
+
+class TestSampleArrays:
+    """``decode_fetch`` takes flat JSON arrays of numbers (and null values)."""
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ("12", "34"),  # strings were read character by character
+            ({"1": 0, "2": 0}, {"3": 0, "4": 0}),  # dicts by their keys
+            ([1.0, 2.0], "34"),
+            ([[1.0]], [2.0]),
+            ([True], [1.0]),
+            (["1.5"], [1.0]),
+            ([1.0], ["x"]),
+            ([None], [1.0]),
+            ([10**400], [1.0]),
+        ],
+        ids=repr,
+    )
+    def test_rejected(self, times, values):
+        payload = {"version": WIRE_VERSION, "times": times, "values": values}
+        with pytest.raises(ProtocolError, match="malformed samples payload"):
+            decode_fetch(payload)
+
+    def test_integers_and_null(self):
+        times, values = decode_fetch(
+            {"version": WIRE_VERSION, "times": [1, 2.5], "values": [None, 3]}
+        )
+        assert times == [1.0, 2.5] and all(type(t) is float for t in times)
+        assert math.isnan(values[0]) and values[1] == 3.0
