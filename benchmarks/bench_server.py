@@ -1,6 +1,7 @@
 """Benchmark guard: the forecast service sustains the acceptance load.
 
-Two gates on :mod:`repro.nws.loadtest` against the real service stack:
+Two gates on :mod:`repro.nws.loadtest` against the real service stack,
+and one on what each series it holds costs:
 
 * **Acceptance scale, in process.**  The default 1,000-series /
   20,000-operation workload must complete through the in-process
@@ -17,13 +18,27 @@ Two gates on :mod:`repro.nws.loadtest` against the real service stack:
 
 Floors are generous because CI machines are time-shared; the recorded
 perf trajectory, not the assertion, is the sensitive signal.
+
+* **Per-series state.**  How many series one server can hold depends on
+  what each costs at rest, so two ``tracemalloc`` counts, repeatable to
+  about 0.2%, are gated against a budget (direction ``lower``): the bytes per
+  series of 1,000 shallow durable series (12 publishes and one query
+  each), and the bytes of one restored day-long (8,640-sample) series
+  after its first query.  Python objects only: the journals' file
+  descriptors and the interpreter itself are not counted.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
+import numpy as np
+
 from benchmarks.conftest import BENCH_RECORD_DIR, run_once
 from repro.nws import ForecastServer, NWSClient, ServiceCore
 from repro.nws.loadtest import LoadtestConfig, run_loadtest
+from repro.obs import MetricsRegistry, installed
 from repro.perf import record
 
 #: The ISSUE acceptance floor: >= 1000 concurrent series.
@@ -39,6 +54,19 @@ HTTP_CONFIG = LoadtestConfig(series=120, clients=8, operations=2000, seed=0, job
 #: core itself; HTTP adds stdlib socket overhead.
 MIN_RPS_IN_PROCESS = 1000.0
 MIN_RPS_HTTP = 100.0
+
+#: Shallow series: how many, and the samples each is published.
+SHALLOW_SERIES = 1000
+SHALLOW_SAMPLES = 12
+#: A restored series one day deep at the paper's 10-second cadence.
+DEEP_SAMPLES = 8640
+
+#: Traced bytes each case may hold: the values measured when the gate was
+#: added (14,542 and 176,661 B on CPython 3.11.7, x86-64) plus about 5%.
+#: With a deque per window and one error window object per mixture member
+#: the same cases held 46,081 and 405,082 B.
+MAX_SHALLOW_BYTES_PER_SERIES = 15_300
+MAX_DEEP_SERIES_BYTES = 185_500
 
 
 def _run_in_process(config: LoadtestConfig):
@@ -93,4 +121,68 @@ def test_bench_server_http_parity_under_load(benchmark):
         unit="req/s",
         direction="higher",
         directory=BENCH_RECORD_DIR,
+    )
+
+
+def _traced_bytes(build) -> int:
+    """Traced bytes still held after ``build()``, which returns what holds them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = build()
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    held.close()
+    return used
+
+
+def test_bench_server_series_footprint(tmp_path):
+    values = np.random.default_rng(0).uniform(size=(SHALLOW_SERIES, SHALLOW_SAMPLES))
+
+    def shallow() -> ServiceCore:
+        core = ServiceCore(("default",), directory=tmp_path / "shallow")
+        for i, row in enumerate(values.tolist()):
+            series = f"cpu.h{i:04d}"
+            for j, value in enumerate(row):
+                core.publish("default", series, 10.0 * j, value)
+            core.query("default", series)
+        return core
+
+    deep_dir = tmp_path / "deep"
+    core = ServiceCore(("default",), directory=deep_dir)
+    for j, value in enumerate(np.random.default_rng(1).uniform(size=DEEP_SAMPLES).tolist()):
+        core.publish("default", "cpu.deep", 10.0 * j, value)
+    core.close()
+
+    def deep() -> ServiceCore:
+        restored = ServiceCore.restore(deep_dir)
+        restored.query("default", "cpu.deep")
+        return restored
+
+    with installed(MetricsRegistry()):
+        shallow_bytes = _traced_bytes(shallow) / SHALLOW_SERIES
+        deep_bytes = _traced_bytes(deep)
+    for name, value, budget in (
+        ("server_shallow_series_bytes", shallow_bytes, MAX_SHALLOW_BYTES_PER_SERIES),
+        ("server_deep_series_bytes", deep_bytes, MAX_DEEP_SERIES_BYTES),
+    ):
+        record(
+            name,
+            value,
+            metric="traced_bytes",
+            unit="B",
+            budget=budget,
+            direction="lower",
+            directory=BENCH_RECORD_DIR,
+        )
+    assert shallow_bytes <= MAX_SHALLOW_BYTES_PER_SERIES, (
+        f"a shallow queried series holds {shallow_bytes:,.0f} B, "
+        f"budget {MAX_SHALLOW_BYTES_PER_SERIES:,} B"
+    )
+    assert deep_bytes <= MAX_DEEP_SERIES_BYTES, (
+        f"a restored {DEEP_SAMPLES}-sample series holds {deep_bytes:,} B, "
+        f"budget {MAX_DEEP_SERIES_BYTES:,} B"
     )

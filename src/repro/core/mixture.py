@@ -7,17 +7,25 @@ forecast of the current winner.  Wolski '98 showed this dynamic choice is
 as accurate as -- or slightly better than -- the best fixed forecaster in
 the set, without knowing in advance which that is.  This module implements
 that mixture plus a static bank used by the ablation benchmarks.
+
+A forecast service keeps one mixture per series for as long as it serves
+the series, so a bank's state is laid out to grow with what it has
+scored: every member's recent errors live in one flat ``array('d')`` ring
+of error rows (one row per scored measurement, at most ``error_window``
+rows), beside two per-member lists of prefix sums, rather than in one
+window object per member; and the winner changes are an exact count plus
+a bounded list of the most recent events (:data:`SWITCH_HISTORY`).
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 
 import numpy as np
 
 from repro.core.batch import mixture_backtest
 from repro.core.forecasters import Forecaster, default_battery
-from repro.core.windows import RingMean
 from repro.obs.metrics import get_registry
 
 __all__ = [
@@ -31,6 +39,10 @@ __all__ = [
 #: Recent errors that define "recently most accurate" when none is given.
 DEFAULT_ERROR_WINDOW = 50
 
+#: Winner changes a bank keeps as events (:attr:`ForecasterBank.
+#: switch_events`); :attr:`ForecasterBank.n_switches` counts every one.
+SWITCH_HISTORY = 32
+
 #: Wall-time buckets for ``repro_forecast_seconds`` -- day-long traces take
 #: ~100 ms batched and a few seconds streamed.
 _ENGINE_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
@@ -40,7 +52,8 @@ class ForecasterBank:
     """Runs a battery of forecasters in lock-step over one series.
 
     Tracks, for every member, its running mean absolute error over a
-    sliding window of recent one-step-ahead forecasts.  Subclassed /
+    sliding window of recent one-step-ahead forecasts (one shared ring of
+    error rows; see the module docstring).  Subclassed /
     wrapped by :class:`AdaptiveForecaster`; also useful directly for
     head-to-head forecaster comparisons (see
     ``benchmarks/bench_ablation_mixture.py``).
@@ -67,18 +80,33 @@ class ForecasterBank:
         names = [f.name for f in self._forecasters]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate forecaster names in battery: {names}")
-        self._errors = [RingMean(error_window) for _ in self._forecasters]
+        if error_window < 1:
+            raise ValueError(f"error_window must be >= 1, got {error_window}")
+        self._window = int(error_window)
+        # One row of the ring holds one error per member; once ``_rows``
+        # reaches the window, ``_head`` is the oldest row, overwritten in
+        # place.  Each member's window sum is in RingMean's prefix form --
+        # ``_total`` sums every error scored, ``_base`` every error
+        # evicted -- so the recent MAE ``(_total - _base) / _rows`` takes
+        # the same float operations as a RingMean per member would.
+        self._ring = array("d")
+        self._rows = 0
+        self._head = 0
+        self._total = [0.0 for _ in self._forecasters]
+        self._base = [0.0 for _ in self._forecasters]
         self._pending: list[float] | None = None
         self._count = 0
-        # Telemetry: cumulative absolute error, win counts, and the switch
-        # history, all per member.  ``_best`` caches the current winner's
+        # Telemetry: cumulative absolute error and win counts per member,
+        # and the winner changes: an exact count plus the most recent
+        # SWITCH_HISTORY events.  ``_best`` caches the current winner's
         # index so :meth:`best_name` is O(1) -- the scan happens once per
-        # update, where the rings are already hot.
+        # update, where the sums are already hot.
         self._cum_abs = [0.0 for _ in self._forecasters]
         self._n_scored = 0
         self._n_gaps = 0
         self._wins = [0 for _ in self._forecasters]
         self._best = 0
+        self._n_switches = 0
         self._switches: list[tuple[int, str, str]] = []
         registry = get_registry()
         self._obs_updates = registry.counter("repro_forecaster_updates_total")
@@ -120,10 +148,28 @@ class ForecasterBank:
             return
         scored = self._pending is not None
         if scored:
-            for i, (ring, predicted) in enumerate(zip(self._errors, self._pending)):
-                err = abs(predicted - value)
-                ring.push(err)
-                self._cum_abs[i] += err
+            ring, total, cum_abs = self._ring, self._total, self._cum_abs
+            if self._rows < self._window:
+                for i, predicted in enumerate(self._pending):
+                    err = abs(predicted - value)
+                    ring.append(err)
+                    total[i] += err
+                    cum_abs[i] += err
+                self._rows += 1
+            else:
+                base = self._base
+                j = self._head * len(total)
+                for i, predicted in enumerate(self._pending):
+                    err = abs(predicted - value)
+                    total[i] += err
+                    # Replaying the prefix sum keeps _base on the exact
+                    # float trajectory _total took when the evicted error
+                    # was scored.
+                    base[i] += ring[j]
+                    ring[j] = err
+                    cum_abs[i] += err
+                    j += 1
+                self._head = self._head + 1 if self._head + 1 < self._window else 0
             self._n_scored += 1
         for forecaster in self._forecasters:
             forecaster.update(value)
@@ -131,14 +177,17 @@ class ForecasterBank:
         self._count += 1
         self._obs_updates.inc()
         if scored:
+            rows = self._rows
             best = 0
             best_error = float("inf")
-            for i, ring in enumerate(self._errors):
-                if len(ring) and ring.mean < best_error:
-                    best_error = ring.mean
+            for i, (summed, evicted) in enumerate(zip(self._total, self._base)):
+                error = (summed - evicted) / rows
+                if error < best_error:
+                    best_error = error
                     best = i
             self._wins[best] += 1
             if best != self._best:
+                self._n_switches += 1
                 self._switches.append(
                     (
                         self._count,
@@ -146,6 +195,8 @@ class ForecasterBank:
                         self._forecasters[best].name,
                     )
                 )
+                if len(self._switches) > SWITCH_HISTORY:
+                    del self._switches[0]
                 self._best = best
                 self._obs_switches.inc()
 
@@ -157,9 +208,10 @@ class ForecasterBank:
 
     def recent_errors(self) -> dict[str, float]:
         """Recent MAE of every member (NaN until a member has been scored)."""
+        rows = self._rows
         out = {}
-        for forecaster, ring in zip(self._forecasters, self._errors):
-            out[forecaster.name] = ring.mean if len(ring) else float("nan")
+        for forecaster, summed, evicted in zip(self._forecasters, self._total, self._base):
+            out[forecaster.name] = (summed - evicted) / rows if rows else float("nan")
         return out
 
     def best_name(self) -> str:
@@ -174,8 +226,19 @@ class ForecasterBank:
         return self._forecasters[self._best].name
 
     @property
+    def n_switches(self) -> int:
+        """Winner changes so far (exact, however many there were)."""
+        return self._n_switches
+
+    @property
     def switch_events(self) -> list[tuple[int, str, str]]:
-        """Winner changes so far, as ``(update_index, old, new)`` tuples."""
+        """The most recent winner changes, oldest first.
+
+        ``(update_index, old, new)`` tuples, at most
+        :data:`SWITCH_HISTORY` of them: a long-lived series changes
+        winner hundreds of times a day, so older events are dropped and
+        only :attr:`n_switches` counts them all.
+        """
         return list(self._switches)
 
     def telemetry(self) -> dict[str, dict[str, float]]:
@@ -249,8 +312,13 @@ class AdaptiveForecaster(Forecaster):
         return self._bank.telemetry()
 
     @property
+    def n_switches(self) -> int:
+        """Winner changes; see :attr:`ForecasterBank.n_switches`."""
+        return self._bank.n_switches
+
+    @property
     def switch_events(self) -> list[tuple[int, str, str]]:
-        """Winner changes; see :attr:`ForecasterBank.switch_events`."""
+        """Recent winner changes; see :attr:`ForecasterBank.switch_events`."""
         return self._bank.switch_events
 
     def forecast_with_error(self) -> tuple[float, float]:

@@ -6,12 +6,20 @@ order statistics.  These classes are deliberately free of NumPy -- the
 values arrive one at a time and the windows are small (5-100 samples), so
 scalar updates beat array churn (see the hpc-parallel guide: measure, don't
 assume; avoid per-step allocation).
+
+Each window keeps its samples in a plain ``list`` that grows by appends
+until it holds ``capacity`` samples, after which every push evicts the
+oldest with ``pop(0)``.  A forecast service holds dozens of these per
+series, most of them shallow, so their resident size must follow the
+samples held: an empty ``list`` is 56 bytes where an empty
+``collections.deque`` allocates a 760-byte block up front.  For windows
+of at most a hundred samples ``pop(0)`` -- one short ``memmove`` -- also
+measured no slower than a ring index.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
+from bisect import bisect_left, insort
 
 __all__ = ["RingMean", "RingMedian", "RingTrimmedMean"]
 
@@ -39,7 +47,7 @@ class RingMean:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        self._buffer: deque[float] = deque()
+        self._buffer: list[float] = []
         self._total = 0.0
         self._base = 0.0
 
@@ -50,7 +58,7 @@ class RingMean:
         if len(self._buffer) > self._capacity:
             # Replaying the prefix sum keeps _base on the exact float
             # trajectory _total took when the evicted value was pushed.
-            self._base += self._buffer.popleft()
+            self._base += self._buffer.pop(0)
 
     @property
     def capacity(self) -> int:
@@ -93,7 +101,7 @@ class RingMedian:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        self._buffer: deque[float] = deque()
+        self._buffer: list[float] = []
         self._sorted: list[float] = []
 
     def push(self, value: float) -> None:
@@ -101,15 +109,13 @@ class RingMedian:
         self._buffer.append(value)
         insort(self._sorted, value)
         if len(self._buffer) > self._capacity:
-            oldest = self._buffer.popleft()
+            oldest = self._buffer.pop(0)
             # list.remove is O(w) but w <= ~100 in every NWS configuration;
             # a skip list would only pay off for much larger windows.
             index = self._index_of(oldest)
             del self._sorted[index]
 
     def _index_of(self, value: float) -> int:
-        from bisect import bisect_left
-
         index = bisect_left(self._sorted, value)
         if index >= len(self._sorted) or self._sorted[index] != value:
             raise RuntimeError("sorted window out of sync")  # pragma: no cover

@@ -96,9 +96,11 @@ class ServerOverloaded(RuntimeError):
     """The server shed this request instead of serving it.
 
     Raised when admission control rejects a request (too many in flight,
-    the server is draining for shutdown) or when the request's
-    propagated deadline expired before the work completed.  Deliberately
-    a :class:`RuntimeError`, not a :class:`LookupError`/:class:`ValueError`:
+    the server is draining for shutdown), when the request's propagated
+    deadline expired before the work completed, or when a publish found
+    no file descriptor to journal its sample (and so kept nothing).
+    Deliberately a :class:`RuntimeError`, not a
+    :class:`LookupError`/:class:`ValueError`:
     nothing is wrong with the request itself -- retrying after
     ``retry_after`` seconds is the correct response, and
     :class:`~repro.nws.client.NWSClient` does exactly that.
@@ -110,8 +112,10 @@ class ServerOverloaded(RuntimeError):
     ----------
     reason:
         Why the request was shed: ``"overload"`` (in-flight bound),
-        ``"draining"`` (graceful shutdown), or ``"deadline"`` (the
-        client's budget expired).
+        ``"draining"`` (graceful shutdown), ``"deadline"`` (the
+        client's budget expired), or ``"descriptors"`` (the process is
+        out of file descriptors; see
+        :meth:`~repro.nws.memory.MemoryStore.publish`).
     retry_after:
         Suggested wait before retrying, in seconds.
     """

@@ -134,10 +134,10 @@ class ForecasterService:
                     value = stats[stat]
                     if value == value:  # skip NaN (nothing scored yet)
                         registry.gauge(metric, **labels).set(value)
-            switches = getattr(mixture, "switch_events", None)
+            switches = getattr(mixture, "n_switches", None)
             if switches is not None:
                 registry.gauge("repro_forecaster_switches", series=series).set(
-                    len(switches)
+                    switches
                 )
 
     def _advance(self, series: str) -> None:

@@ -52,8 +52,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nws.durable import JournalWriter, atomic_replace_bytes, atomic_replace_json
-from repro.nws.errors import SeriesUnavailable
+from repro.nws.durable import (
+    OUT_OF_DESCRIPTORS,
+    JournalWriter,
+    atomic_replace_bytes,
+    atomic_replace_json,
+)
+from repro.nws.errors import SeriesUnavailable, ServerOverloaded
 from repro.obs.metrics import get_registry
 from repro.trace.series import TraceSeries
 
@@ -188,26 +193,53 @@ class MemoryStore:
 
         Timestamps must be finite and non-decreasing per series (the NWS
         rejects out-of-order reports); :meth:`fetch` and :meth:`tail`
-        rely on that order.
+        rely on that order.  With persistence on, the sample is journaled
+        before it is kept: a publish that raises keeps nothing.
+
+        Raises
+        ------
+        ValueError
+            A non-finite or out-of-order time, or a series name too long
+            for a journal file name.
+        ServerOverloaded
+            The process ran out of file descriptors for the journal or
+            the catalog, even after closing its cached ones
+            (``reason="descriptors"``); retrying later may succeed.
         """
         time, value = float(time), float(value)
         _check_time(series, time)
         with self._lock:
             if self.directory is not None and series not in self._catalog:
-                self._catalog[series] = _journal_name(series)
-                self._write_catalog()
+                self._catalog = self._catalog_with(series)
             times = self._times.get(series)
+            if times and time < times[-1]:
+                raise ValueError(
+                    f"out-of-order measurement for {series!r}: "
+                    f"{time} after {times[-1]}"
+                )
+            # Journal first, still under the lock: a concurrent checkpoint
+            # (replace) can never drop an in-flight append, and an append
+            # that fails leaves the sample out of memory too.
+            if self.directory is not None:
+                # Resolve-and-cache here, under the lock: building a Path
+                # (and re-hashing it inside JournalWriter) per sample
+                # costs more than the buffered append itself.
+                path = self._journal_paths.get(series)
+                if path is None:
+                    path = self.directory / f"{_safe(series)}.jsonl"
+                    self._journal_paths[series] = path
+                try:
+                    self._journal.append(path, _encode_sample(time, value))
+                except OSError as exc:
+                    if exc.errno in OUT_OF_DESCRIPTORS:
+                        raise _out_of_descriptors(series, exc) from exc
+                    raise
             if times is None:
                 times = self._times[series] = array("d")
                 values = self._values[series] = array("d")
                 self._first[series] = next(self._run_starts)
             else:
                 values = self._values[series]
-            if times and time < times[-1]:
-                raise ValueError(
-                    f"out-of-order measurement for {series!r}: "
-                    f"{time} after {times[-1]}"
-                )
             times.append(time)
             values.append(value)
             counter = self._obs_publishes.get(series)
@@ -223,17 +255,6 @@ class MemoryStore:
                 del values[:dropped]
                 self._first[series] += dropped
                 self._obs_evictions.inc(dropped)
-            # Journal while still holding the lock so a concurrent
-            # checkpoint (replace) can never drop an in-flight append.
-            if self.directory is not None:
-                # Resolve-and-cache here, under the lock: building a Path
-                # (and re-hashing it inside JournalWriter) per sample
-                # costs more than the buffered append itself.
-                path = self._journal_paths.get(series)
-                if path is None:
-                    path = self.directory / f"{_safe(series)}.jsonl"
-                    self._journal_paths[series] = path
-                self._journal.append(path, _encode_sample(time, value))
 
     # --------------------------------------------------------------- fetch
 
@@ -359,8 +380,7 @@ class MemoryStore:
             values = values[-self.capacity :]
         with self._lock:
             if self.directory is not None and series not in self._catalog:
-                self._catalog[series] = _journal_name(series)
-                self._write_catalog()
+                self._catalog = self._catalog_with(series)
             self._times[series] = times
             self._values[series] = values
             self._first[series] = next(self._run_starts)
@@ -546,11 +566,48 @@ class MemoryStore:
                 p.stem: p.name for p in sorted(self.directory.glob("*.jsonl"))
             }
 
-    def _write_catalog(self) -> None:
+    def _catalog_with(self, series: str) -> dict[str, str]:
+        """The catalog with a new ``series`` in it, already on disk.
+
+        Out of file descriptors, the journals' cached ones are released
+        and the write is tried once more; if it still fails, the error is
+        raised (typed by :func:`_out_of_descriptors`) and the catalog
+        stays as it was.  Caller holds ``self._lock``.
+        """
+        catalog = {**self._catalog, series: _journal_name(series)}
+        try:
+            try:
+                self._write_catalog(catalog)
+            except OSError as exc:
+                if exc.errno not in OUT_OF_DESCRIPTORS:
+                    raise
+                self._journal.release()
+                self._write_catalog(catalog)
+        except OSError as exc:
+            if exc.errno in OUT_OF_DESCRIPTORS:
+                raise _out_of_descriptors(series, exc) from exc
+            raise
+        return catalog
+
+    def _write_catalog(self, catalog: dict[str, str]) -> None:
         atomic_replace_json(
             self.directory / _CATALOG_NAME,
-            {"version": 1, "series": dict(sorted(self._catalog.items()))},
+            {"version": 1, "series": dict(sorted(catalog.items()))},
         )
+
+
+def _out_of_descriptors(series: str, exc: OSError) -> ServerOverloaded:
+    """The error of a write to ``series`` that found no file descriptor.
+
+    A passing shortage, not a fault of the request: it is
+    :class:`~repro.nws.errors.ServerOverloaded` (``reason="descriptors"``,
+    HTTP 429), which clients retry.
+    """
+    return ServerOverloaded(
+        f"cannot persist {series!r}: out of file descriptors "
+        f"({exc.strerror}); nothing was kept",
+        reason="descriptors",
+    )
 
 
 def _check_time(series: str, time: float) -> None:

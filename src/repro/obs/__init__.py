@@ -89,8 +89,9 @@ Forecasters (``repro.core`` / ``repro.nws.forecaster``):
   ``repro_forecaster_recent_mae`` (gauges; labels ``series``, ``member``)
   -- per-member standings of every served series (the paper's "recently
   most accurate method", inspectable).
-* ``repro_forecaster_switches`` (gauge; label ``series``) -- switch events
-  per served series.
+* ``repro_forecaster_switches`` (gauge; label ``series``) -- winner
+  changes per served series, every one counted (the mixture keeps only
+  the most recent as events).
 * ``repro_forecaster_queries_total`` (counter) -- forecast queries served.
 * ``repro_forecaster_degraded_total`` (counter) -- queries answered from
   the last-known-good report (series unavailable) with widened error bars.
@@ -158,8 +159,9 @@ Forecast service (``repro.nws.service`` / ``repro.nws.server``; see
 * ``repro_server_maintenance_cycles_total`` (counter) -- background
   retention/liveness cycles completed.
 * ``repro_server_shed_total`` (counter; label ``reason`` in
-  ``overload|draining|deadline``) -- requests refused by admission
-  control (HTTP 429 + ``Retry-After``).
+  ``overload|draining|deadline|descriptors``) -- requests refused by
+  admission control, or publishes that found no file descriptor to
+  journal their sample (HTTP 429 + ``Retry-After``).
 * ``repro_server_unclean_shutdown_total`` (counter) -- worker threads
   still alive after the shutdown join timeout (also surfaced in
   ``health()``).

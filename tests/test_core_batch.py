@@ -143,7 +143,7 @@ class TestMixtureParity:
         result = mixture_backtest(values, default_battery())
         assert result.names == tuple(bank.names)
         assert result.winners.tolist() == winners
-        assert result.n_switches == len(bank.switch_events)
+        assert result.n_switches == bank.n_switches
 
     def test_auto_defaults_to_batch_for_default_mixture(self):
         values = TRACES["smooth"]
