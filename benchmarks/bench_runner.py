@@ -78,7 +78,10 @@ def test_cache_hit_speedup(benchmark, tmp_path):
     cache_dir = tmp_path / "cache"
 
     def simulate_cold():
-        return Runner(cache=cache_dir).run(HOSTS, config)
+        runner = Runner(cache=cache_dir)
+        runs = runner.run(HOSTS, config)
+        runner.persist()
+        return runs
 
     start = time.perf_counter()
     cold = run_once(benchmark, simulate_cold)

@@ -24,8 +24,8 @@ perf trajectory, not the assertion, is the sensitive signal.
   about 0.2%, are gated against a budget (direction ``lower``): the bytes per
   series of 1,000 shallow durable series (12 publishes and one query
   each), and the bytes of one restored day-long (8,640-sample) series
-  after its first query.  Python objects only: the journals' file
-  descriptors and the interpreter itself are not counted.
+  after its first query.  Python objects only: the tenant log's file
+  descriptor and the interpreter itself are not counted.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ go to stderr so stdout stays byte-stable.
     register over versioned JSON; see the README's HTTP API table)
     until interrupted, with background retention + liveness maintenance.
     ``--state-dir DIR`` makes the server crash-safe: state persists as
-    snapshot + journal and an existing state directory is restored on
+    one append-only log per tenant and an existing state directory is restored on
     startup; ``--max-inflight N`` bounds concurrency and sheds the
     excess with HTTP 429 + ``Retry-After``.
 ``nws-repro recover --state-dir DIR``
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--directory",
         default=None,
         metavar="DIR",
-        help="persistence directory for per-tenant measurement journals",
+        help="persistence directory for the per-tenant logs",
     )
     p_serve.add_argument(
         "--state-dir",
@@ -492,6 +492,7 @@ def _cmd_run(args) -> int:
     for run in runs:
         means = " ".join(f"{run.values(m).mean():12.3f}" for m in METHODS)
         print(f"{run.host:12s} {len(run.values(METHODS[0])):8d} {len(run.observations):6d} {means}")
+    runner.persist()
     _print_runner_stats(runner, file=sys.stdout)
     return 0
 
@@ -516,7 +517,7 @@ def _cmd_tables(args) -> int:
         table = generators[n](runner, config)
         print(table.render(with_paper=args.with_paper))
         print()
-    runner.persist_backtests()
+    runner.persist()
     _print_runner_stats(runner)
     return 0
 
@@ -536,6 +537,7 @@ def _cmd_figures(args) -> int:
             paths = export_figure_csv(figure, args.out)
             for path in paths:
                 print(f"wrote {path}")
+    runner.persist()
     _print_runner_stats(runner)
     return 0
 
@@ -733,7 +735,7 @@ def _cmd_report(args) -> int:
 
     (out / "REPORT.txt").write_text("\n\n".join(summary_lines) + "\n")
     print(f"wrote REPORT.txt -- all artifacts in {out}/")
-    runner.persist_backtests()
+    runner.persist()
     _print_runner_stats(runner)
     return 0
 
@@ -884,7 +886,6 @@ def _cmd_serve(args) -> int:
     from pathlib import Path
 
     from repro.nws import ForecastServer, RetentionPolicy, ServiceCore
-    from repro.nws.service import MANIFEST_NAME
 
     tenants = [t.strip() for t in args.tenants.split(",") if t.strip()]
     if not tenants:
@@ -897,23 +898,24 @@ def _cmd_serve(args) -> int:
         # restore-on-startup when a manifest is already there.
         state_dir = Path(args.state_dir)
         try:
-            if (state_dir / MANIFEST_NAME).exists():
+            try:
                 core = ServiceCore.restore(
                     state_dir, clock=time.time, retention=retention
                 )
-                print(
-                    f"restored state from {state_dir} "
-                    f"(tenants: {', '.join(core.tenant_names())})",
-                    file=sys.stderr,
-                )
-                tenants = core.tenant_names()
-            else:
+            except FileNotFoundError:
                 core = ServiceCore(
                     tuple(tenants),
                     clock=time.time,
                     directory=state_dir,
                     retention=retention,
                 )
+            else:
+                print(
+                    f"restored state from {state_dir} "
+                    f"(tenants: {', '.join(core.tenant_names())})",
+                    file=sys.stderr,
+                )
+                tenants = core.tenant_names()
         except (OSError, ValueError) as exc:
             print(f"nws-repro serve: {exc}", file=sys.stderr)
             return 2

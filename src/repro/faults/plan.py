@@ -28,7 +28,7 @@ Fault semantics
 * ``clock_skew`` -- publish timestamps carry a constant offset while the
   spec is active.
 * ``journal_truncate`` / ``journal_corrupt`` -- at a point in simulated
-  time the on-disk journal is torn to a fraction of its bytes / has
+  time the on-disk tenant log is torn to a fraction of its bytes / has
   garbage lines appended, then :meth:`~repro.nws.memory.MemoryStore.
   recover` replays it (corrupt lines are skipped and tallied).
 
@@ -193,7 +193,7 @@ class FaultPlan:
     def journal_truncate(
         self, at: float, *, keep_fraction: float = 0.5, host=None
     ) -> "FaultPlan":
-        """Tear each journal to ``keep_fraction`` of its bytes at time ``at``."""
+        """Tear the tenant log to ``keep_fraction`` of its bytes at time ``at``."""
         if not 0.0 <= keep_fraction < 1.0:
             raise ValueError(f"keep_fraction must be in [0, 1), got {keep_fraction}")
         return self._add(
@@ -203,7 +203,7 @@ class FaultPlan:
         )
 
     def journal_corrupt(self, at: float, *, lines: int = 3, host=None) -> "FaultPlan":
-        """Append ``lines`` garbage lines to each journal at time ``at``."""
+        """Append ``lines`` garbage lines to the tenant log at time ``at``."""
         if lines < 1:
             raise ValueError(f"lines must be >= 1, got {lines}")
         return self._add(
@@ -378,11 +378,12 @@ class HostFaults:
             self.tally("injected", "crash_lost", lost)
         return due
 
-    def tick(self, until: float, memory, series_names: list[str]) -> None:
+    def tick(self, until: float, memory) -> None:
         """Fire journal faults due by ``until`` against ``memory``.
 
-        Each event tears / pollutes the journals and immediately replays
-        them through :meth:`~repro.nws.memory.MemoryStore.recover` -- the
+        Each event tears / pollutes the memory's tenant log once and
+        immediately restores the store from it through
+        :meth:`~repro.nws.memory.MemoryStore.recover` -- the
         crash-recovery path the store already has -- tallying the
         round-trip as absorbed.
         """
@@ -391,23 +392,21 @@ class HostFaults:
             if fired or spec.start > until:
                 continue
             slot[1] = True
-            if memory is None or memory.directory is None:
+            if memory is None or memory.log is None:
                 self.tally("failed", "journal_unpersisted")
                 continue
-            for series in series_names:
-                path = memory.journal_path(series)
-                if path is None or not path.exists():
-                    continue
-                if spec.kind == "journal_truncate":
-                    data = path.read_bytes()
-                    path.write_bytes(data[: int(len(data) * spec.magnitude)])
-                else:
-                    with path.open("a") as f:
-                        for i in range(int(spec.magnitude)):
-                            f.write(f'{{"t": torn-write-{i}\n')
-                self.tally("injected", spec.kind)
-                memory.recover(series)
-                self.tally("absorbed", "journal_recovered")
+            memory.sync()
+            path = memory.log.path
+            if spec.kind == "journal_truncate":
+                data = path.read_bytes() if path.exists() else b""
+                path.write_bytes(data[: int(len(data) * spec.magnitude)])
+            else:
+                with path.open("ab") as f:
+                    for i in range(int(spec.magnitude)):
+                        f.write(b'{"t": torn-write-%d\n' % i)
+            self.tally("injected", spec.kind)
+            memory.recover()
+            self.tally("absorbed", "journal_recovered")
 
 
 def named_plans() -> dict[str, FaultPlan]:

@@ -561,7 +561,7 @@ class NWSClient:
         )
 
     def recover(self, series: str) -> int:
-        """Reload a series from the persistence journal; returns samples."""
+        """Reload a series' last run from the tenant log; returns samples."""
         return self._call("recover", self.transport.recover, self.tenant, series)
 
     # ------------------------------------------------------ discovery API

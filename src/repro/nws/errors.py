@@ -98,7 +98,7 @@ class ServerOverloaded(RuntimeError):
     Raised when admission control rejects a request (too many in flight,
     the server is draining for shutdown), when the request's propagated
     deadline expired before the work completed, or when a publish found
-    no file descriptor to journal its sample (and so kept nothing).
+    no file descriptor to log its sample (and so kept nothing).
     Deliberately a :class:`RuntimeError`, not a
     :class:`LookupError`/:class:`ValueError`:
     nothing is wrong with the request itself -- retrying after

@@ -2,49 +2,34 @@
 
 An NWS memory accepts timestamped measurements from sensors, retains a
 bounded circular history per series, and serves range fetches to
-forecasters.  Optionally the store journals to disk (JSON lines per
-series) so histories survive restarts -- the real memory's flat-file
-persistence.
-
-Persistence layout (``directory`` set)::
-
-    <directory>/
-        series.json        # catalog: series name -> journal filename
-        <safe-name>.jsonl  # append-only write-ahead journal per series
-
-Each journal line is one sample, written by ``_encode_sample`` as
-``{"t": <time>, "v": <value>}`` with each number in its ``repr`` form
-(or ``NaN`` / ``Infinity`` / ``-Infinity``) -- the canonical line.
-:meth:`MemoryStore.recover` decodes canonical lines with one compiled
-regex; any other line (other spacing or key order, bare integers,
-surrounding whitespace, torn writes) falls back to ``json.loads`` under
-the same skip-and-count rules, so both paths yield the same samples.
+forecasters.  With ``directory`` set, the store owns its tenant's
+append-only log (:attr:`MemoryStore.log`, a
+:class:`~repro.nws.durable.TenantLog` the tenant's name server shares)
+so histories survive restarts -- the real memory's flat-file
+persistence.  Every :meth:`~MemoryStore.publish`,
+:meth:`~MemoryStore.replace`, :meth:`~MemoryStore.forget` and
+:meth:`~MemoryStore.recover` appends its record *before* it changes
+memory, so a record that cannot be written changes nothing, and
+replaying the log gives back the store as of its last durable record.
 
 Each series is held as two ``array('d')`` buffers -- times and values,
 8 bytes a sample -- and every sample has a *sequence number* that is
 never reused within the store.  A series' samples count up by one from
-the start of its *run*; a run begins at a series' first publish (also
-after :meth:`MemoryStore.forget`), at :meth:`MemoryStore.replace` and at
-:meth:`MemoryStore.recover`, and each run starts a fresh range drawn from
-one per-store counter.  So a sequence number names exactly one
+the start of its *run*, its unbroken sequence of samples; a run begins
+at a series' first publish (also the first after
+:meth:`MemoryStore.forget`), at :meth:`MemoryStore.replace` and at
+:meth:`MemoryStore.recover`, and each run starts a fresh range drawn
+from one per-store counter.  So a sequence number names exactly one
 ``(t, v)`` for ever, and :meth:`MemoryStore.fetch` returns, next to a
 window's arrays, the number of its first sample (:class:`Window`): two
 windows of one run overlap exactly where their numbers do.  The HTTP
 fetch path keys its text memo on this (:class:`repro.nws.wire.SampleText`).
-
-Journal appends go through a :class:`~repro.nws.durable.JournalWriter`
-(group commit every ``journal_flush_lines`` appends); whole-file state
--- the catalog, and the journal itself when :meth:`replace` checkpoints
-it after retention compaction -- is rewritten atomically via
-``os.replace`` so a crash can never tear it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import re
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
@@ -52,60 +37,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nws.durable import (
-    OUT_OF_DESCRIPTORS,
-    JournalWriter,
-    atomic_replace_bytes,
-    atomic_replace_json,
-)
-from repro.nws.errors import SeriesUnavailable, ServerOverloaded
+from repro.nws.durable import TenantLog
+from repro.nws.errors import SeriesUnavailable
 from repro.obs.metrics import get_registry
 from repro.trace.series import TraceSeries
 
 __all__ = ["MemoryStore", "Window"]
 
-_CATALOG_NAME = "series.json"
-
 #: Sequence numbers one run may use: run ``r`` numbers its samples from
 #: ``r * _RUN_SPAN`` up, so runs never share a number.
 _RUN_SPAN = 1 << 64
-
-#: Longest file name, in bytes, that Linux filesystems accept.
-_NAME_MAX = 255
-
-
-def _json_float(x: float) -> str:
-    """``json.dumps``-compatible rendering of one float.
-
-    Hand-rolled because sample encoding sits on the publish hot path
-    (see ``benchmarks/bench_recovery.py``); ``repr`` round-trips floats
-    exactly, so journal replay reproduces bit-identical histories.
-    """
-    if math.isfinite(x):
-        return repr(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0 else "-Infinity"
-
-
-def _encode_sample(t: float, v: float) -> str:
-    # Byte-identical to json.dumps({"t": t, "v": v}) with default
-    # separators, so journals written before group commit still parse.
-    return '{"t": %s, "v": %s}' % (_json_float(t), _json_float(v))
-
-
-# Matches exactly the lines _encode_sample writes: a JSON number with a
-# fraction or an exponent (what repr(float) emits), or one of the three
-# constants _json_float writes.  ASCII digits only -- float() accepts
-# other Unicode digits, json.loads does not -- and no bare integers,
-# which repr never writes and json.loads parses as (possibly oversized)
-# ints; such lines take the json.loads path in recover().
-_NUMBER = (
-    r"(-?(?:0|[1-9][0-9]*)"
-    r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-    r"|NaN|-?Infinity)"
-)
-_SAMPLE_LINE = re.compile(r'\{"t": %s, "v": %s\}' % (_NUMBER, _NUMBER))
 
 
 class Window(tuple):
@@ -130,13 +71,14 @@ class MemoryStore:
         Maximum samples retained per series (older ones are dropped, like
         the NWS circular memory files).
     directory:
-        Optional persistence directory; each series appends to
-        ``<name>.jsonl`` and can be recovered with :meth:`recover`.
+        Optional persistence directory: every change is logged to the
+        tenant log there (:attr:`log`) and can be replayed with
+        :meth:`recover`.
     journal_flush_lines:
-        Group-commit size for journal appends.  ``1`` (the default)
-        writes every sample through to the OS immediately; larger values
+        Group-commit size for log appends.  ``1`` (the default) writes
+        every record through to the OS immediately; larger values
         buffer in memory and amortize the write, trading at most
-        ``journal_flush_lines - 1`` samples of crash-loss window.
+        ``journal_flush_lines - 1`` records of crash-loss window.
         :meth:`sync` / :meth:`close` always flush the buffer.
     """
 
@@ -151,14 +93,9 @@ class MemoryStore:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.directory = Path(directory) if directory is not None else None
-        self._journal = JournalWriter(flush_lines=journal_flush_lines)
-        self._catalog: dict[str, str] = {}
-        # Per-series journal Path cache, written only under self._lock
-        # (the publish hot path) and read lock-free elsewhere.
-        self._journal_paths: dict[str, Path] = {}
+        self.log = None
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._catalog = self._load_catalog()
+            self.log = TenantLog(self.directory, flush_lines=journal_flush_lines)
         # Publishes arrive from sensor-host pump threads while fetches come
         # from the main/forecaster path; every access to the series maps
         # goes through this lock.
@@ -169,6 +106,9 @@ class MemoryStore:
         # start of each new run.
         self._first: dict[str, int] = {}
         self._run_starts = itertools.count(0, _RUN_SPAN)
+        # The last run of each forgotten series, which recover() gives
+        # back and log compaction must keep (persistent stores only).
+        self._forgotten: dict[str, tuple[array, array]] = {}
         registry = get_registry()
         self._registry = registry
         self._obs_publishes: dict[str, object] = {}
@@ -193,51 +133,35 @@ class MemoryStore:
 
         Timestamps must be finite and non-decreasing per series (the NWS
         rejects out-of-order reports); :meth:`fetch` and :meth:`tail`
-        rely on that order.  With persistence on, the sample is journaled
-        before it is kept: a publish that raises keeps nothing.
+        rely on that order.  A publish that raises keeps nothing.
 
         Raises
         ------
         ValueError
-            A non-finite or out-of-order time, or a series name too long
-            for a journal file name.
+            A non-finite or out-of-order time.
         ServerOverloaded
-            The process ran out of file descriptors for the journal or
-            the catalog, even after closing its cached ones
+            The process is out of file descriptors to open the log
             (``reason="descriptors"``); retrying later may succeed.
         """
         time, value = float(time), float(value)
         _check_time(series, time)
         with self._lock:
-            if self.directory is not None and series not in self._catalog:
-                self._catalog = self._catalog_with(series)
             times = self._times.get(series)
             if times and time < times[-1]:
                 raise ValueError(
                     f"out-of-order measurement for {series!r}: "
                     f"{time} after {times[-1]}"
                 )
-            # Journal first, still under the lock: a concurrent checkpoint
-            # (replace) can never drop an in-flight append, and an append
-            # that fails leaves the sample out of memory too.
-            if self.directory is not None:
-                # Resolve-and-cache here, under the lock: building a Path
-                # (and re-hashing it inside JournalWriter) per sample
-                # costs more than the buffered append itself.
-                path = self._journal_paths.get(series)
-                if path is None:
-                    path = self.directory / f"{_safe(series)}.jsonl"
-                    self._journal_paths[series] = path
-                try:
-                    self._journal.append(path, _encode_sample(time, value))
-                except OSError as exc:
-                    if exc.errno in OUT_OF_DESCRIPTORS:
-                        raise _out_of_descriptors(series, exc) from exc
-                    raise
+            # Log first, still under the lock: a concurrent compaction
+            # can never drop an in-flight append, and an append that
+            # fails leaves the sample out of memory too.
+            if self.log is not None:
+                self.log.publish(series, time, value)
             if times is None:
                 times = self._times[series] = array("d")
                 values = self._values[series] = array("d")
                 self._first[series] = next(self._run_starts)
+                self._forgotten.pop(series, None)
             else:
                 values = self._values[series]
             times.append(time)
@@ -357,13 +281,10 @@ class MemoryStore:
 
         The server's retention compactor uses this to swap an old raw
         window for its downsampled equivalent; timestamps must be
-        non-decreasing and the two arrays equal-length.  When
-        persistence is on, the journal is checkpointed in the same
-        critical section -- atomically rewritten (``os.replace``) to
-        exactly the new retained history -- so journals stop growing
-        without bound and :meth:`recover` always reproduces what
-        retention kept.  The history starts a new run of sequence
-        numbers.  Returns the new retained length.
+        finite and non-decreasing and the two arrays equal-length.  With
+        persistence on, the new history is logged first: a replace that
+        raises changes nothing.  The history starts a new run of
+        sequence numbers.  Returns the new retained length.
         """
         times = array("d", [float(t) for t in times])
         values = array("d", [float(v) for v in values])
@@ -375,39 +296,22 @@ class MemoryStore:
             _check_time(series, t)
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError(f"replacement history for {series!r} is unordered")
-        if len(times) > self.capacity:
-            times = times[-self.capacity :]
-            values = values[-self.capacity :]
         with self._lock:
-            if self.directory is not None and series not in self._catalog:
-                self._catalog = self._catalog_with(series)
-            self._times[series] = times
-            self._values[series] = values
-            self._first[series] = next(self._run_starts)
-            if self.directory is not None:
-                self._checkpoint_locked(series)
+            return self._install_locked(series, times, values)
+
+    def _install_locked(self, series: str, times: array, values: array) -> int:
+        """Log ``series``' new run, then hold it (caller holds the lock)."""
+        times, values = times[-self.capacity :], values[-self.capacity :]
+        if self.log is not None:
+            self.log.replace(series, times, values)
+        self._times[series] = times
+        self._values[series] = values
+        self._first[series] = next(self._run_starts)
+        self._forgotten.pop(series, None)
         return len(times)
 
-    def _checkpoint_locked(self, series: str) -> None:
-        """Rewrite ``series``' journal to the retained history (atomic).
-
-        Caller holds ``self._lock``, so no publish can append between
-        the snapshot and the rewrite.  Pending buffered lines and the
-        cached append handle are invalidated first: the replacement file
-        supersedes them, and ``os.replace`` swaps the inode out from
-        under any cached ``O_APPEND`` handle.
-        """
-        path = self.journal_path(series)
-        data = "".join(
-            _encode_sample(t, v) + "\n"
-            for t, v in zip(self._times.get(series, ()), self._values.get(series, ()))
-        )
-        self._journal.invalidate(path)
-        atomic_replace_bytes(path, data.encode("utf-8"))
-        self._obs_checkpoints.inc()
-
     def forget(self, series: str) -> bool:
-        """Drop a series' retained history (the journal is untouched).
+        """Drop a series' retained history; its run stays recoverable.
 
         The expiry hook: after ``forget``, :meth:`fetch` raises
         :class:`~repro.nws.errors.SeriesUnavailable` until the series is
@@ -415,223 +319,82 @@ class MemoryStore:
         existed.
         """
         with self._lock:
-            existed = series in self._times
-            self._times.pop(series, None)
-            self._values.pop(series, None)
-            self._first.pop(series, None)
-        return existed
+            if series not in self._times:
+                return False
+            if self.log is not None:
+                self.log.forget(series)
+                self._forgotten[series] = self._times[series], self._values[series]
+            del self._times[series], self._values[series], self._first[series]
+        return True
 
     # ----------------------------------------------------------- recovery
 
-    def journal_path(self, series: str) -> Path | None:
-        """Where ``series`` journals to (None when persistence is off)."""
-        if self.directory is None:
-            return None
-        # Read-only against the publish-side cache (no write here: this
-        # accessor is also called without the lock held).
-        path = self._journal_paths.get(series)
-        if path is None:
-            path = self.directory / f"{_safe(series)}.jsonl"
-        return path
+    def recover(self, series: str | None = None) -> int:
+        """Reload from the log: one series' last run, or every series.
 
-    def recover(self, series: str) -> int:
-        """Reload ``series`` from the persistence journal.
-
-        Returns the number of samples recovered (bounded by capacity);
-        the recovered history starts a new run of sequence numbers.
-        Lines exactly as :meth:`publish` writes them are decoded with one
-        regex match; every other line takes the ``json.loads`` path.
-        Truncated or otherwise unparsable journal lines -- the normal
-        aftermath of a crash mid-append -- are skipped and tallied in
-        ``repro_memory_corrupt_journal_lines_total`` rather than aborting
-        the recovery: a partial history is strictly more useful to the
-        forecasters than none.  So are lines whose numbers overflow a
-        float, lines that are not valid UTF-8 or nest too deeply for the
-        JSON decoder, and lines whose time is non-finite or earlier than
-        the last accepted one, which :meth:`publish` would have rejected.
+        With ``series``, its last run (bounded by capacity) becomes its
+        history again -- also after :meth:`forget` -- and is logged as a
+        ``replace``; a series the log never held is left alone.  Without
+        one, the store becomes exactly what the log holds: every series
+        live at its last durable record.  Each recovered history starts
+        a new run of sequence numbers; returns the samples recovered.
+        Lines that do not decode, and records :meth:`publish` or
+        :meth:`replace` would have rejected, are skipped and tallied in
+        ``repro_memory_corrupt_journal_lines_total``: a partial history
+        is strictly more useful to the forecasters than none.
 
         Raises
         ------
         ValueError
             If the store has no persistence directory.
         """
-        path = self.journal_path(series)
-        if path is None:
+        if self.log is None:
             raise ValueError("this MemoryStore has no persistence directory")
-        # Read barrier: surface this store's own buffered appends before
-        # reading the file, so publish -> recover on one store is lossless
-        # even with group commit.
-        self._journal.flush(path)
-        if not path.exists():
-            return 0
-        times: list[float] = []
-        values: list[float] = []
-        match = _SAMPLE_LINE.fullmatch
-        # read_text translates \r\n and lone \r to \n like line iteration
-        # does; splitlines() would also split on \x0b, \x85, \u2028, ...
-        # Bytes that are not UTF-8 decode to lone surrogates, which only
-        # the line holding them fails on (encode() below).
-        for line in path.read_text(
-            encoding="utf-8", errors="surrogateescape"
-        ).split("\n"):
-            canonical = match(line)
-            if canonical is not None:
-                t, v = float(canonical[1]), float(canonical[2])
-            else:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    line.encode("utf-8")
-                    sample = json.loads(line)
-                    t = float(sample["t"])
-                    v = float(sample["v"])
-                except (
-                    json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError, RecursionError,
-                ):
-                    # Journal corruption (torn write, bad field, an int
-                    # beyond float range, invalid UTF-8, absurd nesting):
-                    # count the line and keep going -- recovery is
-                    # best-effort.
-                    self._obs_corrupt.inc()
-                    continue
-            if not math.isfinite(t) or (times and t < times[-1]):
-                # Would break the sorted-times invariant fetch bisects.
-                self._obs_corrupt.inc()
-                continue
-            times.append(t)
-            values.append(v)
-        if len(times) > self.capacity:
-            times = times[-self.capacity :]
-            values = values[-self.capacity :]
-        # Parsed into lists, which grow faster than arrays, then packed.
-        times, values = array("d", times), array("d", values)
         with self._lock:
-            self._times[series] = times
-            self._values[series] = values
-            self._first[series] = next(self._run_starts)
+            state = self.log.replay(self.capacity)
+            if series is not None:
+                run = state.live.get(series) or state.forgotten.get(series)
+                recovered = 0 if run is None else self._install_locked(series, *run)
+            else:
+                self._times = {name: run[0] for name, run in state.live.items()}
+                self._values = {name: run[1] for name, run in state.live.items()}
+                self._first = {name: next(self._run_starts) for name in state.live}
+                self._forgotten = state.forgotten
+                recovered = sum(len(times) for times, _ in state.live.values())
+        self._obs_corrupt.inc(state.corrupt)
         self._obs_recoveries.inc()
-        self._obs_recovered.inc(len(times))
-        return len(times)
+        self._obs_recovered.inc(recovered)
+        return recovered
 
-    def recover_all(self) -> dict[str, int]:
-        """Recover every series named in the on-disk catalog.
-
-        The journal filename mangles series names lossily (``_safe``),
-        so restarts read the real names back from ``series.json``.
-        Returns ``{series: samples_recovered}`` in sorted series order.
-
-        Raises
-        ------
-        ValueError
-            If the store has no persistence directory.
-        """
-        if self.directory is None:
-            raise ValueError("this MemoryStore has no persistence directory")
-        return {series: self.recover(series) for series in sorted(self._catalog)}
+    def compact(self) -> bool:
+        """Rewrite the log to the live state once it has outgrown it
+        (:meth:`~repro.nws.durable.TenantLog.compact`); returns whether
+        it was rewritten."""
+        if self.log is None:
+            return False
+        with self._lock:
+            runs = {s: (self._times[s], self._values[s]) for s in self._times}
+            compacted = self.log.compact(runs, self._forgotten)
+        if compacted:
+            self._obs_checkpoints.inc()
+        return compacted
 
     def sync(self) -> None:
-        """Flush buffered journal appends and fsync the journal files."""
-        self._journal.sync()
+        """Flush buffered log appends and fsync the log."""
+        if self.log is not None:
+            self.log.sync()
 
     def close(self) -> None:
-        """Durably flush and release all journal handles."""
-        self._journal.close()
+        """Durably flush and release the log's descriptor."""
+        if self.log is not None:
+            self.log.close()
 
     def discard_unflushed(self) -> None:
-        """Drop buffered journal appends without writing (crash simulation)."""
-        self._journal.discard()
-
-    def _load_catalog(self) -> dict[str, str]:
-        path = self.directory / _CATALOG_NAME
-        if not path.exists():
-            # Pre-catalog state directory (or first boot): fall back to
-            # the journal filenames themselves.  Best-effort -- mangled
-            # names stay mangled, but no history is stranded.
-            return {
-                p.stem: p.name for p in sorted(self.directory.glob("*.jsonl"))
-            }
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            series = payload["series"]
-            return {str(name): str(file) for name, file in series.items()}
-        except (
-            json.JSONDecodeError, KeyError, TypeError, ValueError,
-            AttributeError, RecursionError,
-        ):
-            # Corrupt catalog: the journals themselves are still intact,
-            # so rebuild the mapping from their filenames (best-effort).
-            return {
-                p.stem: p.name for p in sorted(self.directory.glob("*.jsonl"))
-            }
-
-    def _catalog_with(self, series: str) -> dict[str, str]:
-        """The catalog with a new ``series`` in it, already on disk.
-
-        Out of file descriptors, the journals' cached ones are released
-        and the write is tried once more; if it still fails, the error is
-        raised (typed by :func:`_out_of_descriptors`) and the catalog
-        stays as it was.  Caller holds ``self._lock``.
-        """
-        catalog = {**self._catalog, series: _journal_name(series)}
-        try:
-            try:
-                self._write_catalog(catalog)
-            except OSError as exc:
-                if exc.errno not in OUT_OF_DESCRIPTORS:
-                    raise
-                self._journal.release()
-                self._write_catalog(catalog)
-        except OSError as exc:
-            if exc.errno in OUT_OF_DESCRIPTORS:
-                raise _out_of_descriptors(series, exc) from exc
-            raise
-        return catalog
-
-    def _write_catalog(self, catalog: dict[str, str]) -> None:
-        atomic_replace_json(
-            self.directory / _CATALOG_NAME,
-            {"version": 1, "series": dict(sorted(catalog.items()))},
-        )
-
-
-def _out_of_descriptors(series: str, exc: OSError) -> ServerOverloaded:
-    """The error of a write to ``series`` that found no file descriptor.
-
-    A passing shortage, not a fault of the request: it is
-    :class:`~repro.nws.errors.ServerOverloaded` (``reason="descriptors"``,
-    HTTP 429), which clients retry.
-    """
-    return ServerOverloaded(
-        f"cannot persist {series!r}: out of file descriptors "
-        f"({exc.strerror}); nothing was kept",
-        reason="descriptors",
-    )
+        """Drop buffered log appends without writing (crash simulation)."""
+        if self.log is not None:
+            self.log.discard()
 
 
 def _check_time(series: str, time: float) -> None:
     if not math.isfinite(time):
         raise ValueError(f"non-finite measurement time for {series!r}: {time}")
-
-
-def _journal_name(series: str) -> str:
-    """The journal file name of a new series.
-
-    Checked before the series' first sample or history is kept, so a
-    name the filesystem cannot create is a ``ValueError`` that changes
-    nothing, not an ``OSError`` once the sample is already in memory.
-    """
-    filename = f"{_safe(series)}.jsonl"
-    size = len(filename.encode("utf-8"))
-    if size > _NAME_MAX:
-        raise ValueError(
-            f"series name of {len(series)} characters is too long: its "
-            f"journal file name would be {size} bytes, over the "
-            f"{_NAME_MAX}-byte limit"
-        )
-    return filename
-
-
-def _safe(name: str) -> str:
-    return "".join(c if (c.isalnum() or c in "._-") else "_" for c in name)

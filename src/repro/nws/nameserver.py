@@ -49,12 +49,18 @@ class NameServer:
         Zero-argument callable returning the current (simulated) time;
         defaults to a constant 0.0 (registrations never expire unless a
         TTL is used together with a real clock).
+    log:
+        Optional :class:`~repro.nws.durable.TenantLog`: each register,
+        refresh and unregister appends its record there before it
+        changes the entries, so one that cannot be logged changes
+        nothing.
     """
 
     KINDS = ("sensor", "memory", "forecaster")
 
-    def __init__(self, clock=None):
+    def __init__(self, clock=None, log=None):
         self._clock = clock if clock is not None else (lambda: 0.0)
+        self._log = log
         # Registrations arrive from per-host refresh threads while lookups
         # run on the main path; the entry map is always accessed under
         # this lock.
@@ -102,10 +108,12 @@ class NameServer:
         entry = Registration(
             name=name,
             kind=kind,
-            attributes=dict(attributes or {}),
+            attributes={str(k): str(v) for k, v in (attributes or {}).items()},
             expires_at=expires,
         )
         with self._lock:
+            if self._log is not None:
+                self._log.register(entry)
             self._entries[name] = entry
         self._obs_registrations.inc()
         return entry
@@ -124,12 +132,16 @@ class NameServer:
         with self._lock:
             entry = self._require_live_locked(name)
             refreshed = replace(entry, expires_at=self._clock() + ttl)
+            if self._log is not None:
+                self._log.refresh(refreshed)
             self._entries[name] = refreshed
         return refreshed
 
     def unregister(self, name: str) -> None:
         """Remove a registration (idempotent)."""
         with self._lock:
+            if self._log is not None and name in self._entries:
+                self._log.unregister(name)
             self._entries.pop(name, None)
 
     def _require_live(self, name: str) -> Registration:
@@ -181,22 +193,21 @@ class NameServer:
     def entries(self) -> list[Registration]:
         """Every registration (including expired), sorted by name.
 
-        The durable-snapshot view used by
-        :meth:`repro.nws.service.ServiceCore.restore`: expiry is
-        preserved verbatim so a restarted server makes the same
-        liveness decisions an uninterrupted one would.
+        Expiry is preserved verbatim through the tenant log, so a server
+        restored by :meth:`repro.nws.service.ServiceCore.restore` makes
+        the same liveness decisions an uninterrupted one would.
         """
         with self._lock:
             return sorted(self._entries.values(), key=lambda e: e.name)
 
     def restore(self, entries) -> int:
-        """Re-insert registrations recovered from a durable snapshot.
+        """Re-insert registrations replayed from the tenant log.
 
         ``expires_at`` is preserved exactly (no TTL re-derivation); a
         registration that lapsed while the server was down stays lapsed.
-        Entries with an unknown ``kind`` are skipped -- snapshot files
-        are written atomically, so this only guards against foreign
-        files.  Returns the number restored.
+        Nothing is logged (the entries came from the log), and entries
+        with an unknown ``kind`` are skipped.  Returns the number
+        restored.
         """
         restored = 0
         with self._lock:

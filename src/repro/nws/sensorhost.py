@@ -161,7 +161,7 @@ class SensorHost:
             new_rounds += 1
         for series, stamped, value in faults.flush(until):
             self._publish_guarded(series, stamped, value)
-        faults.tick(until, self.memory, [self.series_name(m) for m in METHODS])
+        faults.tick(until, self.memory)
         return new_rounds
 
     def _publish_guarded(self, series: str, time: float, value: float) -> None:

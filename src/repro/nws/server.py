@@ -54,7 +54,7 @@ Clients propagate a remaining-time budget in the ``X-NWS-Deadline``
 header; expired budgets are shed at admission (or mid-operation, see
 :func:`~repro.nws.service.set_request_deadline`).  :meth:`stop` drains:
 new requests are shed with ``reason="draining"`` while in-flight ones
-finish, journals are fsynced, and a worker thread that outlives its
+finish, tenant logs are fsynced, and a worker thread that outlives its
 join window is counted in ``repro_server_unclean_shutdown_total`` and
 surfaced in ``/v1/health`` rather than silently leaked.
 """
@@ -463,7 +463,7 @@ class ForecastServer:
 
         In order: stop admitting (drain), wait up to ``drain_timeout``
         for in-flight requests, shut the listener and maintenance worker
-        down, fsync every tenant's journals, then join each worker
+        down, fsync every tenant's log, then join each worker
         thread.  A thread still alive after ``shutdown_timeout`` is a
         leak, not a shrug: it increments
         ``repro_server_unclean_shutdown_total`` and
@@ -486,7 +486,7 @@ class ForecastServer:
             if thread.is_alive():
                 self.unclean_shutdowns += 1
                 self._obs_unclean.inc()
-        # Durability barrier: whatever the journals buffered is on disk
+        # Durability barrier: whatever the logs buffered is on disk
         # before the process can exit.
         self.core.sync()
 

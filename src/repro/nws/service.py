@@ -24,34 +24,25 @@ fixed-size-file discipline, but lossy-gracefully: old data gets coarser
 instead of vanishing.
 
 Durability: with ``directory`` set the core owns a crash-safe state
-directory --
-
-::
-
-    <directory>/
-        MANIFEST.json              # {"state_version", "tenants"}
-        <tenant>/series.json       # series catalog (see MemoryStore)
-        <tenant>/<series>.jsonl    # per-series write-ahead journal
-        <tenant>/registrations.json
-
-and :meth:`ServiceCore.restore` rebuilds an equivalent core from it:
-journals replay through fresh forecaster mixtures, so a restarted
-server's forecasts are byte-identical to an uninterrupted run's
-(compaction calls :meth:`ForecasterService.invalidate`, which makes
-every forecast a pure function of *retained* history -- provided
-retention compacts below the memory capacity so silent eviction never
-outruns the checkpointed journal).
+directory -- a manifest naming the tenants, and one append-only log per
+tenant (layout and record syntax in :mod:`repro.nws.durable`) that the
+tenant's memory and name server append to before they change -- and
+:meth:`ServiceCore.restore` rebuilds an equivalent core from it: the
+series live at each log's last durable record, with their registrations
+and expiry times, replay through fresh forecaster mixtures, so a
+restarted server's forecasts are byte-identical to an uninterrupted
+run's (compaction calls :meth:`ForecasterService.invalidate`, which
+makes every forecast a pure function of *retained* history).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time as _time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.nws.durable import atomic_replace_json
+from repro.nws.durable import read_manifest, tenant_directory, write_manifest
 from repro.nws.errors import ServerOverloaded, UnknownTenant
 from repro.nws.forecaster import ForecastReport, ForecasterService
 from repro.nws.memory import MemoryStore
@@ -73,12 +64,6 @@ __all__ = [
 #: Default tenant name -- single-tenant callers never need to know
 #: tenancy exists.
 DEFAULT_TENANT = "default"
-
-#: On-disk state layout version checked by :meth:`ServiceCore.restore`.
-STATE_VERSION = 1
-
-MANIFEST_NAME = "MANIFEST.json"
-REGISTRATIONS_NAME = "registrations.json"
 
 # Per-request deadline, propagated by the HTTP server from the
 # X-NWS-Deadline header.  Thread-local because the server handles each
@@ -177,14 +162,11 @@ class TenantState:
             clock=clock if stale_after is not None else None,
             stale_after=stale_after,
         )
-        self.nameserver = NameServer(clock=clock)
+        self.nameserver = NameServer(clock=clock, log=self.memory.log)
         # MemoryStore and NameServer lock internally, but the forecaster's
         # incremental per-series state does not -- concurrent HTTP queries
         # for one tenant serialize here.
         self.lock = threading.Lock()
-        # Serializes registration snapshots with their writes, so
-        # concurrent register/refresh calls never share a temp file.
-        self.registration_lock = threading.Lock()
 
 
 class ServiceCore:
@@ -201,10 +183,9 @@ class ServiceCore:
         0.0, i.e. nothing ages).
     memory_capacity / directory / stale_after / forecaster_factory:
         Forwarded to each tenant's triple; ``directory`` gets one
-        subdirectory per tenant so journals never collide.  With a
-        directory set the core also maintains ``MANIFEST.json`` and
-        per-tenant registration snapshots so :meth:`restore` can rebuild
-        the whole deployment.
+        subdirectory per tenant, holding its log.  With a directory set
+        the core also writes the manifest, so :meth:`restore` can
+        rebuild the whole deployment.
     retention:
         Optional :class:`RetentionPolicy` applied by :meth:`maintain`.
     journal_flush_lines:
@@ -236,7 +217,7 @@ class ServiceCore:
         for name in names:
             tenant_dir = None
             if self.directory is not None:
-                tenant_dir = self.directory / name
+                tenant_dir = tenant_directory(self.directory, name)
             self._tenants[name] = TenantState(
                 name,
                 clock=self.clock,
@@ -249,10 +230,7 @@ class ServiceCore:
         if self.directory is not None:
             # Tenant constructors above created the directory tree; the
             # manifest names what restore() should rebuild.
-            atomic_replace_json(
-                self.directory / MANIFEST_NAME,
-                {"state_version": STATE_VERSION, "tenants": sorted(names)},
-            )
+            write_manifest(self.directory, names)
         self._init_obs()
 
     @classmethod
@@ -269,13 +247,10 @@ class ServiceCore:
     ) -> "ServiceCore":
         """Rebuild a core from a crash-safe state directory.
 
-        Reads ``MANIFEST.json`` for the tenant set, replays every
-        tenant's journals through fresh forecaster mixtures
-        (:meth:`MemoryStore.recover_all`), and re-installs registration
-        snapshots with their original expiries.  Because compaction
-        checkpoints the journal and invalidates forecaster state, the
-        restored core's :meth:`query_all` output is byte-identical to an
-        uninterrupted run's.
+        Reads the manifest for the tenant set, then streams every
+        tenant's log once (:meth:`MemoryStore.recover`): the series live
+        at its last durable record replay through fresh forecaster
+        mixtures, and the registrations keep their original expiries.
 
         Raises
         ------
@@ -286,30 +261,7 @@ class ServiceCore:
             of strings, or its ``state_version`` is from a different
             layout.
         """
-        state_dir = Path(state_dir)
-        manifest_path = state_dir / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise FileNotFoundError(
-                f"no {MANIFEST_NAME} under {state_dir}; "
-                "not a forecast-service state directory"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise ValueError(f"{manifest_path} must hold a JSON object")
-        version = manifest.get("state_version")
-        if version != STATE_VERSION:
-            raise ValueError(
-                f"unsupported state_version {version!r} "
-                f"(this build reads {STATE_VERSION})"
-            )
-        tenants = manifest.get("tenants")
-        if not isinstance(tenants, list) or not all(
-            isinstance(name, str) for name in tenants
-        ):
-            raise ValueError(f"{manifest_path}: 'tenants' must be a list of strings")
+        tenants = read_manifest(state_dir)
         core = cls(
             tenants,
             clock=clock,
@@ -324,70 +276,16 @@ class ServiceCore:
         for name in core.tenant_names():
             state = core.tenant(name)
             with state.lock:
-                recovered = state.memory.recover_all()
-                registrations += core._restore_registrations(state)
-            series += len(recovered)
-            samples += sum(recovered.values())
+                samples += state.memory.recover()
+                series += len(state.memory.series_names())
+                registrations += state.nameserver.restore(
+                    state.memory.log.registrations.values()
+                )
         core._obs_restores.inc()
         core._obs_restored_series.inc(series)
         core._obs_restored_samples.inc(samples)
         core._obs_restored_registrations.inc(registrations)
         return core
-
-    def _restore_registrations(self, state: TenantState) -> int:
-        path = self.directory / state.name / REGISTRATIONS_NAME
-        if not path.exists():
-            return 0
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            entries = [
-                Registration(
-                    name=str(r["name"]),
-                    kind=str(r["kind"]),
-                    attributes={
-                        str(k): str(v)
-                        for k, v in dict(r.get("attributes") or {}).items()
-                    },
-                    expires_at=(
-                        float("inf")
-                        if r.get("expires_at") is None
-                        else float(r["expires_at"])
-                    ),
-                )
-                for r in payload["registrations"]
-            ]
-        except (
-            json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError, RecursionError,
-        ):
-            # Snapshot writes are atomic, so this only guards against a
-            # foreign/hand-edited file (an oversized expires_at, say);
-            # registrations are re-creatable state (components
-            # re-register), so skip rather than abort.
-            return 0
-        return state.nameserver.restore(entries)
-
-    def _persist_registrations(self, state: TenantState) -> None:
-        if self.directory is None:
-            return
-        # Snapshot and write under one lock: the last write then always
-        # holds the newest state, and no two writers share the temp file.
-        with state.registration_lock:
-            entries = [
-                {
-                    "name": e.name,
-                    "kind": e.kind,
-                    "attributes": dict(sorted(e.attributes.items())),
-                    "expires_at": (
-                        None if e.expires_at == float("inf") else e.expires_at
-                    ),
-                }
-                for e in state.nameserver.entries()
-            ]
-            atomic_replace_json(
-                self.directory / state.name / REGISTRATIONS_NAME,
-                {"version": 1, "registrations": entries},
-            )
 
     def _init_obs(self) -> None:
         registry = get_registry()
@@ -515,7 +413,7 @@ class ServiceCore:
         return self.tenant(tenant).memory.series_names()
 
     def recover(self, tenant: str, series: str) -> int:
-        """Reload a series from the tenant's persistence journal."""
+        """Reload a series' last run from the tenant's log."""
         state = self.tenant(tenant)
         self._count("recover")
         with get_tracer().span("server.recover", tenant=tenant, series=series):
@@ -536,22 +434,18 @@ class ServiceCore:
         state = self.tenant(tenant)
         self._count("register")
         with get_tracer().span("server.register", tenant=tenant, component=name):
-            entry = state.nameserver.register(
+            return state.nameserver.register(
                 name,
                 kind,
                 attributes,
                 ttl=None if ttl is None else coerce_field("ttl", float, ttl),
             )
-        self._persist_registrations(state)
-        return entry
 
     def refresh(self, tenant: str, name: str, *, ttl: float) -> Registration:
         state = self.tenant(tenant)
         self._count("refresh")
         with get_tracer().span("server.refresh", tenant=tenant, component=name):
-            entry = state.nameserver.refresh(name, ttl=coerce_field("ttl", float, ttl))
-        self._persist_registrations(state)
-        return entry
+            return state.nameserver.refresh(name, ttl=coerce_field("ttl", float, ttl))
 
     def lookup(
         self, tenant: str, kind: str | None = None, **attribute_filters: str
@@ -592,19 +486,21 @@ class ServiceCore:
                         for series in state.memory.series_names():
                             compacted += self._compact_locked(state, series, policy)
                 # Maintenance doubles as the durability heartbeat: with
-                # buffered journaling the crash-loss window is bounded by
+                # buffered logging the crash-loss window is bounded by
                 # the maintenance interval, not the process lifetime.
+                # A log grown well past the live state is rewritten first.
                 if self.directory is not None:
+                    state.memory.compact()
                     state.memory.sync()
         return compacted
 
     def sync(self) -> None:
-        """Flush + fsync every tenant's journals (shutdown barrier)."""
+        """Flush + fsync every tenant's log (shutdown barrier)."""
         for state in self._tenants.values():
             state.memory.sync()
 
     def close(self) -> None:
-        """Durably flush and release every tenant's journal handles."""
+        """Durably flush and release every tenant's log descriptor."""
         for state in self._tenants.values():
             state.memory.close()
 

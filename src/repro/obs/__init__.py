@@ -117,13 +117,13 @@ Memory (``repro.nws.memory``):
 * ``repro_memory_fetches_total`` (counter) -- reads served: window
   fetches and forecaster tail reads.
 * ``repro_memory_recoveries_total`` / ``repro_memory_recovered_samples_total``
-  (counters) -- journal recoveries.
-* ``repro_memory_corrupt_journal_lines_total`` (counter) -- truncated or
-  unparsable journal lines, and lines with a non-finite or decreasing
-  time, skipped during recovery.
-* ``repro_memory_journal_checkpoints_total`` (counter) -- journals
-  atomically rewritten to the retained history (retention compaction
-  and ``replace``), bounding on-disk journal growth.
+  (counters) -- tenant-log replays.
+* ``repro_memory_corrupt_journal_lines_total`` (counter) -- torn or
+  unparsable tenant-log lines, and records with a non-finite or
+  decreasing time, skipped during recovery.
+* ``repro_memory_journal_checkpoints_total`` (counter) -- tenant logs
+  atomically rewritten to the live state (log compaction), bounding
+  on-disk log growth.
 * ``repro_memory_series`` (gauge) -- live series count.
 
 Name server (``repro.nws.nameserver``):
@@ -161,7 +161,7 @@ Forecast service (``repro.nws.service`` / ``repro.nws.server``; see
 * ``repro_server_shed_total`` (counter; label ``reason`` in
   ``overload|draining|deadline|descriptors``) -- requests refused by
   admission control, or publishes that found no file descriptor to
-  journal their sample (HTTP 429 + ``Retry-After``).
+  log their sample (HTTP 429 + ``Retry-After``).
 * ``repro_server_unclean_shutdown_total`` (counter) -- worker threads
   still alive after the shutdown join timeout (also surfaced in
   ``health()``).
@@ -170,7 +170,7 @@ Forecast service (``repro.nws.service`` / ``repro.nws.server``; see
 * ``repro_server_restored_series_total`` /
   ``repro_server_restored_samples_total`` /
   ``repro_server_restored_registrations_total`` (counters) -- state
-  recovered from snapshot + journal by those restores.
+  recovered from the tenant logs by those restores.
 
 Fault injection & resilience (``repro.faults``; see
 ``nws-repro chaos``):

@@ -7,12 +7,13 @@ The one public entry point for monitored testbed simulations::
     runner = Runner(jobs=4, cache="artifacts/cache")
     runs = runner.run(None, config)          # full testbed, table order
     thing1 = runner.run("thing1", config)    # one host
+    runner.persist()                         # write the new entries
 
 * :class:`Runner` -- fans cache misses out over worker processes
   (results are byte-identical to serial runs: per-host seeds are derived
   inside the simulation) and persists results across interpreter
-  restarts through :class:`ResultCache`; ``persist_backtests()``
-  re-stores runs whose table backtests grew, so warm reports load them.
+  restarts through :class:`ResultCache`: ``persist()`` stores each run
+  once, after its table backtests exist, so warm reports load them.
 * :class:`ResultCache` -- the on-disk half: atomic writes,
   corrupt-entry detection, ``clear()``.
 * :func:`config_digest` -- the stable content address:

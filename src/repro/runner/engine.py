@@ -29,11 +29,12 @@ Cache hits (memory or disk) return stored results and do not replay
 telemetry.
 
 A disk entry also carries the backtests the tables computed from its run
-(``HostRun._forecasts``).  They are added after the run is stored, so
-:meth:`Runner.persist_backtests` re-stores each memoized run whose
-backtests grew since it was stored or loaded; the report and table
-commands call it once at the end, and a warm report then forecasts
-nothing.
+(``HostRun._forecasts``), which exist only after the run is simulated.
+So :meth:`Runner.run` only memoizes a fresh run, and
+:meth:`Runner.persist` stores each memoized run that is not on disk yet,
+or whose backtests grew since it was stored or loaded: each entry is
+written once, with its backtests.  Every command with a cache calls it
+once at the end, and a warm report then forecasts nothing.
 
 Worker failures do not take the batch down: a host whose worker raised --
 or whose pool broke entirely (``BrokenProcessPool``, e.g. an OOM-killed
@@ -290,9 +291,6 @@ class Runner:
         if pending:
             for digest, run in self._simulate(pending_names, config).items():
                 self._memo[digest] = run
-                if self.cache is not None:
-                    self.cache.store(digest, run)
-                    self._on_disk[digest] = len(run._forecasts)
                 for i in pending[digest]:
                     results[i] = run
 
@@ -453,29 +451,31 @@ class Runner:
         self.stats.host_seconds[host] = wall
         self._obs_sims[mode].inc()
 
-    def persist_backtests(self) -> int:
-        """Re-store every memoized run whose backtests grew since it was
-        stored or loaded; returns the entries rewritten (0 with no cache).
+    def persist(self) -> int:
+        """Store every memoized run not on disk yet, or whose backtests
+        grew since it was stored or loaded; returns the entries written
+        (0 with no cache).
 
         Entries that did not grow are left alone, so a report over a
         filled cache writes nothing.
         """
         if self.cache is None:
             return 0
-        rewritten = 0
+        written = 0
         for digest, run in self._memo.items():
-            held = self._on_disk.get(digest, 0)
-            if len(run._forecasts) > held:
+            held = self._on_disk.get(digest)
+            if held is None or len(run._forecasts) > held:
                 self.cache.store(digest, run)
-                self.stats.backtests_stored += len(run._forecasts) - held
+                self.stats.backtests_stored += len(run._forecasts) - (held or 0)
                 self._on_disk[digest] = len(run._forecasts)
-                rewritten += 1
-        return rewritten
+                written += 1
+        return written
 
     # ------------------------------------------------------------ hygiene
 
     def clear_memory(self) -> None:
-        """Drop the in-process memo (the disk cache is untouched)."""
+        """Drop the in-process memo (the disk cache is untouched; runs
+        not yet :meth:`persist`-ed are lost)."""
         self._memo.clear()
         self._on_disk.clear()
 

@@ -193,7 +193,7 @@ class TestJournalFaults:
     def test_corrupt_then_recover(self, tmp_path):
         store = self._store(tmp_path)
         faults = compiled(FaultPlan("p").journal_corrupt(at=100.0, lines=3))
-        faults.tick(200.0, store, ["s"])
+        faults.tick(200.0, store)
         assert faults.counts("injected") == {"journal_corrupt": 1}
         assert faults.counts("absorbed") == {"journal_recovered": 1}
         # Recovery replayed the valid lines; garbage was skipped.
@@ -203,7 +203,7 @@ class TestJournalFaults:
     def test_truncate_then_recover_loses_tail(self, tmp_path):
         store = self._store(tmp_path)
         faults = compiled(FaultPlan("p").journal_truncate(at=100.0, keep_fraction=0.5))
-        faults.tick(200.0, store, ["s"])
+        faults.tick(200.0, store)
         assert faults.counts("absorbed") == {"journal_recovered": 1}
         times, _ = store.fetch("s")
         assert 0 < times.size < 20
@@ -211,19 +211,19 @@ class TestJournalFaults:
     def test_event_is_one_shot(self, tmp_path):
         store = self._store(tmp_path)
         faults = compiled(FaultPlan("p").journal_corrupt(at=100.0))
-        faults.tick(200.0, store, ["s"])
-        faults.tick(300.0, store, ["s"])
+        faults.tick(200.0, store)
+        faults.tick(300.0, store)
         assert faults.counts("injected") == {"journal_corrupt": 1}
 
     def test_not_due_yet(self, tmp_path):
         store = self._store(tmp_path)
         faults = compiled(FaultPlan("p").journal_corrupt(at=100.0))
-        faults.tick(50.0, store, ["s"])
+        faults.tick(50.0, store)
         assert faults.tallies == {}
 
     def test_unpersisted_memory_is_a_failed_fault(self):
         faults = compiled(FaultPlan("p").journal_truncate(at=0.0))
-        faults.tick(10.0, MemoryStore(), ["s"])
+        faults.tick(10.0, MemoryStore())
         assert faults.counts("failed") == {"journal_unpersisted": 1}
 
 

@@ -53,7 +53,7 @@ def test_no_stale_suppressions_in_tree(src_lint_result):
     stale = [f for f in result.findings if f.rule_id == "LINT001"]
     assert not stale, "\n".join(f.render() for f in stale)
     # The tree's deliberate suppressions are all exercised.
-    assert {f.rule_id for f in result.suppressed} == {"EXC001", "THRD001"}
+    assert {f.rule_id for f in result.suppressed} == {"EXC001"}
 
 
 def test_every_suppression_carries_a_justification():

@@ -10,14 +10,13 @@ drain-on-shutdown, request deadlines, and the unclean-shutdown counter.
 
 from __future__ import annotations
 
-import builtins
-import io
+import errno
 import json
+import os
 import threading
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,18 +28,17 @@ from repro.nws import (
     ServerOverloaded,
     ServiceCore,
 )
+from repro.nws import durable
 from repro.nws.client import HTTPTransport
 from repro.nws.durable import (
+    MANIFEST_NAME,
     JournalWriter,
+    TenantLog,
     atomic_replace_bytes,
     atomic_replace_json,
 )
 from repro.nws.memory import MemoryStore
-from repro.nws.service import (
-    MANIFEST_NAME,
-    request_deadline,
-    set_request_deadline,
-)
+from repro.nws.service import request_deadline, set_request_deadline
 from repro.nws.wire import (
     DEADLINE_HEADER,
     ProtocolError,
@@ -92,25 +90,25 @@ class TestAtomicReplace:
         assert target.read_bytes() == b'{"a":[1,2],"b":1}\n'
 
 
-class _TornFile:
-    """An open file whose write stores half the bytes, then fails."""
+class _TornOs:
+    """The ``os`` module, except that ``write`` stores half the bytes,
+    then fails, as ``write(2)`` on a full disk does."""
 
-    def __init__(self, f):
-        self._f = f
-
-    def write(self, data):
-        self._f.write(data[: len(data) // 2])
-        self._f.flush()
-        raise OSError(28, "No space left on device")
+    def __init__(self):
+        self.full = False
 
     def __getattr__(self, name):
-        return getattr(self._f, name)
+        return getattr(os, name)
 
-    def __enter__(self):
-        return self
+    def write(self, fd, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.full = True
+        return os.write(fd, bytes(data[: len(data) // 2]))
 
-    def __exit__(self, *exc):
-        self._f.close()
+
+def _held(store, series):
+    return tuple(a.tolist() for a in store.fetch(series))
 
 
 class TestInterruptedCheckpoint:
@@ -118,92 +116,85 @@ class TestInterruptedCheckpoint:
         store = MemoryStore(directory=tmp_path)
         for t in range(20):
             store.publish("s", float(t), t / 20)
-        old = tuple(a.tolist() for a in store.fetch("s"))
-        new = ([5.0, 10.0, 19.0], [0.1, 0.2, 0.3])
-        journal = store.journal_path("s").name
-        real_open = io.open
-
-        def torn_open(file, mode="r", *args, **kwargs):
-            f = real_open(file, mode, *args, **kwargs)
-            if "w" in mode and Path(file).name.startswith(journal):
-                return _TornFile(f)
-            return f
-
-        # Every file write of the journal (or of its replacement) dies
-        # half-way, as a crash or a full disk would leave it.
-        monkeypatch.setattr(builtins, "open", torn_open)
-        monkeypatch.setattr(io, "open", torn_open)
+        old = _held(store, "s")
+        # The replace record's write dies half-way: the replace changes
+        # nothing, and the torn half is cut off the log again.
+        monkeypatch.setattr(durable, "os", _TornOs())
         with pytest.raises(OSError):
-            store.replace("s", *new)
+            store.replace("s", [5.0, 10.0, 19.0], [0.1, 0.2, 0.3])
         monkeypatch.undo()
-
+        assert _held(store, "s") == old
+        store.publish("s", 20.0, 1.0)
         fresh = MemoryStore(directory=tmp_path)
-        fresh.recover("s")
-        assert tuple(a.tolist() for a in fresh.fetch("s")) in (old, new)
+        assert fresh.recover("s") == 21
+        assert _held(fresh, "s") == _held(store, "s")
 
 
 class TestJournalWriter:
     def test_write_through_by_default(self, tmp_path):
-        journal = JournalWriter()
         path = tmp_path / "a.jsonl"
-        journal.append(path, "x")
+        journal = JournalWriter(path)
+        journal.append("x")
         assert path.read_text() == "x\n"
         assert journal.pending() == 0
         journal.close()
 
     def test_group_commit_buffers_until_threshold(self, tmp_path):
-        journal = JournalWriter(flush_lines=3)
         path = tmp_path / "a.jsonl"
-        journal.append(path, "1")
-        journal.append(path, "2")
+        journal = JournalWriter(path, flush_lines=3)
+        journal.append("1")
+        journal.append("2")
         assert not path.exists()
-        assert journal.pending(path) == 2
-        journal.append(path, "3")
+        assert journal.pending() == 2
+        journal.append("3")
         assert path.read_text() == "1\n2\n3\n"
-        assert journal.pending(path) == 0
+        assert journal.pending() == 0
         journal.close()
 
     def test_flush_is_the_read_barrier(self, tmp_path):
-        journal = JournalWriter(flush_lines=100)
         path = tmp_path / "a.jsonl"
-        journal.append(path, "1")
-        assert journal.flush(path) == 1
+        journal = JournalWriter(path, flush_lines=100)
+        journal.append("1")
+        assert journal.flush() == 1
         assert path.read_text() == "1\n"
         journal.close()
 
     def test_invalidate_drops_pending_and_reopens_new_inode(self, tmp_path):
-        journal = JournalWriter(flush_lines=100)
-        path = tmp_path / "a.jsonl"
-        journal.append(path, "old-1")
-        journal.flush(path)
-        journal.append(path, "old-2")  # pending at checkpoint time
-        atomic_replace_bytes(path, b"checkpoint\n")
-        journal.invalidate(path)
-        journal.append(path, "new-1")
-        journal.flush(path)
-        # The pre-checkpoint pending line is gone and the new append
-        # landed on the replacement inode, not the unlinked one.
-        assert path.read_text() == "checkpoint\nnew-1\n"
-        journal.close()
+        # Compaction rewrites the log to the live state: the pending
+        # lines are in the new file already, and the next append lands
+        # on the replacement inode, not the unlinked one.
+        log = TenantLog(tmp_path, flush_lines=4)
+        for t in range(6):
+            log.publish("s", float(t), 0.5)
+        assert log.pending() == 2
+        runs = {"s": ([5.0], [0.5])}
+        assert log.compact(runs, {})
+        assert log.pending() == 0
+        log.publish("s", 6.0, 0.25)
+        log.flush()
+        state = log.replay(capacity=10)
+        assert [list(a) for a in state.live["s"]] == [[5.0, 6.0], [0.5, 0.25]]
+        assert state.lines == 2
+        log.close()
 
     def test_discard_loses_only_the_unflushed_tail(self, tmp_path):
-        journal = JournalWriter(flush_lines=2)
         path = tmp_path / "a.jsonl"
+        journal = JournalWriter(path, flush_lines=2)
         for line in ("1", "2", "3"):
-            journal.append(path, line)
+            journal.append(line)
         journal.discard()  # what kill -9 would lose
         assert path.read_text() == "1\n2\n"
 
     def test_close_flushes(self, tmp_path):
-        journal = JournalWriter(flush_lines=100)
         path = tmp_path / "a.jsonl"
-        journal.append(path, "1")
+        journal = JournalWriter(path, flush_lines=100)
+        journal.append("1")
         journal.close()
         assert path.read_text() == "1\n"
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="flush_lines"):
-            JournalWriter(flush_lines=0)
+            JournalWriter(tmp_path / "a.jsonl", flush_lines=0)
 
 
 # --------------------------------------------------- service-level restore
@@ -401,11 +392,13 @@ class TestMalformedStateDirectory:
         for i in range(3):
             core.publish("default", "cpu.a", float(i), 0.5)
         core.close()
-        journal = tmp_path / "default" / "cpu.a.jsonl"
-        with journal.open("rb") as f:
-            intact = f.read()
-        oversized = b'{"t": ' + b"9" * 400 + b', "v": 0.5}\n'
-        atomic_replace_bytes(journal, intact + oversized)
+        log = core.tenant("default").memory.log.path
+        intact = log.read_bytes()
+        # The last record again, its time spelled beyond float range.
+        last = intact.splitlines(keepends=True)[-1]
+        oversized = last.replace(b"2.0", b"9" * 400 + b".0")
+        assert oversized != last
+        atomic_replace_bytes(log, intact + oversized)
         with installed(MetricsRegistry()) as registry:
             restored = ServiceCore.restore(tmp_path)
             assert restored.tenant("default").memory.count("cpu.a") == 3
@@ -419,25 +412,33 @@ class TestMalformedStateDirectory:
         core = ServiceCore(("default",), directory=tmp_path)
         core.register("default", "sensor.a", "sensor", {}, ttl=60.0)
         core.close()
-        snapshot = tmp_path / "default" / "registrations.json"
-        payload = json.loads(snapshot.read_text(encoding="utf-8"))
-        payload["registrations"][0]["expires_at"] = int("9" * 400)
-        atomic_replace_bytes(snapshot, json.dumps(payload).encode("utf-8"))
-        restored = ServiceCore.restore(tmp_path)
-        assert restored.lookup("default") == []
+        log = core.tenant("default").memory.log.path
+        intact = log.read_bytes()
+        atomic_replace_bytes(log, intact.replace(b"60.0", b"9" * 400 + b".0"))
+        with installed(MetricsRegistry()) as registry:
+            restored = ServiceCore.restore(tmp_path)
+            assert restored.lookup("default") == []
+            assert (
+                counter_value(registry, "repro_memory_corrupt_journal_lines_total")
+                == 1
+            )
         restored.close()
 
     @pytest.mark.parametrize(
         "manifest",
         [
             b"[]",
-            b'{"state_version": 1, "tenants": 5}',
-            b'{"state_version": 1, "tenants": "abc"}',
-            b'{"state_version": 1, "tenants": ["default", 7]}',
-            b'{"state_version": 1}',
-            b'{"state_version": 1, "tenants": ["def',
+            b'{"state_version": 2, "tenants": 5}',
+            b'{"state_version": 2, "tenants": "abc"}',
+            b'{"state_version": 2, "tenants": ["default", 7]}',
+            b'{"state_version": 2}',
+            b'{"state_version": 2, "tenants": ["def',
+            b'{"state_version": 1, "tenants": ["default"]}',
         ],
-        ids=["list", "int-tenants", "str-tenants", "mixed", "no-tenants", "torn"],
+        ids=[
+            "list", "int-tenants", "str-tenants", "mixed", "no-tenants", "torn",
+            "version-1",
+        ],
     )
     def test_malformed_manifest_is_a_value_error_naming_the_file(
         self, tmp_path, manifest
@@ -471,13 +472,13 @@ DEEP = b"[" * 100_000
 class TestDeeplyNestedJson:
     """Absurd nesting takes each JSON boundary's usual rule for bad input."""
 
-    def _state(self, tmp_path):
+    def _log(self, tmp_path):
         core = ServiceCore(("default",), directory=tmp_path)
         for i in range(3):
             core.publish("default", "cpu.a", float(i), 0.5)
         core.register("default", "sensor.a", "sensor", {}, ttl=60.0)
         core.close()
-        return tmp_path / "default"
+        return core.tenant("default").memory.log.path
 
     def test_request_body_is_a_bad_request(self):
         with installed(MetricsRegistry()):
@@ -504,10 +505,8 @@ class TestDeeplyNestedJson:
             transport._request("GET", "/v1/default/series")
 
     def test_journal_line_is_skipped_and_counted(self, tmp_path):
-        journal = self._state(tmp_path) / "cpu.a.jsonl"
-        with journal.open("rb") as f:
-            intact = f.read()
-        atomic_replace_bytes(journal, intact + DEEP + b"\n")
+        log = self._log(tmp_path)
+        atomic_replace_bytes(log, log.read_bytes() + DEEP + b"\n")
         with installed(MetricsRegistry()) as registry:
             restored = ServiceCore.restore(tmp_path)
             assert restored.tenant("default").memory.count("cpu.a") == 3
@@ -517,21 +516,16 @@ class TestDeeplyNestedJson:
             )
             restored.close()
 
-    def test_catalog_falls_back_to_journal_filenames(self, tmp_path):
-        tenant = self._state(tmp_path)
-        atomic_replace_bytes(tenant / "series.json", DEEP)
-        restored = ServiceCore.restore(tmp_path)
-        assert restored.tenant("default").memory.count("cpu.a") == 3
-        restored.close()
-
     def test_manifest_is_a_value_error_naming_the_file(self, tmp_path):
         atomic_replace_bytes(tmp_path / MANIFEST_NAME, DEEP)
         with pytest.raises(ValueError, match=MANIFEST_NAME):
             ServiceCore.restore(tmp_path)
 
     def test_registration_snapshot_is_skipped(self, tmp_path):
-        tenant = self._state(tmp_path)
-        atomic_replace_bytes(tenant / "registrations.json", DEEP)
+        log = self._log(tmp_path)
+        # The register record, the last line, becomes absurd nesting.
+        lines = log.read_bytes().splitlines(keepends=True)
+        atomic_replace_bytes(log, b"".join(lines[:-1]) + DEEP + b"\n")
         restored = ServiceCore.restore(tmp_path)
         assert restored.lookup("default") == []
         assert restored.tenant("default").memory.count("cpu.a") == 3
@@ -544,7 +538,9 @@ class TestDeeplyNestedJson:
 class TestTypedStoreErrors:
     """Inputs the store cannot honour are 400s that change nothing."""
 
-    def test_overlong_series_name_is_a_bad_request(self, tmp_path):
+    def test_overlong_series_name_round_trips(self, tmp_path):
+        # No file name is derived from a series name, so a name no file
+        # system could hold is served and restored like any other.
         name = "x" * 300
         core = ServiceCore(("default",), directory=tmp_path)
         server = ForecastServer(core).start()
@@ -553,23 +549,21 @@ class TestTypedStoreErrors:
                 f"{server.url}/v1/default/publish",
                 {"series": name, "time": 0.0, "value": 0.5},
             )
-            assert status == 400
-            assert payload["error"]["code"] == "bad_request"
-            assert "255-byte" in payload["error"]["message"]
-            memory = core.tenant("default").memory
-            assert memory.count(name) == 0
-            assert memory.series_names() == []
+            assert status == 200
         finally:
-            server.stop()  # fsyncs the journals: nothing may be left pending
-        assert not (tmp_path / "default" / "series.json").exists()
+            server.stop()
+        restored = ServiceCore.restore(tmp_path)
+        assert restored.series_names("default") == [name]
+        restored.close()
 
-    def test_replace_rejects_an_overlong_series_name(self, tmp_path):
+    def test_replace_of_an_overlong_series_name_round_trips(self, tmp_path):
+        name = "\u00e9" * 125  # 250 characters, 256 bytes of UTF-8
         core = ServiceCore(("default",), directory=tmp_path)
-        memory = core.tenant("default").memory
-        with pytest.raises(ValueError, match="255-byte"):
-            memory.replace("\u00e9" * 125, [0.0], [0.5])  # 250 chars, 256 bytes
-        assert memory.series_names() == []
+        core.tenant("default").memory.replace(name, [0.0], [0.5])
         core.close()
+        restored = ServiceCore.restore(tmp_path)
+        assert restored.tenant("default").memory.count(name) == 1
+        restored.close()
 
     def test_recover_without_a_state_directory_is_a_bad_request(self):
         with ForecastServer(tenants=("default",)) as server:

@@ -83,30 +83,28 @@ def reference_body(series: str, window: list[tuple[float, float]]) -> bytes:
 
 
 def bits(samples) -> list[tuple[bytes, bytes]]:
-    """Each sample's bytes; a journal line spells every NaN ``NaN``, so
-    any NaN (either sign, any payload) reads as the one it names."""
-    return [
-        (np.float64(t).tobytes(), np.float64(v if v == v else math.nan).tobytes())
-        for t, v in samples
-    ]
+    """Each sample's bytes, NaN sign and payload included."""
+    return [(np.float64(t).tobytes(), np.float64(v).tobytes()) for t, v in samples]
 
 
 class Model:
-    """What each series and its journal must hold."""
+    """What each series holds, and the last run the log gives back."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.history: dict[str, list] = {}
-        self.journal: dict[str, list] = {}
+        self.run: dict[str, list] = {}
 
     def publish(self, series, t, v) -> bool:
         history = self.history.get(series)
         if history and t < history[-1][0]:
             return False
-        history = self.history.setdefault(series, [])
+        if history is None:  # a first publish, or the first after forget
+            history = self.history[series] = []
+            self.run[series] = []
         history.append((t, v))
         del history[: -self.capacity]
-        self.journal.setdefault(series, []).append((t, v))
+        self.run[series].append((t, v))
         return True
 
     def replacement(self, series, mode) -> list:
@@ -121,18 +119,12 @@ class Model:
 
     def replace(self, series, samples) -> None:
         self.history[series] = samples[-self.capacity :]
-        self.journal[series] = list(self.history[series])
+        self.run[series] = list(self.history[series])
 
     def recover(self, series) -> int:
-        if series not in self.journal:
+        if series not in self.run:
             return 0
-        # A line stamped before the last one kept (a publish after
-        # ``forget``) is skipped as corrupt.
-        kept: list = []
-        for t, v in self.journal[series]:
-            if not kept or t >= kept[-1][0]:
-                kept.append((t, v))
-        self.history[series] = kept[-self.capacity :]
+        self.replace(series, self.run[series])
         return len(self.history[series])
 
     def window(self, series, start, stop, limit) -> list:
@@ -363,7 +355,7 @@ class TestCrashRecoverRoundTrip:
             store.discard_unflushed()  # the crash: nothing buffered survives
             store.close()
             restored = MemoryStore(capacity=capacity, directory=Path(d))
-            assert restored.recover_all() == {"s": len(want[0])}
+            assert restored.recover() == len(want[0])
             got = restored.fetch("s")
         assert got[0].dtype == np.float64 and got[1].dtype == np.float64
         assert bits(zip(*got)) == bits(zip(*want))

@@ -138,16 +138,16 @@ class TestNonFiniteTimes:
         assert store.count("s") == 1
 
     def test_recover_skips_and_counts(self, tmp_path):
-        lines = [
-            '{"t": 0.0, "v": 0.1}',
-            '{"t": NaN, "v": 0.2}',
-            '{"t": 2.0, "v": 0.3}',
-            '{"t": Infinity, "v": 0.4}',
-            '{"t": 1.0, "v": 0.5}',  # earlier than the accepted 2.0
-            '{"t": 2.0, "v": 0.6}',  # a tie is in order
-            '{"t": 3.0, "v": NaN}',  # NaN values are measurements
-        ]
-        (tmp_path / "s.jsonl").write_text("\n".join(lines) + "\n")
+        store = MemoryStore(directory=tmp_path)
+        for t, v in [(0.0, 0.1), (2.0, 0.3), (2.0, 0.6), (3.0, float("nan"))]:
+            store.publish("s", t, v)  # a tie is in order; NaN values are measurements
+        store.close()
+        lines = store.log.path.read_bytes().splitlines(keepends=True)
+        first = lines[0]
+        lines.insert(1, first.replace(b"0.0", b"NaN"))
+        lines.insert(3, first.replace(b"0.0", b"Infinity"))
+        lines.insert(4, first.replace(b"0.0", b"1.0"))  # earlier than 2.0
+        store.log.path.write_bytes(b"".join(lines))
         with installed(MetricsRegistry()) as registry:
             store = MemoryStore(directory=tmp_path)
             assert store.recover("s") == 4

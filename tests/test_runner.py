@@ -89,6 +89,7 @@ class TestLayering:
     def test_disk_cache_shared_across_runners(self, tmp_path):
         first = Runner(cache=tmp_path / "cache")
         run = first.run("thing1", TINY)
+        assert first.persist() == 1
         second = Runner(cache=tmp_path / "cache")
         again = second.run("thing1", TINY)
         assert second.stats.disk_hits == 1
@@ -98,6 +99,7 @@ class TestLayering:
     def test_clear_memory_forces_disk_hit(self, tmp_path):
         runner = Runner(cache=tmp_path / "cache")
         runner.run("thing1", TINY)
+        runner.persist()
         runner.clear_memory()
         runner.run("thing1", TINY)
         assert runner.stats.disk_hits == 1
@@ -106,6 +108,7 @@ class TestLayering:
     def test_clear_disk_reports_removed(self, tmp_path):
         runner = Runner(cache=tmp_path / "cache")
         runner.run(("thing1", "conundrum"), TINY)
+        runner.persist()
         assert runner.clear_disk() == 2
         assert runner.clear_disk() == 0
 

@@ -75,6 +75,24 @@ class TestWarmReport:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_a_cold_report_stores_each_entry_once(self, tmp_path, monkeypatch, capsys):
+        stores = []
+        store = ResultCache.store
+
+        def counting(self, digest, run):
+            stores.append(digest)
+            return store(self, digest, run)
+
+        monkeypatch.setattr(ResultCache, "store", counting)
+        cache = tmp_path / "cache"
+        argv = [
+            "report", str(tmp_path / "out"), "--hours", "2",
+            "--figure3-days", "0.25", "--cache-dir", str(cache),
+        ]
+        assert main(argv) == 0
+        assert "backtests_stored=54" in capsys.readouterr().err
+        assert len(stores) == len(set(stores)) == len(entry_state(cache)) == 14
+
     def test_tables_after_report_store_nothing(self, tmp_path, capsys):
         # One backtest per (method, aggregation level), whichever command
         # made it: the tables read the report's and add none.
@@ -93,7 +111,7 @@ class TestWarmReport:
     ):
         cold = Runner(cache=tmp_path)
         expected = forecasting_tables(cold)
-        assert cold.persist_backtests() == 12
+        assert cold.persist() == 12
         before = entry_state(tmp_path)
 
         calls = count_forecasts(monkeypatch)
@@ -103,7 +121,7 @@ class TestWarmReport:
         )
         warm = Runner(cache=tmp_path)
         assert forecasting_tables(warm) == expected
-        assert warm.persist_backtests() == 0
+        assert warm.persist() == 0
         assert calls == [] and stores == []
         assert warm.stats.backtests_loaded == 54
         assert warm.stats.backtests_stored == 0
@@ -112,7 +130,7 @@ class TestWarmReport:
     def test_loaded_backtests_are_read_only(self, tmp_path):
         cold = Runner(cache=tmp_path)
         forecasting_tables(cold)
-        cold.persist_backtests()
+        cold.persist()
         run = Runner(cache=tmp_path).run_one("thing1", CONFIG)
         assert len(run._forecasts) == 6
         for forecasts in run._forecasts.values():
@@ -122,7 +140,7 @@ class TestWarmReport:
     def test_without_a_cache_nothing_is_persisted(self):
         runner = Runner()
         forecasting_tables(runner)
-        assert runner.persist_backtests() == 0
+        assert runner.persist() == 0
         assert runner.stats.backtests_stored == 0
 
 
@@ -132,7 +150,7 @@ class TestStaleBacktests:
     ):
         cold = Runner(cache=tmp_path)
         forecasting_tables(cold)
-        cold.persist_backtests()
+        cold.persist()
 
         default_battery = mixture.default_battery
         monkeypatch.setattr(mixture, "default_battery", lambda: default_battery()[:-1])
@@ -145,7 +163,7 @@ class TestStaleBacktests:
         assert got == forecasting_tables(Runner())
 
         # The re-store records the new battery; the next run loads it.
-        assert stale.persist_backtests() == 12
+        assert stale.persist() == 12
         reloaded = Runner(cache=tmp_path)
         assert forecasting_tables(reloaded) == got
         assert reloaded.stats.backtests_loaded == 54
@@ -167,7 +185,7 @@ class TestStaleBacktests:
         loaded = runner.run_one("thing1", CONFIG)
         assert runner.stats.disk_hits == 1 and loaded._forecasts == {}
         tables.table3(runner, CONFIG)
-        assert runner.persist_backtests() == 6  # thing1 and the five others
+        assert runner.persist() == 6  # thing1 and the five others
         upgraded, outcome = ResultCache(tmp_path).lookup(digest)
         assert outcome == "hit"
         assert sorted(upgraded._forecasts) == sorted(loaded._forecasts)
@@ -189,6 +207,7 @@ class TestStaleBacktests:
         again = runner.run_one("thing1", CONFIG)
         assert runner.stats.corrupt == 1 and runner.stats.misses == 1
         assert again.values("vmstat").tobytes() == run.values("vmstat").tobytes()
+        runner.persist()
         assert cache.lookup(digest)[1] == "hit"
 
 
@@ -198,7 +217,7 @@ def test_parallel_and_serial_runs_leave_identical_entries(tmp_path):
         cache_dir = tmp_path / f"jobs{jobs}"
         runner = Runner(jobs=jobs, cache=cache_dir)
         forecasting_tables(runner)
-        runner.persist_backtests()
+        runner.persist()
         entries.append(
             {name: data for name, (_, data) in entry_state(cache_dir).items()}
         )

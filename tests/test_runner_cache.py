@@ -124,6 +124,7 @@ class TestCorruptionRecovery:
         path.write_bytes(b"garbage")
         runner = Runner(cache=cache)
         run = runner.run("thing1", TINY)
+        runner.persist()
         assert runner.stats.corrupt == 1
         assert runner.stats.misses == 1
         np.testing.assert_array_equal(
