@@ -1,6 +1,6 @@
 #!/bin/sh
-# One-shot quality gate: ruff (if installed) + domain lint + tests +
-# committed report artifacts + benchmarks.
+# One-shot quality gate: ruff (if installed) + tests + committed report
+# artifacts + benchmarks.
 #
 # Usage: scripts/check.sh            (from the repository root)
 # Exits non-zero on the first failing stage.
@@ -16,14 +16,6 @@ else
     echo "==> ruff not installed; skipping (pip install ruff to enable)"
 fi
 
-# Domain lint: only the rules no later stage replaces -- PROTO001, EXC001,
-# FAULT001, DUR001, OBS002, the THRD001 race pass, and LINT001 for stale
-# suppressions.  Determinism, units and heap order are left to pytest,
-# the report diffs below and the runtime contracts.
-echo "==> nws-repro lint src/repro benchmarks examples (cached)"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint src/repro \
-    benchmarks examples --cache-dir artifacts/lint-cache
-
 echo "==> pytest"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q
 
@@ -36,7 +28,7 @@ trap 'rm -rf "$report_dir"' EXIT
 for run in fresh warm; do
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli report \
         "$report_dir/$run" --cache-dir "$report_dir/cache" --jobs 2 >/dev/null
-    diff -r --exclude=cache --exclude=bench --exclude=lint-cache \
+    diff -r --exclude=cache --exclude=bench \
         "$report_dir/$run" artifacts
 done
 
@@ -55,10 +47,6 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovi
 echo "==> fault-injection layer overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_faults.py
-
-echo "==> whole-program lint budget benchmark"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
-    --benchmark-disable-gc benchmarks/bench_lint.py
 
 echo "==> profiler / telemetry-merge overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \

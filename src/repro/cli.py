@@ -39,10 +39,6 @@ go to stderr so stdout stays byte-stable.
     Compare the current benchmark records (``artifacts/bench/``) against
     a baseline directory; exits 1 when a benchmark regressed beyond the
     noise tolerance.
-``nws-repro lint [PATHS] [--format text|json] [--select/--ignore RULE]``
-    Run the domain-aware static-analysis pass (forecaster protocol,
-    durable writes, service races, ...) over the given files or directories.
-    Exits 1 when unsuppressed findings remain, 2 on unknown rule ids.
 ``nws-repro chaos [--plan NAME] [--seed S] [--duration SEC] [--jobs N]``
     Replay the testbed under a named fault plan (``--list-plans`` shows
     them) against a fault-free baseline and report per-host
@@ -417,46 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write wall throughput as a BENCH record under artifacts/bench/",
     )
 
-    p_lint = sub.add_parser(
-        "lint", help="domain-aware static analysis (protocol, durability, races)"
-    )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to lint (default: src/repro, else cwd)",
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        dest="output_format",
-        help="report format (default: text)",
-    )
-    p_lint.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="run only these rule ids (repeatable or comma-separated)",
-    )
-    p_lint.add_argument(
-        "--ignore",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="skip these rule ids (repeatable or comma-separated)",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    p_lint.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result cache directory (default: no cache)",
-    )
-
     return parser
 
 
@@ -811,46 +767,10 @@ def _cmd_perf(args) -> int:
 
 
 def _split_rule_args(values: list[str] | None) -> list[str] | None:
-    """Flatten repeated / comma-separated ``--select``/``--ignore`` values."""
+    """Flatten repeated / comma-separated option values (e.g. ``--hosts``)."""
     if not values:
         return None
     return [token.strip() for value in values for token in value.split(",") if token.strip()]
-
-
-def _cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.lint import (
-        UnknownRuleError,
-        all_rules,
-        lint_paths,
-        render_json,
-        render_text,
-    )
-
-    if args.list_rules:
-        for rule in all_rules():
-            scope = ", ".join(rule.scope) if rule.scope else "all modules"
-            print(f"{rule.rule_id}  {rule.title}  [{scope}]")
-        return 0
-
-    paths = args.paths
-    if not paths:
-        default = Path("src") / "repro"
-        paths = [str(default)] if default.is_dir() else ["."]
-    try:
-        result = lint_paths(
-            paths,
-            select=_split_rule_args(args.select),
-            ignore=_split_rule_args(args.ignore),
-            cache_dir=args.cache_dir,
-        )
-    except (UnknownRuleError, FileNotFoundError) as exc:
-        print(f"nws-repro lint: {exc}", file=sys.stderr)
-        return 2
-    render = render_json if args.output_format == "json" else render_text
-    print(render(result))
-    return result.exit_code
 
 
 def _cmd_chaos(args) -> int:
@@ -1044,7 +964,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "profile": _cmd_profile,
         "perf": _cmd_perf,
-        "lint": _cmd_lint,
         "chaos": _cmd_chaos,
         "serve": _cmd_serve,
         "recover": _cmd_recover,

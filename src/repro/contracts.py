@@ -1,11 +1,11 @@
-"""Runtime counterparts of the static unit rules.
+"""Runtime contracts: availability is a finite fraction in [0, 1].
 
-The linter (:mod:`repro.lint`) proves at the AST level that availability
-identifiers are treated as fractions; these validators enforce the same
-invariant on *values* at the subsystem boundaries -- the sensor read path
-and the predictor ingest path.  They are assert-cheap (one comparison
-chain per call) and always on.  This module imports only the standard
-library, so using a contract never loads the linter.
+These validators check *values* at the subsystem boundaries -- the
+sensor read path and the predictor ingest path -- so a NaN or an
+out-of-range availability fails where it enters instead of skewing
+every forecast after it.  They are assert-cheap (one comparison chain
+per call) and always on.  This module imports only the standard
+library.
 
 ``ContractError`` subclasses :class:`ValueError`, so callers that already
 guard against bad measurements with ``except ValueError`` keep working.

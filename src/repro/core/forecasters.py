@@ -53,9 +53,10 @@ class Forecaster(ABC):
     ``forecast()`` before any ``update()`` raises :class:`ValueError`; the
     NWS likewise reports no prediction until it has one measurement.
 
-    Subclasses declare ``__slots__`` (lint rule PROTO001): batteries hold
-    dozens of live instances on the per-measurement hot path, and slotted
-    instances keep that footprint flat.
+    Subclasses declare ``__slots__`` (``tests/test_invariants.py`` checks
+    each one): batteries hold dozens of live instances on the
+    per-measurement hot path, and slotted instances keep that footprint
+    flat.
     """
 
     __slots__ = ()

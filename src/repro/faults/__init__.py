@@ -14,7 +14,7 @@ mechanism.  This package makes those conditions reproducible:
   event is tallied as ``repro_faults_{injected,absorbed,failed}_total``.
 * :class:`RetryPolicy` -- bounded, seeded exponential backoff with
   injected sleeping; the one sanctioned retry primitive for the service
-  layer (lint rule FAULT001).
+  layer (``tests/test_invariants.py`` scans for hand-rolled ones).
 * :class:`CircuitBreaker` -- seeded closed/open/half-open breaker with a
   probe budget, layered *outside* retries by
   :class:`~repro.nws.client.NWSClient` so a dead server fails fast

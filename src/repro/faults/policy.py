@@ -3,8 +3,8 @@
 Ad-hoc retry loops are how distributed systems hide failures: they spin
 forever, sleep off the simulated clock, and leave no trace of how often
 they fired.  :class:`RetryPolicy` is the one sanctioned way to retry in
-the service layer (lint rule FAULT001 enforces this for ``repro.nws`` and
-``repro.runner``): attempts are bounded, backoff delays come from a
+the service layer (``tests/test_invariants.py`` holds ``repro.nws`` and
+``repro.runner`` to it): attempts are bounded, backoff delays come from a
 seeded generator so runs stay bit-reproducible, waiting is injected (a
 sim-clock sleep, or nothing at all for in-process re-execution), and
 every retry is tallied on the installed metrics registry.

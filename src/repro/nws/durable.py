@@ -91,7 +91,7 @@ def fsync_dir(directory) -> None:
         return
     try:
         os.fsync(fd)
-    except OSError:  # lint: ignore[EXC001] -- best-effort by contract: atomicity holds without it
+    except OSError:  # best-effort by contract: atomicity holds without it
         pass
     finally:
         os.close(fd)
@@ -356,8 +356,12 @@ def _register_line(entry: Registration) -> str:
 
 # Possessive quantifiers: a line that does not match fails fast.
 _STR = rb'"(?:[ !#-\[\]-~]++|\\["\\/bfnrt]|\\u[0-9a-f]{4})*+"'
+# A number is only a shape ``_number`` writes: ``repr(float)`` as
+# ``d[.ddd]e[+-]dd[d]`` or in fixed notation (at most 16 integer digits),
+# or a NaN or infinity spelling.  The exponent form is tried first: inside
+# a possessive list, a fixed-notation prefix of it could not be given back.
 _NUM = (
-    rb"(?:-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)"
+    rb"(?:-?+(?:[1-9](?:(?:\.[0-9]++)?+e[-+][0-9]{2,3}+|[0-9]{0,15}+\.[0-9]++)|0\.[0-9]++)"
     rb"|NaN(?::[0-9a-f]{16})?+|-?+Infinity)"
 )
 _LIST = rb"\[(?:%s(?:, %s)*+)?+\]" % (_NUM, _NUM)

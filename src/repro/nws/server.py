@@ -502,7 +502,7 @@ class ForecastServer:
 
     def _maintenance_worker(self) -> None:
         # Event.wait gives both the cadence and an immediate, clean
-        # shutdown path (never time.sleep in a service loop -- FAULT001).
+        # shutdown path (never time.sleep in a service loop).
         while not self._stop.wait(self._maintenance_interval):
             self.maintain_once()
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -53,24 +51,13 @@ def kongo_run():
     return default_runner().run_one("kongo", SHORT)
 
 
-#: The shipped package tree the whole-tree lint tests check.
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+@pytest.fixture
+def lock_ownership(monkeypatch):
+    """Run a test with the NWS stores checking that every mutation of
+    their guarded maps holds the store's lock (:mod:`tests.lock_ownership`);
+    fails the test if any did not, also from another thread."""
+    from tests.lock_ownership import install
 
-
-@pytest.fixture(scope="session")
-def lint_cache_dir(tmp_path_factory) -> Path:
-    """One lint result cache per test session.
-
-    The first whole-tree lint of ``src/repro`` fills it; every later one
-    (through :func:`repro.lint.lint_paths` or ``nws-repro lint
-    --cache-dir``) is a warm whole-run hit.
-    """
-    return tmp_path_factory.mktemp("lint-cache")
-
-
-@pytest.fixture(scope="session")
-def src_lint_result(lint_cache_dir):
-    """The one whole-tree lint of ``src/repro`` shared by the session."""
-    from repro.lint import lint_paths
-
-    return lint_paths([SRC], cache_dir=lint_cache_dir)
+    violations = install(monkeypatch)
+    yield violations
+    assert violations == [], "mutated without the lock:\n" + "\n".join(violations)

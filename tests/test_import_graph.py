@@ -1,16 +1,15 @@
 """Start-up cost: the report and the server import only what they run.
 
-``scipy.stats`` (about 1 s and 60 MB) and the AST linter are needed only
-by ``compare_residuals`` and ``nws-repro lint``.  Every ``nws-repro``
-process pays for what its imports pull in, so these tests check the
-import graph of the report set-up modules and the forecast service in a
-fresh interpreter: this test process may already have imported scipy,
-which would hide a regression.
+``scipy.stats`` (about 1 s and 60 MB) is needed only by
+``compare_residuals``.  Every ``nws-repro`` process pays for what its
+imports pull in, so these tests check the import graph of the report
+set-up modules and the forecast service in a fresh interpreter: this
+test process may already have imported scipy, which would hide a
+regression.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -44,7 +43,6 @@ assert forecasts.shape == (8,)
 heavy = sorted(
     name for name in sys.modules
     if name == "scipy" or name.startswith("scipy.")
-    or name == "repro.lint" or name.startswith("repro.lint.")
 )
 print("\\n".join(heavy))
 """
@@ -98,7 +96,7 @@ def run_fresh(program: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_report_and_service_load_neither_scipy_nor_the_linter():
+def test_report_and_service_do_not_load_scipy():
     done = run_fresh(PROGRAM)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], f"imported at start-up:\n{done.stdout}"
@@ -124,11 +122,6 @@ def test_chaos_harness_loads_on_first_use():
         "assert run_chaos.__module__ == 'repro.experiments.chaos'\n"
     )
     assert done.returncode == 0, done.stderr
-
-
-def test_contracts_live_outside_the_linter():
-    assert importlib.util.find_spec("repro.contracts") is not None
-    assert importlib.util.find_spec("repro.lint.contracts") is None
 
 
 @pytest.mark.parametrize(

@@ -358,6 +358,7 @@ class TestKillRestartRecover:
             )
             restored.close()
 
+    @pytest.mark.usefixtures("lock_ownership")
     def test_concurrent_publish_during_recover(self, tmp_path):
         """recover() under live publishes: no lost samples, no torn reads."""
         core = ServiceCore(("default",), directory=tmp_path)

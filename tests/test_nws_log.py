@@ -288,6 +288,36 @@ class TestFoundInputs:
         assert result["recovered"] == result["live"]
 
 
+class TestNumberShapes:
+    """The log reads a number only in a shape the encoder writes."""
+
+    @staticmethod
+    def recovered(log: bytes):
+        """(live runs, corrupt lines) of a store recovered from ``log``."""
+        with tempfile.TemporaryDirectory() as directory, installed(MetricsRegistry()) as registry:
+            (Path(directory) / durable.LOG_NAME).write_bytes(log)
+            store = MemoryStore(directory=directory)
+            store.recover()
+            live = {s: [_bits(x) for x in store.fetch(s)[1]] for s in store.series_names()}
+            corrupt = registry.snapshot()["repro_memory_corrupt_journal_lines_total"]
+            return live, sum(sample["value"] for sample in corrupt["samples"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_float_restores_bit_exactly(self, x):
+        number = repr(x).encode()
+        log = (
+            b'{"publish": "p", "t": %s, "v": %s}\n' % (number, number)
+            + b'{"replace": "r", "t": [0.0, 1.0], "v": [%s, %s]}\n' % (number, number)
+        )
+        assert self.recovered(log) == ({"p": [_bits(x)], "r": [_bits(x)] * 2}, 0)
+
+    def test_a_digit_run_with_an_exponent_is_counted_not_restored(self):
+        # float() reads it as 1e297, but repr() never writes this shape.
+        log = b'{"publish": "p", "t": 0.0, "v": 1%s.0e-103}\n' % (b"0" * 400)
+        assert self.recovered(log) == ({}, 1)
+
+
 # ------------------------------------------------------ typed errors
 
 

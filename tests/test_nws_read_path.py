@@ -295,6 +295,7 @@ class TestIncrementalQuery:
 
 
 class TestConcurrentRegistrations:
+    @pytest.mark.usefixtures("lock_ownership")
     def test_register_and_refresh_race_free(self, tmp_path):
         core = ServiceCore(("default",), clock=lambda: 0.0, directory=tmp_path)
         errors: list[Exception] = []

@@ -68,6 +68,7 @@ class TestNameServer:
         ns.unregister("m")
         assert len(ns) == 0
 
+    @pytest.mark.usefixtures("lock_ownership")
     def test_concurrent_refresh_loses_no_registration(self):
         # Registrars re-register their sensors with a new attribute each
         # time while other threads refresh every sensor and look them up.

@@ -1,10 +1,10 @@
 """Every metric a running system exports is named in the ``repro.obs`` inventory.
 
-Lint rule OBS002 holds literal metric names in the source to the
-inventory in the :mod:`repro.obs` package docstring; names built at run
-time escape it.  This test checks what actually reaches a registry: a
-short report, an ``obs`` run and a loadtest served over HTTP, each under
-its own registry, must export only metric families the inventory names.
+The inventory in the :mod:`repro.obs` package docstring is the one
+catalogue of what a running system exports.  This test checks what
+actually reaches a registry, literal and run-time names alike: a short
+report, an ``obs`` run and a loadtest served over HTTP, each under its
+own registry, must export only metric families the inventory names.
 """
 
 from __future__ import annotations
