@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import BENCH_RECORD_DIR, run_once
+from benchmarks.conftest import record, run_once
 from repro.experiments.testbed import TestbedConfig
 from repro.obs import (
     MetricsRegistry,
@@ -28,7 +28,6 @@ from repro.obs import (
     render_folded,
     traced,
 )
-from repro.perf import record
 from repro.runner import Runner
 
 #: Three simulated hours of one testbed host per round (same scale as
@@ -83,7 +82,6 @@ def test_bench_profile_overhead(benchmark):
         unit="x",
         budget=MAX_OVERHEAD,
         direction="lower",
-        directory=BENCH_RECORD_DIR,
     )
     assert ratio < MAX_OVERHEAD, (
         f"profiled run took {profiled_time * 1e3:.1f} ms vs "

@@ -22,9 +22,8 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import BENCH_RECORD_DIR, run_once
+from benchmarks.conftest import record, run_once
 from repro.nws import ServiceCore, durable
-from repro.perf import record
 
 #: Acceptance scale for recovery: 1,000 series, a publish window each.
 RECOVERY_SERIES = 1000
@@ -144,7 +143,7 @@ def test_bench_recovery_log_writes_per_publish(tmp_path):
              MAX_BYTES_PER_PUBLISH),
         ):
             record(name, value, metric="per_publish", unit=unit, budget=budget,
-                   direction="lower", directory=BENCH_RECORD_DIR)
+                   direction="lower")
         assert writes <= MAX_WRITES_PER_PUBLISH[flush_lines], (
             f"flush_lines={flush_lines}: {writes} os.write calls per publish"
         )
@@ -164,6 +163,6 @@ def test_bench_recovery_fsyncs_per_heartbeat(tmp_path):
     core.close()
     record("recovery_fsyncs_per_heartbeat", busy, metric="per_tenant",
            unit="fsyncs", budget=MAX_FSYNCS_PER_TENANT_HEARTBEAT,
-           direction="lower", directory=BENCH_RECORD_DIR)
+           direction="lower")
     assert busy <= MAX_FSYNCS_PER_TENANT_HEARTBEAT, f"{busy} fsyncs per tenant log"
     assert idle == 0, f"an idle heartbeat made {idle} fsyncs"

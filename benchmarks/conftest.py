@@ -7,21 +7,22 @@ shape assertions, with wall time reported as a side benefit.  The
 ``repro.experiments.testbed`` run cache is shared across benches in one
 session, so the six-host day is simulated once, not ten times.
 
-Every :func:`run_once` benchmark also writes a structured
-``BENCH_<name>.json`` run record under ``artifacts/bench/`` via
-:mod:`repro.perf`, so ``scripts/check.sh`` leaves a perf trajectory
-behind and ``nws-repro perf diff <baseline>`` can flag regressions
-against a saved copy of that directory.
+Gates that assert a counted quantity or a ratio also write what they
+assert as a ``BENCH_<name>.json`` record under ``artifacts/bench/`` via
+:func:`record`: the measured value next to the budget it was held to.
+Wall-clock verdicts between two trees come only from
+``benchmarks/e2e/compare.py``, over alternating pairs of runs.
 """
 
 from __future__ import annotations
 
-import re
+import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
-
-from repro.perf import record
 
 #: Seed used by every paper-artifact benchmark (same default as the CLI).
 SEED = 7
@@ -35,28 +36,49 @@ def seed() -> int:
     return SEED
 
 
-def _record_name(raw: str) -> str:
-    """Sanitize a pytest benchmark name into a BENCH record name."""
-    name = re.sub(r"[^A-Za-z0-9._-]+", "_", raw)
-    name = name.removeprefix("test_bench_").removeprefix("test_")
-    return name.strip("._-") or "bench"
+def _git_rev() -> str:
+    """The current short revision, or ``"unknown"`` outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=5.0, check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
+
+
+def record(name, value, *, metric, unit, budget, direction) -> None:
+    """Write ``BENCH_<name>.json``: a gate's measured value and the budget it
+    asserts, ``direction`` saying which side of the budget passes.
+
+    The write is atomic (temp file plus rename), so an interrupted run never
+    leaves a truncated record; re-recording a name overwrites it.
+    """
+    doc = {
+        "name": name,
+        "metric": metric,
+        "value": float(value),
+        "unit": unit,
+        "budget": float(budget),
+        "direction": direction,
+        "host": {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+        },
+        "git_rev": _git_rev(),
+        "schema": 1,
+    }
+    BENCH_RECORD_DIR.mkdir(parents=True, exist_ok=True)
+    path = BENCH_RECORD_DIR / f"BENCH_{name}.json"
+    tmp = path.with_suffix(".json.tmp")
+    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, path)
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under the benchmark clock and return it.
-
-    Also persists the measured wall time as a ``BENCH_<name>.json`` run
-    record (best-effort: an unwritable artifacts directory must not fail
-    the benchmark itself).
-    """
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    try:
-        record(
-            _record_name(benchmark.name),
-            benchmark.stats.stats.min,
-            metric="wall_seconds",
-            directory=BENCH_RECORD_DIR,
-        )
-    except OSError:
-        pass
-    return result
+    """Run ``fn`` exactly once under the benchmark clock and return it."""
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -64,17 +64,4 @@ echo "==> durability recovery / publish-overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_recovery.py
 
-# Each benchmark above left a BENCH_<name>.json run record under
-# artifacts/bench/.  When a committed baseline exists (copy a known-good
-# artifacts/bench/ to benchmarks/baseline/ on this machine), diff
-# against it and fail on regressions beyond the noise tolerance.
-if [ -d benchmarks/baseline ]; then
-    echo "==> perf regression diff vs benchmarks/baseline"
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli perf diff \
-        benchmarks/baseline --current artifacts/bench
-else
-    echo "==> no benchmarks/baseline; skipping perf diff" \
-         "(cp -r artifacts/bench benchmarks/baseline to enable)"
-fi
-
 echo "==> all checks passed"

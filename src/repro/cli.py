@@ -35,10 +35,6 @@ go to stderr so stdout stays byte-stable.
     inclusive/exclusive sim-time; ``folded`` emits flamegraph.pl input;
     ``chrome`` emits Chrome trace_event JSON.  All three are byte-stable
     for a given seed.
-``nws-repro perf diff BASELINE [--current DIR] [--tolerance F] ...``
-    Compare the current benchmark records (``artifacts/bench/``) against
-    a baseline directory; exits 1 when a benchmark regressed beyond the
-    noise tolerance.
 ``nws-repro chaos [--plan NAME] [--seed S] [--duration SEC] [--jobs N]``
     Replay the testbed under a named fault plan (``--list-plans`` shows
     them) against a fault-free baseline and report per-host
@@ -61,8 +57,7 @@ go to stderr so stdout stays byte-stable.
     Drive a forecast service (a running ``serve`` via ``--url``, else an
     in-process core) with a seeded workload; the report is byte-identical
     for a given seed regardless of ``--jobs`` or transport.  ``--chaos
-    PLAN`` routes publishes through a named fault plan; ``--perf-record``
-    writes wall throughput to ``artifacts/bench/``.
+    PLAN`` routes publishes through a named fault plan.
 """
 
 from __future__ import annotations
@@ -268,38 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for testbed targets (output identical to 1)",
     )
 
-    p_perf = sub.add_parser(
-        "perf", help="benchmark record tooling (regression diffs)"
-    )
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-    p_perf_diff = perf_sub.add_parser(
-        "diff", help="diff current benchmark records against a baseline"
-    )
-    p_perf_diff.add_argument(
-        "baseline", type=str, help="baseline record directory (BENCH_*.json)"
-    )
-    p_perf_diff.add_argument(
-        "--current",
-        type=str,
-        default="artifacts/bench",
-        metavar="DIR",
-        help="current record directory (default: artifacts/bench)",
-    )
-    p_perf_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="F",
-        help="relative noise tolerance as a fraction (default: 0.05)",
-    )
-    p_perf_diff.add_argument(
-        "--min-delta",
-        type=float,
-        default=None,
-        metavar="X",
-        help="absolute floor below which a move never regresses (default: 0.002)",
-    )
-
     p_serve = sub.add_parser(
         "serve", help="run the multi-tenant forecast server until interrupted"
     )
@@ -406,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--horizon", type=int, default=1, help="forecast horizon for query ops"
-    )
-    p_load.add_argument(
-        "--perf-record",
-        action="store_true",
-        help="write wall throughput as a BENCH record under artifacts/bench/",
     )
 
     return parser
@@ -744,28 +702,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from repro.perf import diff_records, render_diff
-    from repro.perf.diff import DEFAULT_MIN_DELTA, DEFAULT_TOLERANCE
-
-    try:
-        diff = diff_records(
-            args.baseline,
-            args.current,
-            tolerance=(
-                DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-            ),
-            min_delta=(
-                DEFAULT_MIN_DELTA if args.min_delta is None else args.min_delta
-            ),
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"nws-repro perf diff: {exc}", file=sys.stderr)
-        return 2
-    print(render_diff(diff), end="")
-    return diff.exit_code
-
-
 def _split_rule_args(values: list[str] | None) -> list[str] | None:
     """Flatten repeated / comma-separated option values (e.g. ``--hosts``)."""
     if not values:
@@ -902,7 +838,6 @@ def _cmd_recover(args) -> int:
 def _cmd_loadtest(args) -> int:
     from repro.nws import NWSClient, ServiceCore
     from repro.nws.loadtest import LoadtestConfig, render, run_loadtest
-    from repro.perf import record
 
     tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
     try:
@@ -939,15 +874,6 @@ def _cmd_loadtest(args) -> int:
         f"shed retries={report.shed_retries})",
         file=sys.stderr,
     )
-    if args.perf_record:
-        path = record(
-            "nws_loadtest_rps",
-            report.wall_rps,
-            metric="requests_per_second",
-            unit="req/s",
-            direction="higher",
-        )
-        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -963,7 +889,6 @@ def main(argv: list[str] | None = None) -> int:
         "sched-demo": _cmd_sched_demo,
         "report": _cmd_report,
         "profile": _cmd_profile,
-        "perf": _cmd_perf,
         "chaos": _cmd_chaos,
         "serve": _cmd_serve,
         "recover": _cmd_recover,

@@ -20,6 +20,7 @@ from repro.analysis.acf import acf
 from repro.analysis.aggregate import aggregate_series
 from repro.analysis.rs import pox_plot_data
 from repro.experiments.results import FigureResult
+from repro.experiments.tables import _resolve
 from repro.experiments.testbed import DAY, TestbedConfig
 
 __all__ = ["figure1", "figure2", "figure3", "figure4"]
@@ -28,17 +29,6 @@ __all__ = ["figure1", "figure2", "figure3", "figure4"]
 FIGURE_HOSTS = ("thing1", "thing2")
 
 WEEK = 7 * DAY
-
-
-def _resolve(runner, config, *, seed: int, duration: float):
-    """Fill in the defaults of the uniform ``(runner, config)`` signature."""
-    if runner is None:
-        from repro.runner import default_runner
-
-        runner = default_runner()
-    if config is None:
-        config = TestbedConfig(duration=duration, seed=seed)
-    return runner, config
 
 
 def figure1(

@@ -14,8 +14,8 @@ make that hold:
   deterministic cost model (a per-op base plus a per-sample charge
   computed from the actual response payload), identical whether the
   transport was a method call or a socket.  Wall-clock throughput is
-  still measured -- it just flows to :mod:`repro.perf` records and
-  stderr, never into the report body.
+  still measured -- it just flows to stderr, never into the report
+  body.
 * **Canonical digests.**  Every response is re-encoded through
   :mod:`repro.nws.wire` and folded into a per-client SHA-256; client
   digests combine in client order.  Equal digests across transports are
@@ -188,10 +188,10 @@ class LoadtestReport:
 
     The deterministic fields (everything except ``wall_seconds`` /
     ``wall_rps`` / ``shed_retries``) are byte-stable for a fixed config
-    seed; the wall fields are measurement, reported only via stderr and
-    :mod:`repro.perf` records.  ``shed_retries`` counts how often shed
-    ops (HTTP 429) had to be retried before landing -- it depends on
-    server load, so it is wall-side too.
+    seed; the wall fields are measurement, reported only via stderr.
+    ``shed_retries`` counts how often shed ops (HTTP 429) had to be
+    retried before landing -- it depends on server load, so it is
+    wall-side too.
     """
 
     series: int
@@ -537,8 +537,8 @@ def run_loadtest(client_factory, config: LoadtestConfig) -> LoadtestReport:
 def render(report: LoadtestReport) -> str:
     """The deterministic report table (byte-identical for equal seeds).
 
-    Wall-clock numbers are deliberately absent: they belong to stderr
-    and the :mod:`repro.perf` record, never to the comparable artifact.
+    Wall-clock numbers are deliberately absent: they belong to stderr,
+    never to the comparable artifact.
     """
     lines = [
         "nws loadtest report",

@@ -1,12 +1,42 @@
-"""Shared fixtures: short reproducible testbed runs, seeded RNGs."""
+"""Shared fixtures: short reproducible testbed runs, seeded RNGs; a per-test watchdog."""
 
 from __future__ import annotations
+
+import faulthandler
+import os
 
 import numpy as np
 import pytest
 
 from repro.experiments.testbed import TestbedConfig
 from repro.runner import default_runner
+
+
+#: Wall seconds one test call may take before the run dumps every thread's
+#: stack and exits non-zero: a loop that never ends fails Tier-1 instead of
+#: hanging it.  The slowest Tier-1 test takes a few seconds.
+TEST_TIMEOUT_S = 120.0
+
+#: A copy of the terminal's stderr for the watchdog's dump, taken in
+#: ``pytest_configure`` while output is not captured: the process exits
+#: before pytest could report what a test wrote to the captured stream.
+_watchdog_fd: int | None = None
+
+
+def pytest_configure(config):
+    global _watchdog_fd
+    _watchdog_fd = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(_watchdog_fd)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True, file=_watchdog_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -314,36 +314,3 @@ class TestProfileCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "nonesuch" in err
-
-
-class TestPerfCommand:
-    def test_diff_flags_slowdown(self, capsys, tmp_path):
-        from repro.perf import record
-
-        base = tmp_path / "base"
-        cur = tmp_path / "cur"
-        record("bench_a", 1.0, directory=base)
-        record("bench_a", 2.0, directory=cur)
-        record("bench_b", 1.0, directory=base)
-        record("bench_b", 1.01, directory=cur)
-        rc = main(["perf", "diff", str(base), "--current", str(cur)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "regression" in out and "1 regression(s)" in out
-
-    def test_diff_clean_exits_zero(self, capsys, tmp_path):
-        from repro.perf import record
-
-        base = tmp_path / "base"
-        record("bench_a", 1.0, directory=base)
-        record("bench_a", 1.0, directory=tmp_path / "cur")
-        rc = main(
-            ["perf", "diff", str(base), "--current", str(tmp_path / "cur")]
-        )
-        assert rc == 0
-
-    def test_diff_missing_baseline_is_usage_error(self, capsys, tmp_path):
-        rc = main(["perf", "diff", str(tmp_path / "nope")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "no benchmark record directory" in err
