@@ -1,13 +1,21 @@
-"""Runner engine benchmarks: parallel speedup and cache-hit latency.
+"""Runner engine benchmarks: pool overhead and cache-hit latency.
 
 Two contracts worth numbers:
 
-* fanning cache misses across worker processes must actually pay for the
-  pool (>= 1.5x on two balanced hosts when two CPUs exist), while staying
-  bit-identical to the serial path;
+* fanning cache misses across worker processes must cost little beyond
+  the slowest worker's own simulation (the pool's start-up, pickling and
+  shutdown), while staying bit-identical to the serial path;
 * serving a warm on-disk cache entry must be at least an order of
   magnitude cheaper than re-simulating -- otherwise the cache is
   decoration.
+
+The fan-out gate does not assert a speedup.  The hosts' costs differ
+about twofold, and on a small shared VM two simulations running at once
+each slow down by more than half, so the speedup a 2-worker pool reaches
+is set by the VM, not by the runner.  Parallel wall time minus the
+slowest worker's ``host_seconds`` is what the pool itself adds; a pool
+that ran the hosts one after another would add the faster host's whole
+simulation.
 """
 
 from __future__ import annotations
@@ -18,13 +26,14 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import record, run_once
 from repro.experiments.testbed import DAY, TestbedConfig
 from repro.runner import Runner
 
-#: The two most evenly matched hosts (similar per-day simulation cost),
-#: so a 2-way fan-out can approach its ideal 2x.
 HOSTS = ("thing1", "conundrum")
+
+#: Seconds a 2-worker pool may add beyond its slowest worker's simulation.
+MAX_POOL_OVERHEAD_S = 0.15
 
 
 def _identical(a, b) -> None:
@@ -37,31 +46,38 @@ def _identical(a, b) -> None:
         np.testing.assert_array_equal(run_a.observed(), run_b.observed())
 
 
-def test_parallel_speedup(benchmark):
-    """2-host fan-out: >= 1.5x over serial, byte-identical results."""
+def test_parallel_pool_overhead(benchmark):
+    """2-host fan-out: the pool adds <= MAX_POOL_OVERHEAD_S to its slowest
+    worker, and the results are byte-identical to the serial path."""
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("parallel speedup needs >= 2 CPUs")
-    # Long enough that per-host simulation dwarfs pool start-up; a seed
+        pytest.skip("a 2-worker pool needs >= 2 CPUs")
+    # Long enough that either host's simulation dwarfs the budget; a seed
     # no other bench uses, so nothing is pre-memoized anywhere.
     config = TestbedConfig(duration=2 * DAY, seed=4099)
-
-    def fan_out():
-        return Runner(jobs=2).run(HOSTS, config)
+    runner = Runner(jobs=2)
 
     start = time.perf_counter()
-    parallel = run_once(benchmark, fan_out)
+    parallel = run_once(benchmark, runner.run, HOSTS, config)
     parallel_s = time.perf_counter() - start
-
-    start = time.perf_counter()
     serial = Runner(jobs=1).run(HOSTS, config)
-    serial_s = time.perf_counter() - start
-
     _identical(serial, parallel)
-    speedup = serial_s / parallel_s
+
+    slowest = max(runner.stats.host_seconds.values())
+    overhead = parallel_s - slowest
     print()
-    print(f"serial   {serial_s:8.3f} s")
-    print(f"parallel {parallel_s:8.3f} s   speedup {speedup:.2f}x")
-    assert speedup >= 1.5, f"parallel speedup {speedup:.2f}x < 1.5x"
+    print(f"parallel {parallel_s:8.3f} s   slowest worker {slowest:8.3f} s")
+    print(f"pool overhead {overhead:8.3f} s")
+    record(
+        "runner_pool_overhead",
+        overhead,
+        metric="pool_overhead",
+        unit="s",
+        budget=MAX_POOL_OVERHEAD_S,
+        direction="lower",
+    )
+    assert overhead <= MAX_POOL_OVERHEAD_S, (
+        f"pool overhead {overhead:.3f} s > {MAX_POOL_OVERHEAD_S} s"
+    )
 
 
 def test_parallel_matches_serial_on_one_cpu(benchmark):

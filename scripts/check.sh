@@ -36,7 +36,7 @@ echo "==> observability overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_obs.py
 
-echo "==> runner speedup / cache benchmark"
+echo "==> runner pool-overhead / cache benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_runner.py
 
@@ -47,10 +47,6 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovi
 echo "==> fault-injection layer overhead benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_faults.py
-
-echo "==> profiler / telemetry-merge overhead benchmark"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
-    --benchmark-disable-gc benchmarks/bench_profile.py
 
 echo "==> forecast server load / transport-parity benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \

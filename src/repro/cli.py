@@ -27,14 +27,6 @@ go to stderr so stdout stays byte-stable.
 ``nws-repro report OUT_DIR [--seed S] [--hours H] [--figure3-days D]``
     Write every table (CSV + text, with the paper's values) and every
     figure (CSV panels + ASCII render) plus a REPORT.txt summary.
-``nws-repro profile [TARGET] [--format table|folded|chrome] [--seed S] ...``
-    Deterministic profiler over the span stream of an instrumented run.
-    TARGET is ``nws`` (default: an instrumented NWS deployment), a
-    testbed host name, or ``all`` (the full testbed through the parallel
-    runner's telemetry merge).  ``table`` prints per-phase
-    inclusive/exclusive sim-time; ``folded`` emits flamegraph.pl input;
-    ``chrome`` emits Chrome trace_event JSON.  All three are byte-stable
-    for a given seed.
 ``nws-repro chaos [--plan NAME] [--seed S] [--duration SEC] [--jobs N]``
     Replay the testbed under a named fault plan (``--list-plans`` shows
     them) against a fault-free baseline and report per-host
@@ -228,41 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (one per host; output identical to --jobs 1)",
     )
 
-    p_profile = sub.add_parser(
-        "profile", help="deterministic span profiler (table, folded stacks, chrome)"
-    )
-    p_profile.add_argument(
-        "target",
-        nargs="?",
-        default="nws",
-        help=(
-            "'nws' (instrumented NWS deployment, default), a testbed host "
-            "name, or 'all' (full testbed via the runner telemetry merge)"
-        ),
-    )
-    p_profile.add_argument(
-        "--format",
-        choices=("table", "folded", "chrome"),
-        default="table",
-        dest="output_format",
-        help="output format (default: table)",
-    )
-    p_profile.add_argument("--seed", type=int, default=7)
-    p_profile.add_argument("--hours", type=float, default=1.0)
-    p_profile.add_argument(
-        "--profiles",
-        type=str,
-        default="thing1,conundrum",
-        help="profiles for the 'nws' target (comma-separated)",
-    )
-    p_profile.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for testbed targets (output identical to 1)",
-    )
-
     p_serve = sub.add_parser(
         "serve", help="run the multi-tenant forecast server until interrupted"
     )
@@ -291,18 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact old history onto a coarse grid (RetentionPolicy defaults)",
     )
     p_serve.add_argument(
-        "--directory",
-        default=None,
-        metavar="DIR",
-        help="persistence directory for the per-tenant logs",
-    )
-    p_serve.add_argument(
         "--state-dir",
         default=None,
         metavar="DIR",
         help=(
             "crash-safe state directory: restored on startup when it holds "
-            "a manifest, created fresh otherwise (supersedes --directory)"
+            "a manifest, created fresh otherwise"
         ),
     )
     p_serve.add_argument(
@@ -497,8 +448,8 @@ def _cmd_live(args) -> int:
     return 0
 
 
-def _nws_system(args, command: str):
-    """The validated ``NWSSystem`` behind ``obs`` / ``profile nws``.
+def _nws_system(args):
+    """The validated ``NWSSystem`` behind ``obs``.
 
     Returns None after printing one line to stderr when the profiles are
     missing, unknown or repeated, or ``--hours`` is negative or not
@@ -516,7 +467,7 @@ def _nws_system(args, command: str):
             return NWSSystem(profiles, seed=args.seed)
         except ValueError as exc:
             error = str(exc)
-    print(f"nws-repro {command}: {error}", file=sys.stderr)
+    print(f"nws-repro obs: {error}", file=sys.stderr)
     return None
 
 
@@ -535,7 +486,7 @@ def _cmd_obs(args) -> int:
     with installed(registry):
         # The registry must be live while the system is built: components
         # bind their metric handles at construction time.
-        system = _nws_system(args, "obs")
+        system = _nws_system(args)
         if system is None:
             return 2
         tracer = Tracer(clock=lambda: system.clock)
@@ -654,54 +605,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.obs import MetricsRegistry, Tracer, installed, traced
-    from repro.obs.profile import (
-        profile_spans,
-        render_chrome,
-        render_folded,
-        render_table,
-    )
-
-    registry = MetricsRegistry()
-    if args.target == "nws":
-        with installed(registry):
-            system = _nws_system(args, "profile")
-            if system is None:
-                return 2
-            tracer = Tracer(clock=lambda: system.clock)
-            with traced(tracer):
-                system.advance(args.hours * 3600.0)
-                system.client().query_all()
-    else:
-        from repro.experiments.testbed import TestbedConfig
-        from repro.runner import Runner
-        from repro.workload.profiles import profile_names
-
-        hosts = None if args.target == "all" else [args.target]
-        if hosts is not None and args.target not in profile_names():
-            print(
-                f"nws-repro profile: unknown target {args.target!r}; "
-                f"use 'nws', 'all' or one of {profile_names()}",
-                file=sys.stderr,
-            )
-            return 2
-        config = TestbedConfig(duration=args.hours * 3600.0, seed=args.seed)
-        # No result cache: cache hits return stored arrays without
-        # replaying telemetry, and the profiler needs the spans.
-        tracer = Tracer(clock=lambda: 0.0)
-        with installed(registry), traced(tracer):
-            Runner(jobs=args.jobs).run(hosts, config)
-    profile = profile_spans(tracer.spans)
-    if args.output_format == "folded":
-        print(render_folded(profile), end="")
-    elif args.output_format == "chrome":
-        print(render_chrome(profile), end="")
-    else:
-        print(render_table(profile), end="")
-    return 0
-
-
 def _split_rule_args(values: list[str] | None) -> list[str] | None:
     """Flatten repeated / comma-separated option values (e.g. ``--hosts``)."""
     if not values:
@@ -750,8 +653,7 @@ def _cmd_serve(args) -> int:
     retention = RetentionPolicy() if args.retention else None
     core = None
     if args.state_dir is not None:
-        # --state-dir supersedes --directory: same persistence layer, plus
-        # restore-on-startup when a manifest is already there.
+        # Restore when a manifest is already there, else start fresh.
         state_dir = Path(args.state_dir)
         try:
             try:
@@ -792,7 +694,6 @@ def _cmd_serve(args) -> int:
                 max_inflight=args.max_inflight,
                 tenants=tuple(tenants),
                 clock=time.time,
-                directory=args.directory,
                 retention=retention,
             )
     except (OSError, ValueError) as exc:
@@ -888,7 +789,6 @@ def main(argv: list[str] | None = None) -> int:
         "obs": _cmd_obs,
         "sched-demo": _cmd_sched_demo,
         "report": _cmd_report,
-        "profile": _cmd_profile,
         "chaos": _cmd_chaos,
         "serve": _cmd_serve,
         "recover": _cmd_recover,

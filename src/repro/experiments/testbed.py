@@ -180,8 +180,8 @@ def simulate_host(name: str, config: TestbedConfig | None = None) -> HostRun:
     run_start = host.kernel.time
 
     run_batch(host.kernel, config.duration)
-    # Root span for the profiler: sim-clock endpoints, so the probe spans
-    # recorded during the run nest under it and traces stay bit-stable.
+    # One span per simulated host, stamped with sim-clock endpoints (not
+    # the tracer's clock), so a seeded run's trace is bit-stable.
     get_tracer().record(
         "kernel.run", start=run_start, end=host.kernel.time, host=name
     )

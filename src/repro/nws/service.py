@@ -42,7 +42,12 @@ import time as _time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.nws.durable import read_manifest, tenant_directory, write_manifest
+from repro.nws.durable import (
+    MANIFEST_NAME,
+    read_manifest,
+    tenant_directory,
+    write_manifest,
+)
 from repro.nws.errors import ServerOverloaded, UnknownTenant
 from repro.nws.forecaster import ForecastReport, ForecasterService
 from repro.nws.memory import MemoryStore
@@ -185,7 +190,10 @@ class ServiceCore:
         Forwarded to each tenant's triple; ``directory`` gets one
         subdirectory per tenant, holding its log.  With a directory set
         the core also writes the manifest, so :meth:`restore` can
-        rebuild the whole deployment.
+        rebuild the whole deployment.  A directory that already holds a
+        manifest raises :class:`ValueError`: its logs belong to
+        :meth:`restore`, and a fresh core over them would serve an empty
+        store while appending to the old logs.
     retention:
         Optional :class:`RetentionPolicy` applied by :meth:`maintain`.
     journal_flush_lines:
@@ -205,6 +213,35 @@ class ServiceCore:
         retention: RetentionPolicy | None = None,
         journal_flush_lines: int = 1,
     ):
+        if directory is not None and (Path(directory) / MANIFEST_NAME).exists():
+            raise ValueError(
+                f"{directory} already holds a forecast-service state "
+                "directory; open it with ServiceCore.restore (nws-repro "
+                "serve --state-dir) so its published samples are kept"
+            )
+        self._open(
+            tenants,
+            clock=clock,
+            memory_capacity=memory_capacity,
+            directory=directory,
+            stale_after=stale_after,
+            forecaster_factory=forecaster_factory,
+            retention=retention,
+            journal_flush_lines=journal_flush_lines,
+        )
+
+    def _open(
+        self,
+        tenants,
+        *,
+        clock,
+        memory_capacity: int,
+        directory,
+        stale_after: float | None,
+        forecaster_factory,
+        retention: RetentionPolicy | None,
+        journal_flush_lines: int,
+    ) -> None:
         names = list(tenants)
         if not names:
             raise ValueError("need at least one tenant")
@@ -262,7 +299,8 @@ class ServiceCore:
             layout.
         """
         tenants = read_manifest(state_dir)
-        core = cls(
+        core = cls.__new__(cls)
+        core._open(
             tenants,
             clock=clock,
             memory_capacity=memory_capacity,

@@ -1,9 +1,8 @@
 """``repro.obs``: deterministic observability for the sim + NWS stack.
 
 The paper's argument is entirely quantitative, and so is this layer: a
-running system can be asked how many measurements each sensor produced,
-which member of the adaptive forecaster battery is currently winning, and
-where simulated time goes.  All timestamps come from injected (simulated)
+running system can be asked how many measurements each sensor produced
+and which member of the adaptive forecaster battery is currently winning.  All timestamps come from injected (simulated)
 clocks, so metrics snapshots and traces of a seeded run are
 bit-reproducible; wall-clock timing exists only in the ``repro.live``
 adapter.
@@ -21,21 +20,14 @@ Pieces
   event logs (byte-identical across same-seed runs), plus
   :func:`~repro.obs.exporters.deterministic_view` which drops the few
   wall-clock metric families (:data:`~repro.obs.metrics.WALL_METRICS`)
-  so cross-process parity can be asserted byte-for-byte.
-* :mod:`repro.obs.profile` -- deterministic profiler over a span stream:
-  span trees, inclusive/exclusive time per phase, ASCII table, folded
-  stacks (flamegraph.pl) and Chrome ``trace_event`` JSON.
+  so two runs of one seed can be compared byte-for-byte.
 * :mod:`repro.obs.dashboard` -- ASCII dashboard over a snapshot.
 * :mod:`repro.obs.instrument` -- collect-style kernel gauges.
 
-Cross-process aggregation: worker processes snapshot a private registry
-and tracer, and the parent folds them back in with
-:meth:`~repro.obs.metrics.MetricsRegistry.merge` (counters add, gauges
-last-writer-by-sim-time, histograms bucket-wise add; malformed snapshots
-raise :class:`~repro.obs.metrics.MergeError` before any mutation) and
-:meth:`~repro.obs.tracing.Tracer.import_spans`.  Merging worker
-snapshots in a canonical order makes parallel runs byte-identical to
-serial ones over the deterministic view.
+Telemetry stays in the process that records it: code records into the
+registry and tracer installed in its own process.  A serial
+:class:`~repro.runner.Runner` simulation records into the caller's
+sinks; a pool worker's telemetry stays in the worker.
 
 Usage: install a registry (and optionally a tracer) *before* constructing
 the system -- handles bind at construction time::
@@ -203,19 +195,12 @@ Runner (``repro.runner``):
   failed verification and were discarded.
 * ``repro_runner_simulations_total`` (counter; label ``mode`` in
   ``serial|parallel``) -- simulations actually executed.
-* ``repro_runner_snapshot_errors_total`` (counter) -- worker telemetry
-  snapshots dropped because they failed merge validation.
 * ``repro_runner_jobs`` (gauge) -- worker processes in the last run.
 * ``repro_runner_worker_utilization`` (gauge) -- busy fraction of the
   pool (wall-clock; excluded from the deterministic view).
 * ``repro_runner_host_seconds`` (histogram; label ``host``) -- wall time
-  simulating each host, observed worker-side and merged into the
-  parent registry (wall-clock; excluded from the deterministic view).
-
-Profiler (``repro.obs.profile``):
-
-* ``repro_profile_spans_total`` (counter) -- spans consumed by
-  :func:`~repro.obs.profile.profile_spans`.
+  simulating each host, observed by the runner that asked for it
+  (wall-clock; excluded from the deterministic view).
 
 Scheduling application (``repro.schedapp``):
 
@@ -247,23 +232,12 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    MergeError,
     MetricsRegistry,
     NullRegistry,
     get_registry,
     install,
     installed,
     uninstall,
-)
-from repro.obs.profile import (
-    PhaseStats,
-    Profile,
-    SpanNode,
-    build_span_trees,
-    profile_spans,
-    render_chrome,
-    render_folded,
-    render_table,
 )
 from repro.obs.tracing import (
     NULL_TRACER,
@@ -281,19 +255,14 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
-    "MergeError",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NULL_TRACER",
     "NullRegistry",
     "NullTracer",
-    "PhaseStats",
-    "Profile",
-    "SpanNode",
     "SpanRecord",
     "Tracer",
     "WALL_METRICS",
-    "build_span_trees",
     "deterministic_view",
     "get_registry",
     "get_tracer",
@@ -302,12 +271,8 @@ __all__ = [
     "installed",
     "jsonl_events",
     "observe_kernel",
-    "profile_spans",
-    "render_chrome",
-    "render_folded",
     "render_jsonl",
     "render_prometheus",
-    "render_table",
     "traced",
     "uninstall",
     "uninstall_tracer",

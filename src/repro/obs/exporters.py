@@ -50,9 +50,8 @@ def deterministic_view(registry_or_snapshot, *, exclude=WALL_METRICS) -> dict:
     Everything a seeded simulation records is bit-reproducible *except*
     the families in :data:`repro.obs.metrics.WALL_METRICS` (real
     per-host wall times and utilisation ratios).  Rendering this view
-    yields byte-identical exporter output across reruns and across
-    ``jobs=1`` vs ``jobs=N`` -- the parity contract the runner tests pin
-    down.
+    yields byte-identical exporter output across reruns of the same
+    seed.
     """
     snapshot = _snapshot_of(registry_or_snapshot)
     return {name: m for name, m in snapshot.items() if name not in exclude}

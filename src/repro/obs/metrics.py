@@ -30,7 +30,6 @@ in registration order, keeping the hot path untouched.
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 from bisect import bisect_left
@@ -41,7 +40,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MergeError",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -61,9 +59,9 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Metric families whose values come from the real (wall) clock and are
-#: therefore *not* reproducible across runs.  Everything else in a merged
-#: snapshot of a seeded simulation is bit-stable; the parity tests and
-#: :func:`repro.obs.exporters.deterministic_view` drop exactly this set.
+#: therefore *not* reproducible across runs.  Everything else in a
+#: snapshot of a seeded simulation is bit-stable;
+#: :func:`repro.obs.exporters.deterministic_view` drops exactly this set.
 WALL_METRICS = frozenset(
     {
         "repro_runner_host_seconds",
@@ -72,16 +70,6 @@ WALL_METRICS = frozenset(
         "repro_server_request_seconds",
     }
 )
-
-
-class MergeError(ValueError):
-    """A snapshot cannot be merged into this registry.
-
-    Raised for structural problems -- a metric registered under a
-    different kind, histogram bucket bounds that do not line up, or a
-    malformed sample.  The merge is two-phase (validate, then apply), so
-    a raised :class:`MergeError` leaves the registry untouched.
-    """
 
 
 class Counter:
@@ -240,9 +228,6 @@ class NullRegistry:
     def snapshot(self) -> dict:
         return {}
 
-    def merge(self, snapshot: dict, *, sim_time: float = 0.0) -> None:
-        pass
-
 
 NULL_REGISTRY = NullRegistry()
 
@@ -261,9 +246,6 @@ class MetricsRegistry:
         self._metrics: dict[str, dict[tuple[tuple[str, str], ...], object]] = {}
         self._kinds: dict[str, str] = {}
         self._callbacks: list[Callable[["MetricsRegistry"], None]] = []
-        # (name, label key) -> sim time of the last *merged* gauge write,
-        # so cross-process gauge merges are last-writer-by-sim-time.
-        self._gauge_times: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
         # Guards handle creation (the only registry-level mutation after
         # construction); handles themselves are bound per component and
         # written single-threaded.
@@ -382,131 +364,6 @@ class MetricsRegistry:
                     samples.append({"labels": labels, "value": handle.value})
             out[name] = {"type": self._kinds[name], "samples": samples}
         return out
-
-    # --------------------------------------------------------------- merge
-
-    def _validate_mergeable(self, snapshot: dict) -> None:
-        """Raise :class:`MergeError` unless ``snapshot`` can merge cleanly."""
-        if not isinstance(snapshot, dict):
-            raise MergeError(f"snapshot must be a dict, got {type(snapshot).__name__}")
-        for name, metric in snapshot.items():
-            if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise MergeError(f"invalid metric name {name!r}")
-            if not isinstance(metric, dict) or "type" not in metric:
-                raise MergeError(f"metric {name!r} has no 'type'")
-            kind = metric["type"]
-            if kind not in ("counter", "gauge", "histogram"):
-                raise MergeError(f"metric {name!r} has unknown kind {kind!r}")
-            existing = self._kinds.get(name)
-            if existing is not None and existing != kind:
-                raise MergeError(
-                    f"metric {name!r} is a {existing} here but a {kind} "
-                    "in the incoming snapshot"
-                )
-            samples = metric.get("samples")
-            if not isinstance(samples, list):
-                raise MergeError(f"metric {name!r} has no sample list")
-            for sample in samples:
-                if not isinstance(sample, dict) or "labels" not in sample:
-                    raise MergeError(f"metric {name!r} sample has no labels")
-                if not isinstance(sample["labels"], dict) or any(
-                    not isinstance(k, str) or not _LABEL_RE.match(k)
-                    for k in sample["labels"]
-                ):
-                    raise MergeError(f"metric {name!r} sample has bad label names")
-                if kind == "histogram":
-                    buckets = sample.get("buckets")
-                    if (
-                        not isinstance(buckets, list)
-                        or len(buckets) < 2
-                        or "sum" not in sample
-                        or "count" not in sample
-                    ):
-                        raise MergeError(
-                            f"histogram {name!r} sample is missing "
-                            "sum/count/buckets"
-                        )
-                    try:
-                        bounds = tuple(float(le) for le, _ in buckets[:-1])
-                        cumulative = [int(c) for _, c in buckets]
-                        last_le = float(buckets[-1][0])
-                    except (TypeError, ValueError) as exc:
-                        raise MergeError(
-                            f"histogram {name!r} has malformed buckets: {exc}"
-                        ) from exc
-                    if (
-                        not math.isinf(last_le)
-                        or list(bounds) != sorted(set(bounds))
-                        or any(a > b for a, b in zip(cumulative, cumulative[1:]))
-                    ):
-                        raise MergeError(
-                            f"histogram {name!r} buckets must be sorted, "
-                            "cumulative, and end at +Inf"
-                        )
-                    key = tuple(
-                        sorted((k, str(v)) for k, v in sample["labels"].items())
-                    )
-                    handle = self._metrics.get(name, {}).get(key)
-                    if handle is not None and handle.buckets != bounds:
-                        raise MergeError(
-                            f"histogram {name!r}{dict(key)} bucket bounds "
-                            f"differ: {handle.buckets} vs {bounds}"
-                        )
-                elif "value" not in sample:
-                    raise MergeError(f"{kind} {name!r} sample has no value")
-                elif kind == "counter" and float(sample["value"]) < 0.0:
-                    raise MergeError(
-                        f"counter {name!r} sample is negative: {sample['value']}"
-                    )
-
-    def merge(self, snapshot: dict, *, sim_time: float = 0.0) -> None:
-        """Fold a frozen snapshot from another registry into this one.
-
-        The cross-process aggregation primitive: worker processes return
-        ``registry.snapshot()`` dicts over the pool boundary and the
-        parent merges them.  Semantics per kind:
-
-        * **counters** add;
-        * **gauges** are last-writer-by-sim-time (``sim_time`` stamps the
-          incoming snapshot; at equal stamps the larger value wins, so the
-          merge stays commutative and deterministic whatever order worker
-          results arrive in);
-        * **histograms** add bucket-wise; bounds must match exactly.
-
-        Merging the per-host snapshots of a parallel run in any fixed
-        order reproduces the serial registry bit-for-bit: counter and
-        histogram merges commute, and testbed label sets are per-host
-        disjoint.  Validation happens up front -- a raised
-        :class:`MergeError` leaves the registry untouched.
-        """
-        self._validate_mergeable(snapshot)
-        sim_time = float(sim_time)
-        for name, metric in snapshot.items():
-            kind = metric["type"]
-            for sample in metric["samples"]:
-                labels = {str(k): str(v) for k, v in sample["labels"].items()}
-                if kind == "counter":
-                    self.counter(name, **labels).inc(float(sample["value"]))
-                elif kind == "gauge":
-                    handle = self.gauge(name, **labels)
-                    series_key = (name, handle.labels)
-                    previous = self._gauge_times.get(series_key)
-                    incoming = float(sample["value"])
-                    if previous is None or sim_time > previous:
-                        handle.set(incoming)
-                        self._gauge_times[series_key] = sim_time
-                    elif sim_time == previous and incoming > handle.value:
-                        handle.set(incoming)
-                else:
-                    buckets = sample["buckets"]
-                    bounds = tuple(float(le) for le, _ in buckets[:-1])
-                    handle = self.histogram(name, buckets=bounds, **labels)
-                    running = 0
-                    for i, (_, cumulative) in enumerate(buckets):
-                        handle.counts[i] += int(cumulative) - running
-                        running = int(cumulative)
-                    handle.sum += float(sample["sum"])
-                    handle.count += int(sample["count"])
 
 
 # ---------------------------------------------------------------- install

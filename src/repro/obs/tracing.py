@@ -43,21 +43,6 @@ __all__ = [
 ]
 
 
-def _coerce_span(span) -> "SpanRecord":
-    """A :class:`SpanRecord` from either a record or its dict form."""
-    if isinstance(span, SpanRecord):
-        return span
-    if isinstance(span, dict):
-        return SpanRecord(
-            name=str(span["name"]),
-            start=float(span["start"]),
-            end=float(span["end"]),
-            status=str(span.get("status", "ok")),
-            attrs=dict(span.get("attrs", {})),
-        )
-    raise TypeError(f"cannot import span of type {type(span).__name__}")
-
-
 @dataclass(frozen=True)
 class SpanRecord:
     """One finished span.
@@ -157,23 +142,6 @@ class Tracer:
         self._finish(record)
         return record
 
-    def import_spans(self, spans) -> int:
-        """Append a batch of finished spans (cross-process aggregation).
-
-        Worker processes hand their span lists back over the pool
-        boundary (as :class:`SpanRecord` objects or their dict form, the
-        shape :func:`repro.obs.exporters.jsonl_events` emits); the parent
-        imports each batch in a canonical order so the merged trace is
-        byte-identical to a serial run.  Retention (``max_spans``) and
-        the ``dropped`` tally apply as if the spans had been recorded
-        locally.  Returns the number of spans imported.
-        """
-        count = 0
-        for span in spans:
-            self._finish(_coerce_span(span))
-            count += 1
-        return count
-
     def _finish(self, record: SpanRecord) -> None:
         self._spans.append(record)
         if len(self._spans) > self.max_spans:
@@ -211,9 +179,6 @@ class NullTracer:
 
     def record(self, name: str, start: float, end: float, **attrs) -> None:
         return None
-
-    def import_spans(self, spans) -> int:
-        return 0
 
 
 NULL_TRACER = NullTracer()

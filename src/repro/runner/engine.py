@@ -16,17 +16,14 @@ and simulation is tallied both on :attr:`Runner.stats` (plain ints, for
 programmatic checks) and on the installed metrics registry
 (``repro_runner_*`` series) so cache behaviour is observable.
 
-Worker telemetry survives the pool boundary: each simulation runs under
-a scoped registry and sim-clock tracer (:func:`_simulate_one`), and the
-parent merges the returned snapshots (counters add, gauges
-last-writer-by-sim-time, histograms bucket-wise) and imports the span
-batches in submission order.  The merged registry and trace of a
-``jobs=N`` run are therefore byte-identical to ``jobs=1`` -- modulo the
-wall-clock families listed in :data:`repro.obs.metrics.WALL_METRICS` --
-and a snapshot that cannot merge is dropped and counted in
-``repro_runner_snapshot_errors_total`` instead of failing the batch.
-Cache hits (memory or disk) return stored results and do not replay
-telemetry.
+Telemetry is recorded where the simulation runs.  On the serial path
+(``jobs=1``, the default of every command) a simulation records straight
+into whatever registry and tracer the caller installed, like all other
+instrumented code.  A pool worker records into its own process's sinks,
+which stay there.  The runner itself observes each simulated host's wall
+time (``repro_runner_host_seconds``) in the parent, whichever path ran
+it.  Cache hits (memory or disk) return stored results and record no
+simulation telemetry.
 
 A disk entry also carries the backtests the tables computed from its run
 (``HostRun._forecasts``), which exist only after the run is simulated.
@@ -54,8 +51,7 @@ from typing import Callable, Iterable, TypeVar
 
 from repro.experiments.testbed import HostRun, TestbedConfig, simulate_host
 from repro.faults.policy import RetryError, RetryPolicy
-from repro.obs.metrics import MergeError, MetricsRegistry, get_registry, installed
-from repro.obs.tracing import Tracer, get_tracer, traced
+from repro.obs.metrics import get_registry
 from repro.runner.cache import ResultCache
 from repro.runner.keys import config_digest
 from repro.workload.profiles import profile_names
@@ -95,7 +91,6 @@ class RunnerStats:
     misses: int = 0
     corrupt: int = 0
     retries: int = 0
-    snapshot_errors: int = 0
     backtests_loaded: int = 0
     backtests_stored: int = 0
     sim_seconds: float = 0.0
@@ -106,7 +101,7 @@ class RunnerStats:
         return (
             f"memory_hits={self.memory_hits} disk_hits={self.disk_hits} "
             f"misses={self.misses} corrupt={self.corrupt} "
-            f"retries={self.retries} snapshot_errors={self.snapshot_errors} "
+            f"retries={self.retries} "
             f"backtests_loaded={self.backtests_loaded} "
             f"backtests_stored={self.backtests_stored} "
             f"sim_seconds={self.sim_seconds:.3f}"
@@ -133,43 +128,17 @@ class HostSimulationError(RuntimeError):
         self.attempts = attempts
 
 
-def _zero_clock() -> float:
-    """Clock for worker tracers; testbed spans carry explicit endpoints."""
-    return 0.0
+def _simulate_one(name: str, config: TestbedConfig) -> tuple[HostRun, float]:
+    """Simulate one host; returns ``(run, wall_seconds)``.
 
-
-def _simulate_one(
-    name: str, config: TestbedConfig
-) -> tuple[HostRun, dict, list, float]:
-    """Worker body: simulate one host under scoped telemetry.
-
-    Installs a fresh :class:`~repro.obs.metrics.MetricsRegistry` and a
-    sim-clock :class:`~repro.obs.tracing.Tracer` around the simulation,
-    so metrics and spans recorded inside a pool worker survive the
-    process boundary instead of being silently lost.  Returns ``(run,
-    snapshot, spans, wall_seconds)``; the parent merges the snapshot and
-    imports the spans in a canonical order, making parallel telemetry
-    byte-identical to serial.  The serial path runs the very same body,
-    so both modes share one code path and one output.
-
-    The per-host wall time is observed into the *worker's*
-    ``repro_runner_host_seconds`` histogram (and so arrives via the
-    snapshot merge); it is the one wall-clock family in the snapshot and
-    is excluded from the deterministic view.
-
-    Module-level so it pickles into :class:`ProcessPoolExecutor` workers.
+    The retry unit of :class:`Runner`, serial and pooled alike.  It
+    calls the module-global :func:`simulate_host`, so a wrapper
+    installed on that name sees every simulation.  Module-level so it
+    pickles into :class:`ProcessPoolExecutor` workers.
     """
     start = time.perf_counter()
-    registry = MetricsRegistry()
-    tracer = Tracer(clock=_zero_clock)
-    with installed(registry), traced(tracer):
-        run = simulate_host(name, config)
-        wall = time.perf_counter() - start
-        registry.histogram(
-            "repro_runner_host_seconds", buckets=_WALL_BUCKETS, host=name
-        ).observe(wall)
-        snapshot = registry.snapshot()
-    return run, snapshot, tracer.spans, wall
+    run = simulate_host(name, config)
+    return run, time.perf_counter() - start
 
 
 def parallel_map(
@@ -191,6 +160,11 @@ def parallel_map(
 
 class Runner:
     """Unified facade over memoization, the disk cache, and simulation.
+
+    A simulation in this process (``jobs=1``, or a failed host's
+    in-process retry) records into the registry and tracer installed
+    while :meth:`run` executes.  A failed attempt's partial telemetry
+    stays there too: the retry adds its own on top.
 
     Parameters
     ----------
@@ -233,9 +207,6 @@ class Runner:
         self._obs_jobs = registry.gauge("repro_runner_jobs")
         self._obs_utilization = registry.gauge("repro_runner_worker_utilization")
         self._obs_retries = registry.counter("repro_runner_retries_total")
-        self._obs_snapshot_errors = registry.counter(
-            "repro_runner_snapshot_errors_total"
-        )
         self._obs_jobs.set(float(self.jobs))
         # No sleeping between attempts: a failed host is re-simulated
         # immediately in-process (the failure mode is worker death, not a
@@ -334,7 +305,6 @@ class Runner:
         use_pool = workers > 1
         batch_start = time.perf_counter()
         out: dict[str, HostRun] = {}
-        telemetry: dict[str, tuple[dict, list]] = {}
         if use_pool:
             failed: dict[str, BaseException] = {}
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -348,7 +318,7 @@ class Runner:
                     for future in done:
                         digest = futures[future]
                         try:
-                            run, snapshot, spans, wall = future.result()
+                            run, wall = future.result()
                         except Exception as exc:
                             # Worker raised, or the pool broke under it
                             # (BrokenProcessPool): note it, retry in-process
@@ -359,64 +329,29 @@ class Runner:
                                 jobs_by_digest[digest], wall, "parallel"
                             )
                             out[digest] = run
-                            telemetry[digest] = (snapshot, spans)
             for digest in sorted(failed):
                 name = jobs_by_digest[digest]
-                run, snapshot, spans, wall = self._retry_host(name, config)
+                run, wall = self._retry_host(name, config)
                 self._record_sim(name, wall, "serial")
                 out[digest] = run
-                telemetry[digest] = (snapshot, spans)
         else:
             for digest in digests:
                 name = jobs_by_digest[digest]
                 try:
-                    run, snapshot, spans, wall = _simulate_one(name, config)
+                    run, wall = _simulate_one(name, config)
                 except Exception:
-                    run, snapshot, spans, wall = self._retry_host(name, config)
+                    run, wall = self._retry_host(name, config)
                 self._record_sim(name, wall, "serial")
                 out[digest] = run
-                telemetry[digest] = (snapshot, spans)
         batch_wall = time.perf_counter() - batch_start
         if use_pool and batch_wall > 0.0:
             busy = sum(self.stats.host_seconds[jobs_by_digest[d]] for d in digests)
             self._obs_utilization.set(min(1.0, busy / (batch_wall * workers)))
-        self._absorb_telemetry(digests, telemetry, config)
         return out
-
-    def _absorb_telemetry(
-        self,
-        digests: list[str],
-        telemetry: dict[str, tuple[dict, list]],
-        config: TestbedConfig,
-    ) -> None:
-        """Merge worker snapshots and spans into the run-time sinks.
-
-        Batches are absorbed in submission order -- not pool completion
-        order -- so the merged registry and trace are byte-identical to a
-        serial run of the same hosts.  The sinks are whatever registry
-        and tracer are installed *when the run executes* (the telemetry
-        belongs to the run, not to the runner, whose own cache counters
-        bind at construction).  A snapshot that cannot merge is dropped
-        and counted in ``repro_runner_snapshot_errors_total`` rather than
-        failing the batch: the simulation results are sound even when a
-        worker's telemetry is not.
-        """
-        registry = get_registry()
-        tracer = get_tracer()
-        for digest in digests:
-            if digest not in telemetry:
-                continue
-            snapshot, spans = telemetry[digest]
-            try:
-                registry.merge(snapshot, sim_time=config.duration)
-                tracer.import_spans(spans)
-            except (MergeError, TypeError, KeyError):
-                self.stats.snapshot_errors += 1
-                self._obs_snapshot_errors.inc()
 
     def _retry_host(
         self, name: str, config: TestbedConfig
-    ) -> tuple[HostRun, dict, list, float]:
+    ) -> tuple[HostRun, float]:
         """Re-simulate a failed host in-process, up to MAX_HOST_RETRIES times.
 
         The first attempt already happened (in a worker or serially), so
@@ -444,12 +379,12 @@ class Runner:
             ) from exc
 
     def _record_sim(self, host: str, wall: float, mode: str) -> None:
-        # The per-host wall-time histogram is observed inside the worker
-        # (see _simulate_one) and arrives via the snapshot merge; only
-        # the plain-int stats and mode counters are parent-side.
         self.stats.sim_seconds += wall
         self.stats.host_seconds[host] = wall
         self._obs_sims[mode].inc()
+        get_registry().histogram(
+            "repro_runner_host_seconds", buckets=_WALL_BUCKETS, host=host
+        ).observe(wall)
 
     def persist(self) -> int:
         """Store every memoized run not on disk yet, or whose backtests

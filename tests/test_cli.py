@@ -65,6 +65,16 @@ class TestParser:
             assert option in capsys.readouterr().err, argv
         assert not (tmp_path / "out").exists()
 
+    def test_removed_commands_and_options_exit_2(self, capsys, tmp_path):
+        # `serve --state-dir` restores or creates; a bare `--directory`
+        # opened an existing state directory without restoring it.
+        for argv in (["profile"], ["serve", "--directory", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        assert not any(tmp_path.iterdir())
+
+
 class TestRunCommand:
     def test_run_prints_host_summary_and_stats(self, capsys, tmp_path):
         rc = main(
@@ -225,7 +235,7 @@ class TestCommands:
             (["--hours", "nan"], "--hours must be finite"),
         ],
     )
-    @pytest.mark.parametrize("command", [["obs"], ["profile", "nws"]])
+    @pytest.mark.parametrize("command", [["obs"]])
     def test_nws_bad_input_is_one_line_exit_2(self, capsys, command, argv, message):
         rc = main(command + ["--profiles", "thing1"] + argv)
         err = capsys.readouterr().err
@@ -275,42 +285,3 @@ class TestCommands:
         rows = (tmp_path / "table6.csv").read_text().splitlines()[1:]
         assert len(rows) == 6
         assert all(row.split(",")[1:] == ["nan%"] * 3 for row in rows)
-
-
-class TestProfileCommand:
-    def test_profile_table_default(self, capsys):
-        rc = main(["profile", "thing1", "--hours", "0.5"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "kernel.run" in out and "sensor.probe" in out
-        assert out.splitlines()[0].startswith("phase")
-
-    def test_profile_nws_target(self, capsys):
-        rc = main(["profile", "nws", "--hours", "0.25", "--profiles", "thing1"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "nws.advance" in out
-
-    def test_profile_folded_byte_stable_across_jobs(self, capsys):
-        argv = ["profile", "thing1", "--hours", "0.5", "--format", "folded"]
-        assert main(argv + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-        assert "kernel.run;sensor.probe " in serial
-
-    def test_profile_chrome_is_json(self, capsys):
-        rc = main(
-            ["profile", "thing1", "--hours", "0.5", "--format", "chrome"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        doc = json.loads(out)
-        assert any(e["name"] == "kernel.run" for e in doc["traceEvents"])
-
-    def test_profile_rejects_unknown_target(self, capsys):
-        rc = main(["profile", "nonesuch"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "nonesuch" in err

@@ -326,6 +326,25 @@ class TestKillRestartRecover:
         with pytest.raises(FileNotFoundError, match="MANIFEST"):
             ServiceCore.restore(tmp_path)
 
+    def test_a_fresh_core_refuses_a_state_directory(self, tmp_path):
+        # A fresh core over old logs would serve an empty store while
+        # appending to them, so a later restore would disagree with it.
+        core = ServiceCore(directory=tmp_path)
+        core.publish("default", "s", 0.0, 0.5)
+        core.publish("default", "s", 10.0, 0.6)
+        core.close()
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        with pytest.raises(ValueError, match=r"ServiceCore\.restore.*--state-dir"):
+            ServiceCore(directory=tmp_path)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        restored = ServiceCore.restore(tmp_path)
+        restored.publish("default", "s", 20.0, 0.7)
+        times, _ = restored.fetch("default", "s")
+        restored.close()
+        assert ServiceCore.restore(tmp_path).fetch("default", "s")[0].tolist() == (
+            times.tolist()
+        ) == [0.0, 10.0, 20.0]
+
     def test_restore_rejects_foreign_state_versions(self, tmp_path):
         atomic_replace_json(
             tmp_path / MANIFEST_NAME,

@@ -74,6 +74,21 @@ class TestKernelInstrumentation:
         assert by_mode["sys"] == pytest.approx(1.0)
         assert by_mode["idle"] == pytest.approx(6.0)
 
+    def test_two_kernels_of_one_host_add_their_counters(self):
+        # A report simulates one host per run configuration into the
+        # same registry: counters add, gauges follow the newest kernel.
+        registry = MetricsRegistry()
+        with installed(registry):
+            for until in (30.0, 20.0):
+                kernel = Kernel()
+                observe_kernel(kernel, host="h")
+                kernel.run_until(until)
+        snap = registry.snapshot()
+        [ticks] = snap["repro_sim_ticks_total"]["samples"]
+        [clock] = snap["repro_sim_time_seconds"]["samples"]
+        assert ticks["value"] == 50
+        assert clock["value"] == 20.0
+
     def test_uninstrumented_kernel_costs_nothing_extra(self):
         # With the null registry installed (the default), the same run
         # works and no metric state accumulates anywhere.

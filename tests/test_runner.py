@@ -9,6 +9,7 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.experiments.testbed import HostRun, TestbedConfig
+from repro.obs import Tracer, deterministic_view, traced
 from repro.obs.metrics import MetricsRegistry, installed
 from repro.runner import HostSimulationError, Runner, default_runner, parallel_map
 from repro.runner import engine
@@ -215,3 +216,37 @@ class TestRunnerMetrics:
         hist = snap["repro_runner_host_seconds"]["samples"][0]
         assert hist["labels"]["host"] == "thing1"
         assert hist["count"] == 1
+
+
+class TestTelemetry:
+    """A simulation records into the sinks its own process has installed."""
+
+    HOSTS = ("thing1", "conundrum")
+
+    def test_serial_run_records_into_the_installed_sinks(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(clock=lambda: 0.0)
+        with installed(registry), traced(tracer):
+            Runner().run(self.HOSTS, TINY)
+        kernel = [s for s in tracer.spans if s.name == "kernel.run"]
+        assert [s.attrs["host"] for s in kernel] == list(self.HOSTS)
+        assert all(s.end == pytest.approx(TINY.duration) for s in kernel)
+        ticks = registry.snapshot()["repro_sim_ticks_total"]["samples"]
+        assert [s["labels"]["host"] for s in ticks] == sorted(self.HOSTS)
+        assert all(s["value"] > 0.0 for s in ticks)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_host_seconds_observation_per_simulated_host(self, jobs):
+        registry = MetricsRegistry()
+        runner = Runner(jobs=jobs)
+        with installed(registry):
+            runner.run(self.HOSTS, TINY)
+        snapshot = registry.snapshot()
+        samples = snapshot["repro_runner_host_seconds"]["samples"]
+        assert {s["labels"]["host"]: s["count"] for s in samples} == {
+            host: 1 for host in self.HOSTS
+        }
+        assert all(s["sum"] > 0.0 for s in samples)
+        assert "repro_runner_host_seconds" not in deterministic_view(snapshot)
+        # A pool worker's own telemetry stays in the worker.
+        assert ("repro_sim_ticks_total" in snapshot) == (jobs == 1)

@@ -1,77 +1,30 @@
-"""Cross-process telemetry: parallel == serial, byte for byte.
+"""Runner wall-clock telemetry seen from the parent process.
 
-Worker processes run each simulation under a private registry/tracer;
-the parent merges the snapshots and span batches back in submission
-order.  These tests pin the headline property -- a jobs=4 run exports
-the exact bytes of a serial run over the deterministic view -- and the
-failure policy: a worker snapshot that cannot merge is dropped and
-counted, never raised.
+A pool run records one ``repro_runner_host_seconds`` observation per
+simulated host into the parent's registry; those wall-clock families
+are real time, so :func:`repro.obs.deterministic_view` drops them and
+nothing else.
 """
 
-import pytest
-
 from repro.experiments.testbed import TestbedConfig
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    WALL_METRICS,
-    deterministic_view,
-    installed,
-    render_jsonl,
-    render_prometheus,
-    traced,
-)
-from repro.runner import Runner, engine
+from repro.obs import MetricsRegistry, WALL_METRICS, deterministic_view, installed
+from repro.runner import Runner
 
 TINY = TestbedConfig(duration=1500.0, warmup=300.0)
 HOSTS = ("thing1", "conundrum", "thing2", "gremlin")
 
 
-def _run_with_scoped_sinks(jobs: int):
-    """Run the four-host testbed; return (merged registry, tracer).
-
-    The Runner is constructed *outside* the installed scope so its own
-    cache counters (which legitimately differ between serial and
-    parallel: ``mode=...`` labels) bind to the null registry; only the
-    merged worker telemetry lands in the scoped sinks.
-    """
-    runner = Runner(jobs=jobs)
+def _parallel_run(jobs: int) -> MetricsRegistry:
+    """Run the four-host testbed on a pool; return the parent's registry."""
     registry = MetricsRegistry()
-    tracer = Tracer(clock=lambda: 0.0)
-    with installed(registry), traced(tracer):
-        runner.run(HOSTS, TINY)
-    return registry, tracer
+    with installed(registry):
+        Runner(jobs=jobs).run(HOSTS, TINY)
+    return registry
 
 
 class TestParallelSerialParity:
-    @pytest.fixture(scope="class")
-    def serial(self):
-        return _run_with_scoped_sinks(jobs=1)
-
-    @pytest.fixture(scope="class")
-    def parallel(self):
-        return _run_with_scoped_sinks(jobs=4)
-
-    def test_prometheus_bytes_identical(self, serial, parallel):
-        assert render_prometheus(
-            deterministic_view(serial[0])
-        ) == render_prometheus(deterministic_view(parallel[0]))
-
-    def test_jsonl_bytes_identical(self, serial, parallel):
-        assert render_jsonl(deterministic_view(serial[0])) == render_jsonl(
-            deterministic_view(parallel[0])
-        )
-
-    def test_spans_identical(self, serial, parallel):
-        assert serial[1].spans == parallel[1].spans
-
-    def test_kernel_run_spans_present_per_host(self, serial):
-        kernel = [s for s in serial[1].spans if s.name == "kernel.run"]
-        assert [s.attrs["host"] for s in kernel] == list(HOSTS)
-        assert all(s.end == pytest.approx(TINY.duration) for s in kernel)
-
-    def test_wall_metrics_present_but_excluded_from_view(self, parallel):
-        snapshot = parallel[0].snapshot()
+    def test_wall_metrics_present_but_excluded_from_view(self):
+        snapshot = _parallel_run(jobs=4).snapshot()
         assert "repro_runner_host_seconds" in snapshot
         view = deterministic_view(snapshot)
         assert not WALL_METRICS & set(view)
@@ -81,59 +34,11 @@ class TestParallelSerialParity:
 
 class TestHostSecondsHistogram:
     def test_one_observation_per_simulated_host(self):
-        registry, _ = _run_with_scoped_sinks(jobs=2)
-        samples = registry.snapshot()["repro_runner_host_seconds"]["samples"]
+        samples = _parallel_run(jobs=2).snapshot()["repro_runner_host_seconds"][
+            "samples"
+        ]
         by_host = {s["labels"]["host"]: s["count"] for s in samples}
         assert by_host == {host: 1 for host in HOSTS}
         assert all(
             s["sum"] > 0.0 for s in samples
         ), "wall time per host must be positive"
-
-
-class TestSnapshotErrorPolicy:
-    def _broken_simulate(self, bad_snapshot):
-        real = engine._simulate_one
-
-        def simulate(name, config):
-            run, _snapshot, spans, wall = real(name, config)
-            return run, bad_snapshot, spans, wall
-
-        return simulate
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            # The runner binds this counter at construction, so a gauge
-            # of the same name is a kind conflict in the parent registry.
-            {
-                "repro_runner_snapshot_errors_total": {
-                    "type": "gauge",
-                    "samples": [{"labels": {}, "value": 1.0}],
-                }
-            },
-            "not a snapshot at all",
-            {"repro_x_y": {"type": "counter", "samples": [{"value": 1}]}},
-        ],
-        ids=["kind-conflict", "non-dict", "missing-labels"],
-    )
-    def test_unmergeable_snapshot_dropped_and_counted(self, monkeypatch, bad):
-        monkeypatch.setattr(engine, "_simulate_one", self._broken_simulate(bad))
-        registry = MetricsRegistry()
-        with installed(registry):
-            runner = Runner()
-            runs = runner.run(("thing1", "conundrum"), TINY)
-        assert [r.host for r in runs] == ["thing1", "conundrum"]  # results sound
-        assert runner.stats.snapshot_errors == 2
-        assert "snapshot_errors=2" in runner.stats.summary()
-        snap = registry.snapshot()
-        assert (
-            snap["repro_runner_snapshot_errors_total"]["samples"][0]["value"]
-            == 2.0
-        )
-
-    def test_clean_run_counts_zero(self):
-        registry = MetricsRegistry()
-        with installed(registry):
-            runner = Runner()
-            runner.run_one("thing1", TINY)
-        assert runner.stats.snapshot_errors == 0
