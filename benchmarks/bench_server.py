@@ -74,7 +74,7 @@ def _run_in_process(config: LoadtestConfig):
 
 
 def _run_http(config: LoadtestConfig):
-    with ForecastServer(tenants=config.tenants) as server:
+    with ForecastServer(ServiceCore(tenants=config.tenants)) as server:
         with NWSClient.connect(server.url) as base:
             return run_loadtest(base.for_tenant, config)
 

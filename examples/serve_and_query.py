@@ -21,11 +21,17 @@ import math
 
 import numpy as np
 
-from repro.nws import ForecastServer, NWSClient, SeriesUnavailable, UnknownTenant
+from repro.nws import (
+    ForecastServer,
+    NWSClient,
+    SeriesUnavailable,
+    ServiceCore,
+    UnknownTenant,
+)
 
 
 def main() -> None:
-    with ForecastServer(tenants=("default", "hpc")) as server:
+    with ForecastServer(ServiceCore(tenants=("default", "hpc"))) as server:
         print(f"forecast server at {server.url} "
               f"(tenants: {', '.join(server.core.tenant_names())})")
 

@@ -40,11 +40,11 @@ echo "==> runner pool-overhead / cache benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_runner.py
 
-echo "==> forecast engine speedup / parity benchmark"
+echo "==> forecast engine speedup / streaming opcode-count benchmark"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_forecast.py
 
-echo "==> fault-injection layer overhead benchmark"
+echo "==> fault-injection layer: untouched hosts get no injector"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -p no:cacheprovider \
     --benchmark-disable-gc benchmarks/bench_faults.py
 

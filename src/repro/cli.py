@@ -651,22 +651,17 @@ def _cmd_serve(args) -> int:
         print("nws-repro serve: no tenants given", file=sys.stderr)
         return 2
     retention = RetentionPolicy() if args.retention else None
-    core = None
-    if args.state_dir is not None:
-        # Restore when a manifest is already there, else start fresh.
-        state_dir = Path(args.state_dir)
-        try:
+    state_dir = None if args.state_dir is None else Path(args.state_dir)
+    try:
+        core = None
+        if state_dir is not None:
+            # Restore when a manifest is already there, else start fresh.
             try:
                 core = ServiceCore.restore(
                     state_dir, clock=time.time, retention=retention
                 )
             except FileNotFoundError:
-                core = ServiceCore(
-                    tuple(tenants),
-                    clock=time.time,
-                    directory=state_dir,
-                    retention=retention,
-                )
+                pass
             else:
                 print(
                     f"restored state from {state_dir} "
@@ -674,28 +669,20 @@ def _cmd_serve(args) -> int:
                     file=sys.stderr,
                 )
                 tenants = core.tenant_names()
-        except (OSError, ValueError) as exc:
-            print(f"nws-repro serve: {exc}", file=sys.stderr)
-            return 2
-    try:
-        if core is not None:
-            server = ForecastServer(
-                core=core,
-                host=args.host,
-                port=args.port,
-                maintenance_interval=args.maintenance_interval,
-                max_inflight=args.max_inflight,
-            )
-        else:
-            server = ForecastServer(
-                host=args.host,
-                port=args.port,
-                maintenance_interval=args.maintenance_interval,
-                max_inflight=args.max_inflight,
-                tenants=tuple(tenants),
+        if core is None:
+            core = ServiceCore(
+                tuple(tenants),
                 clock=time.time,
+                directory=state_dir,
                 retention=retention,
             )
+        server = ForecastServer(
+            core,
+            host=args.host,
+            port=args.port,
+            maintenance_interval=args.maintenance_interval,
+            max_inflight=args.max_inflight,
+        )
     except (OSError, ValueError) as exc:
         print(f"nws-repro serve: {exc}", file=sys.stderr)
         return 2

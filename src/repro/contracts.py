@@ -13,9 +13,7 @@ guard against bad measurements with ``except ValueError`` keep working.
 
 from __future__ import annotations
 
-import functools
-
-__all__ = ["ContractError", "checked_fraction", "ensure_fraction"]
+__all__ = ["ContractError", "ensure_fraction"]
 
 
 class ContractError(ValueError):
@@ -40,18 +38,3 @@ def ensure_fraction(value: float, *, name: str = "availability") -> float:
         return value
     raise ContractError(f"{name} must be a fraction in [0, 1], got {value!r}")
 
-
-def checked_fraction(func):
-    """Decorator: the wrapped callable must return a fraction in [0, 1].
-
-    Applied to sensor measurement entry points so a drifting formula
-    fails loudly at the source instead of poisoning downstream
-    forecasts.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        result = func(*args, **kwargs)
-        return ensure_fraction(result, name=f"{func.__qualname__}() result")
-
-    return wrapper

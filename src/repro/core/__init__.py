@@ -51,7 +51,6 @@ from repro.core.forecasters import (
     Forecaster,
     GradientTracker,
     LastValue,
-    MedianWindow,
     RunningMean,
     SlidingMean,
     SlidingMedian,
@@ -77,7 +76,6 @@ __all__ = [
     "HorizonError",
     "MedianOfMeans",
     "LastValue",
-    "MedianWindow",
     "NWSPredictor",
     "TimeOfDayForecaster",
     "TrendForecaster",

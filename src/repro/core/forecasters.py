@@ -32,7 +32,6 @@ __all__ = [
     "RunningMean",
     "SlidingMean",
     "SlidingMedian",
-    "MedianWindow",
     "TrimmedMeanWindow",
     "AdaptiveWindowMean",
     "AdaptiveWindowMedian",
@@ -185,10 +184,6 @@ class SlidingMedian(Forecaster):
 
     def reset(self) -> None:
         self._ring = RingMedian(self._ring.capacity)
-
-
-#: Backwards-compatible alias; the NWS literature calls this MEDIAN(w).
-MedianWindow = SlidingMedian
 
 
 class TrimmedMeanWindow(Forecaster):

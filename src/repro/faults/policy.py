@@ -360,13 +360,3 @@ class CircuitBreaker:
                 if self._consecutive_failures >= self.failure_threshold:
                     self._open_locked()
 
-    def call(self, fn: Callable, *args, **kwargs):
-        """``fn(*args, **kwargs)`` guarded by the breaker."""
-        self.before_call()
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

@@ -21,24 +21,24 @@ long-running service:
   :class:`~repro.nws.forecaster.ForecasterService`.
 * :class:`~repro.nws.client.NWSClient` is the **one public API** over
   all of it: the same keyword-normalized ``publish`` / ``fetch`` /
-  ``query`` / ``register`` surface whether the transport executes a
-  shared :class:`~repro.nws.service.ServiceCore` in-process or speaks
+  ``query`` / ``register`` surface whether it calls a shared
+  :class:`~repro.nws.service.ServiceCore` in process or speaks
   the versioned JSON wire format of :mod:`repro.nws.wire` to a
   :class:`~repro.nws.server.ForecastServer` (a multi-tenant threading
   TCP server with its own lean HTTP/1.1 framing, one write per message
   on both ends; see ``nws-repro serve``).
-* :mod:`repro.nws.loadtest` drives either transport with a seeded,
+* :mod:`repro.nws.loadtest` drives either form with a seeded,
   byte-reproducible load test (see ``nws-repro loadtest``).
 
 Faithfulness notes: real NWS components are separate Unix processes
 speaking TCP; the in-process form keeps the same registration/lookup/
 publish/query protocol while staying testable and deterministic, and the
 HTTP form restores the process boundary -- sockets, typed error
-envelopes, TTL'd liveness -- without changing a single payload (the two
-transports execute the same :class:`~repro.nws.service.ServiceCore`).
+envelopes, TTL'd liveness -- without changing a single payload (both
+forms execute the same :class:`~repro.nws.service.ServiceCore`).
 """
 
-from repro.nws.client import HTTPTransport, InProcessTransport, NWSClient
+from repro.nws.client import HTTPTransport, NWSClient
 from repro.nws.errors import (
     RegistrationLapsed,
     SeriesUnavailable,
@@ -58,7 +58,6 @@ __all__ = [
     "ForecastServer",
     "ForecasterService",
     "HTTPTransport",
-    "InProcessTransport",
     "MemoryStore",
     "NWSClient",
     "NWSSystem",

@@ -2,15 +2,17 @@
 
 The API redesign collapses the old grab-bag of entry points (direct
 ``MemoryStore.publish``, ``ForecasterService.query``, ad-hoc name-server
-calls) into a single facade with two interchangeable transports:
+calls) into a single facade over a *transport*, the object whose
+methods it calls:
 
-* :class:`InProcessTransport` -- executes
-  :class:`~repro.nws.service.ServiceCore` methods directly; zero copies,
-  for simulations and tests.
-* :class:`HTTPTransport` -- speaks the versioned JSON wire format of
-  :mod:`repro.nws.wire` to a :class:`~repro.nws.server.ForecastServer`,
-  over persistent per-thread connections with lean HTTP/1.1 framing:
-  one ``sendall`` per request, a response read by ``Content-Length``.
+* in process, the transport is the
+  :class:`~repro.nws.service.ServiceCore` itself -- zero copies, for
+  simulations and tests;
+* :class:`HTTPTransport` speaks the versioned JSON wire format of
+  :mod:`repro.nws.wire` to a :class:`~repro.nws.server.ForecastServer`
+  (which calls those same core methods), over persistent per-thread
+  connections with lean HTTP/1.1 framing: one ``sendall`` per request,
+  a response read by ``Content-Length``.
 
 Both raise the *same* typed errors (:class:`SeriesUnavailable`,
 :class:`RegistrationLapsed`, :class:`UnknownTenant`, ``ValueError``) and
@@ -66,7 +68,7 @@ from repro.nws.wire import (
     raise_for_envelope,
 )
 
-__all__ = ["NWSClient", "InProcessTransport", "HTTPTransport", "FramingError"]
+__all__ = ["NWSClient", "HTTPTransport", "FramingError"]
 
 
 class FramingError(OSError):
@@ -154,60 +156,6 @@ def _classified(fn, args, kwargs):
         return "app", exc
 
 
-class InProcessTransport:
-    """Direct execution against a :class:`~repro.nws.service.ServiceCore`.
-
-    The core is shared state: many clients (one per tenant, or one per
-    simulated application) may hold the same transport.
-    """
-
-    def __init__(self, core: ServiceCore):
-        self.core = core
-
-    @classmethod
-    def fresh(cls, **core_kwargs) -> "InProcessTransport":
-        """A transport over a brand-new single-tenant core."""
-        return cls(ServiceCore(**core_kwargs))
-
-    def publish(self, tenant, series, time, value):
-        return self.core.publish(tenant, series, time, value)
-
-    def fetch(self, tenant, series, *, start, stop, limit):
-        times, values = self.core.fetch(
-            tenant, series, start=start, stop=stop, limit=limit
-        )
-        return np.asarray(times, dtype=np.float64), np.asarray(
-            values, dtype=np.float64
-        )
-
-    def query(self, tenant, series, *, horizon):
-        return self.core.query(tenant, series, horizon=horizon)
-
-    def query_all(self, tenant):
-        return self.core.query_all(tenant)
-
-    def register(self, tenant, name, kind, attributes, *, ttl):
-        return self.core.register(tenant, name, kind, attributes, ttl=ttl)
-
-    def refresh(self, tenant, name, *, ttl):
-        return self.core.refresh(tenant, name, ttl=ttl)
-
-    def lookup(self, tenant, kind, **attribute_filters):
-        return self.core.lookup(tenant, kind, **attribute_filters)
-
-    def series_names(self, tenant):
-        return self.core.series_names(tenant)
-
-    def recover(self, tenant, series):
-        return self.core.recover(tenant, series)
-
-    def health(self):
-        return self.core.health()
-
-    def close(self) -> None:
-        """Nothing to release: the core is shared, not owned."""
-
-
 class HTTPTransport:
     """The wire transport: versioned JSON over persistent HTTP/1.1.
 
@@ -218,9 +166,10 @@ class HTTPTransport:
     framing drops the socket and raises an ``OSError`` (a
     :class:`FramingError` for bad framing).  A request that dies that
     way -- the normal aftermath of a server restart invalidating every
-    pooled socket -- is retried once on a fresh connection; HTTP-level
-    failures surface as the typed errors of
-    :func:`~repro.nws.wire.raise_for_envelope`.
+    pooled socket -- is retried once on a fresh connection.  A request
+    that times out is never sent again (the server may still apply it):
+    the ``TimeoutError`` propagates.  HTTP-level failures surface as the
+    typed errors of :func:`~repro.nws.wire.raise_for_envelope`.
 
     ``deadline`` attaches a per-request time budget (seconds) as the
     ``X-NWS-Deadline`` header; the server sheds the request (HTTP 429,
@@ -293,6 +242,10 @@ class HTTPTransport:
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         try:
             status, raw = self._exchange(method, path, body)
+        except TimeoutError:
+            # The server may still be working on this request: sending
+            # it again could apply it twice (two samples for one publish).
+            raise
         except OSError:
             # A keep-alive connection the server already closed; one
             # retry on a fresh connection is the idiomatic recovery.
@@ -330,9 +283,11 @@ class HTTPTransport:
         body: dict = {"series": series}
         start = coerce_field("start", float, start)
         stop = coerce_field("stop", float, stop)
-        if start == start and start != float("-inf"):
+        # Only the open defaults are left out: a NaN bound selects no
+        # samples, on the wire as in process.
+        if start != float("-inf"):
             body["start"] = start
-        if stop == stop and stop != float("inf"):
+        if stop != float("inf"):
             body["stop"] = stop
         if limit is not None:
             body["limit"] = coerce_field("limit", int, limit)
@@ -401,11 +356,11 @@ class HTTPTransport:
 
 
 class NWSClient:
-    """The redesigned public API: one facade, two transports.
+    """The redesigned public API: one facade over a core or a socket.
 
     Construct via the classmethods --
-    :meth:`in_process` (own a fresh core, or query an existing one such
-    as a running :class:`~repro.nws.system.NWSSystem`'s) or :meth:`connect`
+    :meth:`in_process` (call a fresh core, or an existing one such as a
+    running :class:`~repro.nws.system.NWSSystem`'s) or :meth:`connect`
     (HTTP to a :class:`~repro.nws.server.ForecastServer`) -- or pass any
     transport explicitly.  A client is bound to one tenant;
     :meth:`for_tenant` derives a sibling on the same transport.
@@ -435,16 +390,16 @@ class NWSClient:
     # -------------------------------------------------------- constructors
 
     @classmethod
-    def in_process(cls, core: ServiceCore | None = None, *, tenant: str = DEFAULT_TENANT, **core_kwargs) -> "NWSClient":
-        """A client over an in-process core (a fresh one by default)."""
-        if core is not None and core_kwargs:
-            raise ValueError("pass either a core or core kwargs, not both")
-        transport = (
-            InProcessTransport(core)
-            if core is not None
-            else InProcessTransport.fresh(**core_kwargs)
-        )
-        return cls(transport, tenant=tenant)
+    def in_process(
+        cls, core: ServiceCore | None = None, *, tenant: str = DEFAULT_TENANT
+    ) -> "NWSClient":
+        """A client whose transport is ``core`` itself (a fresh
+        :class:`~repro.nws.service.ServiceCore` by default).
+
+        Closing the client closes the core: its tenant logs are flushed
+        and their descriptors released, and a later write reopens them.
+        """
+        return cls(core if core is not None else ServiceCore(), tenant=tenant)
 
     @classmethod
     def connect(

@@ -80,8 +80,8 @@ _SHED_STREAM = 0x53484544
 
 #: Simulated per-op base cost (milliseconds) and per-returned-sample
 #: charge.  Chosen to resemble localhost HTTP round-trips; what matters
-#: is that they are constants, so equal payloads cost equal latencies on
-#: both transports.
+#: is that they are constants, so equal payloads cost equal latencies in
+#: process and over HTTP.
 _BASE_COST_MS = {
     "publish": 0.35,
     "query": 0.8,

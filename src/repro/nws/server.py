@@ -3,10 +3,10 @@
 A :class:`ForecastServer` wraps one
 :class:`~repro.nws.service.ServiceCore` in a threading TCP server
 speaking the versioned JSON wire format of :mod:`repro.nws.wire` over
-lean HTTP/1.1.  Handlers execute exactly the same core methods the
-in-process transport calls, so the HTTP surface can never behave
-differently from the direct one -- the redesigned API's central
-guarantee.
+lean HTTP/1.1.  Handlers execute exactly the core methods an in-process
+:class:`~repro.nws.client.NWSClient` calls, so the HTTP surface can
+never behave differently from the direct one -- the redesigned API's
+central guarantee.
 
 Framing is the handler's own, not ``http.server``'s: each connection is
 a keep-alive loop that reads a request line and at most 100 headers
@@ -328,8 +328,8 @@ class ForecastServer:
     Parameters
     ----------
     core:
-        The :class:`~repro.nws.service.ServiceCore` to serve; one is
-        built from ``core_kwargs`` when omitted.
+        The :class:`~repro.nws.service.ServiceCore` to serve; a default
+        ``ServiceCore()`` when omitted.
     host / port:
         Bind address (port 0 picks an ephemeral port; read it back from
         :attr:`port` or :attr:`url`).
@@ -367,7 +367,6 @@ class ForecastServer:
         shed_retry_after: float = 0.05,
         drain_timeout: float = 5.0,
         shutdown_timeout: float = 5.0,
-        **core_kwargs,
     ):
         if maintenance_interval is not None and maintenance_interval <= 0.0:
             raise ValueError(
@@ -379,7 +378,7 @@ class ForecastServer:
             raise ValueError(f"max_inflight must be >= 0, got {max_inflight}")
         if shed_retry_after < 0.0:
             raise ValueError(f"shed_retry_after must be >= 0, got {shed_retry_after}")
-        self.core = core if core is not None else ServiceCore(**core_kwargs)
+        self.core = core if core is not None else ServiceCore()
         self.registration_ttl = registration_ttl
         self.max_inflight = max_inflight
         self.shed_retry_after = shed_retry_after

@@ -3,11 +3,11 @@
 :class:`ServiceCore` owns the per-tenant NWS triples (memory + forecaster
 + name server) and implements every operation the public API exposes:
 publish, fetch, query, register/refresh/lookup, recovery and retention
-maintenance.  Both transports execute *this* code --
-:class:`~repro.nws.client.InProcessTransport` calls it directly and
-:class:`~repro.nws.server.ForecastServer` calls it from HTTP handlers --
-so in-process and over-the-wire behaviour cannot diverge: same
-validation, same typed errors, same metrics.
+maintenance.  Every path executes *this* code -- an in-process
+:class:`~repro.nws.client.NWSClient` calls the core's methods as its
+transport and :class:`~repro.nws.server.ForecastServer` calls them from
+HTTP handlers -- so in-process and over-the-wire behaviour cannot
+diverge: same validation, same typed errors, same metrics.
 
 Tenancy is isolation, not namespacing: each tenant gets its own
 :class:`~repro.nws.memory.MemoryStore`,

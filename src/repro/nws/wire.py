@@ -445,8 +445,9 @@ def raise_for_envelope(status: int, payload: dict) -> None:
 
     The inverse of :func:`envelope_for_exception`: a 404 with code
     ``series_unavailable`` raises the same
-    :class:`~repro.nws.errors.SeriesUnavailable` the in-process
-    transport would, so client code branches identically either way.
+    :class:`~repro.nws.errors.SeriesUnavailable` the
+    :class:`~repro.nws.service.ServiceCore` raises in process, so client
+    code branches identically either way.
     """
     _check_version(payload)
     error = payload.get("error")

@@ -135,7 +135,7 @@ Forecast service (``repro.nws.service`` / ``repro.nws.server``; see
 ``nws-repro serve``):
 
 * ``repro_server_requests_total`` (counter; label ``op``) -- service
-  operations executed by the shared core, both transports.
+  operations executed by the shared core, in process and over HTTP.
 * ``repro_server_errors_total`` (counter; label ``code``) -- failed
   operations by wire error code (``bad_request``, ``unknown_tenant``,
   ``series_unavailable``, ``registration_lapsed``, ...).

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.predictor import PredictorMixture
 from repro.nws.client import NWSClient
+from repro.nws.service import ServiceCore
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.schedapp.tasks import GridTask, TaskResult
@@ -104,7 +105,7 @@ class SimGrid:
         # series gets its own aggregated predictor, queried through the
         # client API a remote scheduler would use.
         self.client = NWSClient.in_process(
-            forecaster_factory=lambda: PredictorMixture(aggregation=30)
+            ServiceCore(forecaster_factory=lambda: PredictorMixture(aggregation=30))
         )
         self.hosts = []
         self.suites: list[MeasurementSuite] = []

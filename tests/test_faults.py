@@ -467,14 +467,6 @@ class TestCircuitBreaker:
         assert info_a.value.retry_in == info_b.value.retry_in
         assert 10.0 <= info_a.value.retry_in <= 15.0
 
-    def test_call_convenience_wraps_the_state_machine(self):
-        cb, _ = breaker(failure_threshold=1)
-        with pytest.raises(OSError):
-            cb.call(_raise_oserror)
-        assert cb.state == "open"
-        with pytest.raises(CircuitOpenError):
-            cb.call(lambda: "never runs")
-
     def test_transitions_and_fastfails_are_tallied(self):
         with installed(MetricsRegistry()) as registry:
             cb, clock = breaker(failure_threshold=1)
@@ -507,7 +499,3 @@ class TestCircuitBreaker:
             CircuitBreaker(probe_budget=0)
         with pytest.raises(ValueError):
             CircuitBreaker(jitter=-0.5)
-
-
-def _raise_oserror():
-    raise OSError("dead")

@@ -1,4 +1,4 @@
-"""Runtime contracts: ensure_fraction / checked_fraction and their wiring."""
+"""Runtime contracts: ensure_fraction and its wiring."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.contracts import ContractError, checked_fraction, ensure_fraction
+from repro.contracts import ContractError, ensure_fraction
 from repro.core.predictor import NWSPredictor
 
 
@@ -54,23 +54,6 @@ def test_range_first_matches_env_first(monkeypatch, setting, value):
     else:
         with pytest.raises(ContractError, match="fraction in \\[0, 1\\]"):
             ensure_fraction(value)
-
-
-class TestCheckedFraction:
-    def test_validates_return_value(self):
-        @checked_fraction
-        def broken_sensor():
-            return 1.5
-
-        with pytest.raises(ContractError, match="broken_sensor"):
-            broken_sensor()
-
-    def test_passes_valid_results_through(self):
-        @checked_fraction
-        def sensor(x):
-            return x / 2.0
-
-        assert sensor(1.0) == 0.5
 
 
 class TestPredictorWiring:

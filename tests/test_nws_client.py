@@ -1,17 +1,23 @@
 """NWSClient facade: transport parity, tenancy, keyword-normalized API.
 
-The structural guarantee under test: both transports execute the same
-:class:`~repro.nws.service.ServiceCore`, so every payload -- forecasts,
-fetch windows, registrations, typed errors -- must be identical whether
-the service is an object or a socket away.
+The structural guarantee under test: in process and over HTTP the client
+executes the same :class:`~repro.nws.service.ServiceCore`, so every
+payload -- forecasts, fetch windows, registrations, typed errors -- must
+be identical whether the service is an object or a socket away.
 """
 
 from __future__ import annotations
 
 import json
+import tempfile
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.nws import (
     ForecastServer,
@@ -22,7 +28,14 @@ from repro.nws import (
     ServiceCore,
     UnknownTenant,
 )
-from repro.nws.wire import canonical, encode_fetch, encode_report
+from repro.nws.server import SERVER_REGISTRATION
+from repro.nws.wire import (
+    canonical,
+    code_for_exception,
+    encode_fetch,
+    encode_registration,
+    encode_report,
+)
 from tests.test_nws_server import OVERSIZED_FIELDS
 
 
@@ -35,7 +48,7 @@ def fill(client: NWSClient, series: str = "cpu.a", n: int = 64) -> str:
 
 @pytest.fixture()
 def server():
-    with ForecastServer(tenants=("default", "hpc")) as srv:
+    with ForecastServer(ServiceCore(tenants=("default", "hpc"))) as srv:
         yield srv
 
 
@@ -82,12 +95,8 @@ class TestInProcess:
         with pytest.raises(UnknownTenant):
             a.for_tenant("c").series_names()
 
-    def test_core_or_kwargs_not_both(self):
-        with pytest.raises(ValueError):
-            NWSClient.in_process(ServiceCore(), memory_capacity=10)
-
     def test_registration_lifecycle(self):
-        with NWSClient.in_process(clock=lambda: 0.0) as client:
+        with NWSClient.in_process(ServiceCore(clock=lambda: 0.0)) as client:
             client.register("sensor.x", "sensor", {"host": "x"}, ttl=30.0)
             assert [r.name for r in client.lookup("sensor")] == ["sensor.x"]
             client.refresh("sensor.x", ttl=60.0)
@@ -202,3 +211,158 @@ class TestTransportParity:
     def test_connect_rejects_non_http(self):
         with pytest.raises(ValueError):
             NWSClient.connect("ftp://example:1")
+
+
+class TestTimeouts:
+    def test_a_timed_out_request_is_not_sent_again(self):
+        # The server may still apply a request the client stopped waiting
+        # for: sending it again would store one publish twice.
+        core = ServiceCore()
+        publish, calls, done = core.publish, [], threading.Event()
+
+        def slow_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                time.sleep(0.5)
+            try:
+                return publish(*args)
+            finally:
+                done.set()
+
+        core.publish = slow_first
+        with ForecastServer(core) as server:
+            with NWSClient.connect(server.url, timeout=0.2) as client:
+                with pytest.raises(TimeoutError):
+                    client.publish("cpu.a", time=0.0, value=0.5)
+            assert done.wait(5.0)
+        times, values = core.fetch("default", "cpu.a")
+        assert len(calls) == 1
+        assert list(times) == [0.0] and list(values) == [0.5]
+
+
+#: Series names, stamps and values the generated operations draw from:
+#: out-of-order and non-finite stamps, NaN and out-of-range values.
+SERIES = ("cpu.a", "cpu.ü\"b", "cpu.ghost")
+STAMPS = [-5.0, 0.0, 10.0, 10.0, 20.0, 35.0, 1e12, float("inf"), float("nan")]
+SAMPLES = [0.0, 0.25, 0.5, 0.93, 1.0, 1.5, float("nan")]
+BOUNDS = [float("-inf"), -1.0, 0.0, 10.0, 20.0, 1e13, float("inf"), float("nan")]
+TENANTS = ("default", "hpc", "nobody")
+COMPONENTS = ("sensor.a", "sensor.b", "memory.m")
+
+_op = st.one_of(
+    st.tuples(
+        st.just("publish"), st.sampled_from(SERIES), st.sampled_from(STAMPS),
+        st.sampled_from(SAMPLES),
+    ),
+    st.tuples(
+        st.just("fetch"), st.sampled_from(SERIES), st.sampled_from(BOUNDS),
+        st.sampled_from(BOUNDS), st.sampled_from([None, 0, 1, 3, 100]),
+    ),
+    st.tuples(st.just("query"), st.sampled_from(SERIES), st.sampled_from([0, 1, 3, 30])),
+    st.tuples(st.just("query_all")),
+    st.tuples(st.just("series_names")),
+    st.tuples(
+        st.just("register"), st.sampled_from(COMPONENTS), st.sampled_from(["sensor", "memory"]),
+        st.dictionaries(
+            st.sampled_from(["host", "ü"]), st.sampled_from(["x", "y\"ü"]), max_size=2
+        ),
+        st.sampled_from([None, 0.0, 5.0, 60.0, float("nan")]),
+    ),
+    st.tuples(
+        st.just("refresh"), st.sampled_from(COMPONENTS + ("sensor.ghost",)),
+        st.sampled_from([5.0, 60.0, -1.0]),
+    ),
+    st.tuples(
+        st.just("lookup"), st.sampled_from([None, "sensor", "memory", "forecaster"]),
+        st.dictionaries(st.sampled_from(["host"]), st.sampled_from(["x", "y\"ü"]), max_size=1),
+    ),
+    st.tuples(st.just("recover"), st.sampled_from(SERIES)),
+    st.tuples(st.just("tick"), st.sampled_from([1.0, 10.0, 100.0])),
+)
+
+#: Each operation goes to a served tenant or to one neither side serves.
+_ops = st.lists(st.tuples(st.sampled_from(TENANTS), _op), min_size=1, max_size=25)
+
+
+def _wire(op, result) -> bytes:
+    """An operation's result as the canonical bytes the wire would carry."""
+    kind = op[0]
+    if kind == "fetch":
+        return canonical(encode_fetch(op[1], *result))
+    if kind == "query":
+        return canonical(encode_report(result))
+    if kind == "query_all":
+        return b"".join(canonical(encode_report(result[name])) for name in sorted(result))
+    if kind in ("register", "refresh"):
+        return canonical(encode_registration(result))
+    if kind == "lookup":
+        return b"".join(canonical(encode_registration(r)) for r in result)
+    return json.dumps(result).encode()
+
+
+def _apply(client: NWSClient, op):
+    """``("ok", wire bytes)`` or ``("error", wire code)`` for one operation."""
+    kind, args = op[0], op[1:]
+    try:
+        if kind == "publish":
+            result = client.publish(args[0], time=args[1], value=args[2])
+        elif kind == "fetch":
+            result = client.fetch(args[0], start=args[1], stop=args[2], limit=args[3])
+        elif kind == "query":
+            result = client.query(args[0], horizon=args[1])
+        elif kind == "register":
+            result = client.register(*args[:3], ttl=args[3])
+        elif kind == "refresh":
+            result = client.refresh(args[0], ttl=args[1])
+        elif kind == "lookup":
+            result = client.lookup(args[0], **args[1])
+        else:
+            result = getattr(client, kind)(*args)
+    except Exception as exc:
+        return "error", code_for_exception(exc)
+    return "ok", _wire(op, result)
+
+
+class TestGeneratedParity:
+    """Generated operation sequences answer alike in process and over HTTP."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=_ops)
+    # Found by this property: the HTTP transport dropped a NaN bound, so
+    # the server fetched the whole series where the core fetched nothing.
+    @example(ops=[
+        ("default", ("publish", "cpu.a", -5.0, 0.0)),
+        ("default", ("fetch", "cpu.a", float("nan"), -1.0, None)),
+    ])
+    def test_every_answer_has_the_same_wire_bytes(self, ops):
+        now = [0.0]
+
+        def core(directory):
+            return ServiceCore(
+                ("default", "hpc"), clock=lambda: now[0], directory=directory, stale_after=30.0
+            )
+
+        with tempfile.TemporaryDirectory() as scratch:
+            local_core = core(Path(scratch) / "local")
+            with ForecastServer(core(Path(scratch) / "remote")) as server:
+                # The server announces itself in every tenant it serves.
+                for tenant in local_core.tenant_names():
+                    local_core.register(
+                        tenant, SERVER_REGISTRATION, "forecaster",
+                        {"url": server.url}, ttl=server.registration_ttl,
+                    )
+                local = NWSClient.in_process(local_core)
+                with NWSClient.connect(server.url) as remote:
+                    for tenant, op in ops:
+                        if op[0] == "tick":
+                            now[0] += op[1]
+                            continue
+                        expected = _apply(local.for_tenant(tenant), op)
+                        assert _apply(remote.for_tenant(tenant), op) == expected, op
+                    for tenant in local_core.tenant_names():
+                        for op in [("series_names",), ("query_all",), ("lookup", None, {})] + [
+                            ("fetch", s, float("-inf"), float("inf"), None) for s in SERIES
+                        ]:
+                            expected = _apply(local.for_tenant(tenant), op)
+                            assert _apply(remote.for_tenant(tenant), op) == expected, op
+                local.close()

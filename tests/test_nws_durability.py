@@ -502,7 +502,7 @@ class TestDeeplyNestedJson:
 
     def test_request_body_is_a_bad_request(self):
         with installed(MetricsRegistry()):
-            with ForecastServer(tenants=("default",)) as server:
+            with ForecastServer() as server:
                 request = urllib.request.Request(
                     f"{server.url}/v1/default/publish",
                     data=DEEP,
@@ -586,7 +586,7 @@ class TestTypedStoreErrors:
         restored.close()
 
     def test_recover_without_a_state_directory_is_a_bad_request(self):
-        with ForecastServer(tenants=("default",)) as server:
+        with ForecastServer() as server:
             client = NWSClient.connect(server.url)
             with pytest.raises(ValueError, match="persistence directory"):
                 client.recover("a")

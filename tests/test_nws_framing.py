@@ -104,7 +104,7 @@ def envelope(status: int, headers: dict, body: bytes) -> dict:
 @pytest.fixture()
 def server():
     with installed(MetricsRegistry()):
-        with ForecastServer(tenants=("default",)) as srv:
+        with ForecastServer() as srv:
             yield srv
 
 

@@ -127,7 +127,7 @@ class TestTransportParity:
     def test_http_digest_matches_in_process(self):
         config = dataclasses.replace(SMALL, operations=120)
         local = run(config)
-        with ForecastServer(tenants=config.tenants) as server:
+        with ForecastServer(ServiceCore(tenants=config.tenants)) as server:
             with NWSClient.connect(server.url) as base:
                 remote = run_loadtest(base.for_tenant, config)
         assert remote.digest == local.digest

@@ -45,8 +45,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="registration_ttl"):
             ForecastServer(registration_ttl=-1.0)
 
-    def test_core_kwargs_forwarded(self):
-        server = ForecastServer(tenants=("a", "b"))
+    def test_serves_the_core_it_is_given(self):
+        core = ServiceCore(tenants=("a", "b"))
+        server = ForecastServer(core)
+        assert server.core is core
         assert server.core.tenant_names() == ["a", "b"]
         server._httpd.server_close()
 
@@ -59,7 +61,7 @@ class TestValidation:
 class TestDispatch:
     @pytest.fixture()
     def server(self):
-        server = ForecastServer(tenants=("default", "hpc"))
+        server = ForecastServer(ServiceCore(tenants=("default", "hpc")))
         yield server
         server._httpd.server_close()
 
@@ -124,7 +126,7 @@ class TestDispatch:
 class TestHTTP:
     @pytest.fixture()
     def server(self):
-        with ForecastServer(tenants=("default",)) as srv:
+        with ForecastServer() as srv:
             yield srv
 
     def test_health_live(self, server):
@@ -194,7 +196,7 @@ class TestOversizedNumbers:
         ids=[f"{op}-{field}" for op, _, field in OVERSIZED_FIELDS],
     )
     def test_http_answers_bad_request(self, op, body, field):
-        with ForecastServer(tenants=("default",)) as server:
+        with ForecastServer() as server:
             server.core.publish("default", "s", 0.0, 0.5)
             server.core.register("default", "a", "sensor", ttl=60.0)
             request = urllib.request.Request(
@@ -214,7 +216,7 @@ class TestOversizedNumbers:
 
 class TestSelfRegistration:
     def test_registers_in_every_tenant(self):
-        with ForecastServer(tenants=("default", "hpc")) as server:
+        with ForecastServer(ServiceCore(tenants=("default", "hpc"))) as server:
             for tenant in ("default", "hpc"):
                 registration = server.core.tenant(tenant).nameserver.get(
                     SERVER_REGISTRATION

@@ -306,7 +306,7 @@ class TestNWSSystem:
         assert tenant.memory is system.memory
         assert tenant.forecaster is system.forecaster
         assert tenant.nameserver is system.nameserver
-        assert system.client().transport.core is system.core
+        assert system.client().transport is system.core
         assert system.core.query_all("default") == system.client().query_all()
 
     def test_unknown_host(self, system):

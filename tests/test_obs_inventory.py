@@ -14,7 +14,7 @@ import re
 
 import repro.obs
 from repro.cli import main
-from repro.nws import ForecastServer, NWSClient
+from repro.nws import ForecastServer, NWSClient, ServiceCore
 from repro.nws.loadtest import LoadtestConfig, run_loadtest
 from repro.obs import MetricsRegistry, installed
 
@@ -53,7 +53,7 @@ def obs_families(capsys) -> set[str]:
 def served_families() -> set[str]:
     registry = MetricsRegistry()
     with installed(registry):
-        with ForecastServer(tenants=LOADTEST.tenants) as server:
+        with ForecastServer(ServiceCore(tenants=LOADTEST.tenants)) as server:
             with NWSClient.connect(server.url) as base:
                 run_loadtest(base.for_tenant, LOADTEST)
                 status, payload = server.dispatch("GET", "/v1/metrics", {})
