@@ -1,6 +1,6 @@
 #!/bin/sh
-# One-shot quality gate: ruff (if installed) + tests + committed report
-# artifacts + benchmarks.
+# One-shot quality gate: ruff (if installed) + tests + examples +
+# committed report artifacts + benchmarks.
 #
 # Usage: scripts/check.sh            (from the repository root)
 # Exits non-zero on the first failing stage.
@@ -18,6 +18,21 @@ fi
 
 echo "==> pytest"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q
+
+echo "==> every example runs to exit 0 from a temporary directory"
+root=$(pwd)
+examples_dir=$(mktemp -d)
+trap 'rm -rf "$examples_dir"' EXIT
+for example in examples/*.py; do
+    case "$example" in
+        examples/live_monitor.py) args="0.05 3" ;;  # interval (s), readings
+        *) args="" ;;
+    esac
+    echo "    $example $args"
+    (cd "$examples_dir" && PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" \
+        python "$root/$example" $args >/dev/null)
+done
+rm -rf "$examples_dir"
 
 echo "==> end-to-end benchmark harness self-test"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q benchmarks/e2e

@@ -103,7 +103,6 @@ class ForecasterBank:
         # update, where the sums are already hot.
         self._cum_abs = [0.0 for _ in self._forecasters]
         self._n_scored = 0
-        self._n_gaps = 0
         self._wins = [0 for _ in self._forecasters]
         self._best = 0
         self._n_switches = 0
@@ -125,11 +124,6 @@ class ForecasterBank:
         """Number of measurements absorbed so far (gaps excluded)."""
         return self._count
 
-    @property
-    def n_gaps(self) -> int:
-        """NaN measurements skipped so far (dropped sensor readings)."""
-        return self._n_gaps
-
     def update(self, value: float) -> None:
         """Absorb a measurement: score pending forecasts, then refit.
 
@@ -144,7 +138,6 @@ class ForecasterBank:
         """
         value = float(value)
         if value != value:
-            self._n_gaps += 1
             return
         scored = self._pending is not None
         if scored:

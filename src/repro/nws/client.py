@@ -23,10 +23,10 @@ unchanged whether the service is an object or a socket away::
         client.publish("cpu.a", time=0.0, value=0.7)
         report = client.query("cpu.a", horizon=3)
 
-Signatures are keyword-normalized across the whole stack:
-``fetch(series, start=, stop=, limit=)`` and ``query(series, horizon=)``
-mean the same thing here, on :class:`~repro.nws.memory.MemoryStore`, on
-:class:`~repro.nws.forecaster.ForecasterService` and on the wire.
+The client's options are keyword-only; it hands them to the transport
+in the field order of the operation's row of
+:data:`repro.nws.wire.OPERATIONS`, the parameter order of the core
+method of the same name.
 
 Resilience is layered, both parts optional and seeded:
 
@@ -54,17 +54,16 @@ from repro.faults.policy import CircuitBreaker, RetryError, RetryPolicy
 from repro.nws.errors import ServerOverloaded
 from repro.nws.forecaster import ForecastReport
 from repro.nws.nameserver import Registration
-from repro.nws.service import DEFAULT_TENANT, ServiceCore, coerce_field
+from repro.nws.service import DEFAULT_TENANT, ServiceCore
 from repro.nws.wire import (
     DEADLINE_HEADER,
     MAX_HEADERS,
     MAX_LINE,
+    OPERATIONS,
+    Operation,
     ProtocolError,
     canonical,
     closes,
-    decode_fetch,
-    decode_registration,
-    decode_report,
     raise_for_envelope,
 )
 
@@ -144,12 +143,12 @@ def _read_response(reader) -> tuple[int, bytes, bool]:
     return int(code), body, close
 
 
-def _classified(fn, args, kwargs):
+def _classified(fn, args):
     # Retry-policy adapter: transient failures propagate (and are
     # retried); application errors return as values so the policy never
     # burns attempts on them.
     try:
-        return "ok", fn(*args, **kwargs)
+        return "ok", fn(*args)
     except _RETRYABLE:
         raise
     except Exception as exc:
@@ -170,6 +169,10 @@ class HTTPTransport:
     that times out is never sent again (the server may still apply it):
     the ``TimeoutError`` propagates.  HTTP-level failures surface as the
     typed errors of :func:`~repro.nws.wire.raise_for_envelope`.
+
+    Each POST operation is a method made from its row of
+    :data:`~repro.nws.wire.OPERATIONS`, with the parameters of the
+    :class:`~repro.nws.service.ServiceCore` method of its name.
 
     ``deadline`` attaches a per-request time budget (seconds) as the
     ``X-NWS-Deadline`` header; the server sheds the request (HTTP 429,
@@ -265,77 +268,7 @@ class HTTPTransport:
             raise_for_envelope(status, payload)
         return payload
 
-    # ---------------------------------------------------------- operations
-
-    def publish(self, tenant, series, time, value):
-        out = self._request(
-            "POST",
-            f"/v1/{tenant}/publish",
-            {
-                "series": series,
-                "time": coerce_field("time", float, time),
-                "value": coerce_field("value", float, value),
-            },
-        )
-        return int(out["count"])
-
-    def fetch(self, tenant, series, *, start, stop, limit):
-        body: dict = {"series": series}
-        start = coerce_field("start", float, start)
-        stop = coerce_field("stop", float, stop)
-        # Only the open defaults are left out: a NaN bound selects no
-        # samples, on the wire as in process.
-        if start != float("-inf"):
-            body["start"] = start
-        if stop != float("inf"):
-            body["stop"] = stop
-        if limit is not None:
-            body["limit"] = coerce_field("limit", int, limit)
-        payload = self._request("POST", f"/v1/{tenant}/fetch", body)
-        times, values = decode_fetch(payload)
-        return np.asarray(times, dtype=np.float64), np.asarray(
-            values, dtype=np.float64
-        )
-
-    def query(self, tenant, series, *, horizon) -> ForecastReport:
-        payload = self._request(
-            "POST",
-            f"/v1/{tenant}/query",
-            {"series": series, "horizon": coerce_field("horizon", int, horizon)},
-        )
-        return decode_report(payload)
-
-    def query_all(self, tenant) -> dict[str, ForecastReport]:
-        payload = self._request("POST", f"/v1/{tenant}/query_all", {})
-        reports = payload.get("reports")
-        if not isinstance(reports, dict):
-            raise ProtocolError("malformed forecasts payload: no reports map")
-        return {name: decode_report(r) for name, r in reports.items()}
-
-    def register(self, tenant, name, kind, attributes, *, ttl) -> Registration:
-        body = {"name": name, "kind": kind, "attributes": dict(attributes or {})}
-        if ttl is not None:
-            body["ttl"] = coerce_field("ttl", float, ttl)
-        return decode_registration(
-            self._request("POST", f"/v1/{tenant}/register", body)
-        )
-
-    def refresh(self, tenant, name, *, ttl) -> Registration:
-        return decode_registration(
-            self._request(
-                "POST",
-                f"/v1/{tenant}/refresh",
-                {"name": name, "ttl": coerce_field("ttl", float, ttl)},
-            )
-        )
-
-    def lookup(self, tenant, kind, **attribute_filters) -> list[Registration]:
-        body = {"kind": kind, "attributes": attribute_filters}
-        payload = self._request("POST", f"/v1/{tenant}/lookup", body)
-        entries = payload.get("registrations")
-        if not isinstance(entries, list):
-            raise ProtocolError("malformed registrations payload")
-        return [decode_registration(entry) for entry in entries]
+    # ---------------------------------------------------------- GET routes
 
     def series_names(self, tenant) -> list[str]:
         payload = self._request("GET", f"/v1/{tenant}/series")
@@ -353,6 +286,23 @@ class HTTPTransport:
 
     def close(self) -> None:
         self._drop_connection()
+
+
+def _operation(op: Operation):
+    """The transport method that sends ``op``: ``POST /v1/<tenant>/<name>``
+    with the body :meth:`~repro.nws.wire.Operation.write` makes of the
+    call's arguments, answered through ``op.decode``."""
+    name, write, decode = op.name, op.write, op.decode
+
+    def call(self, tenant, *args, **kwargs):
+        return decode(self._request("POST", f"/v1/{tenant}/{name}", write(args, kwargs)))
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+for _op in OPERATIONS.values():
+    setattr(HTTPTransport, _op.name, _operation(_op))
 
 
 class NWSClient:
@@ -432,22 +382,21 @@ class NWSClient:
 
     # ----------------------------------------------------------- resilience
 
-    def _call(self, op: str, fn, *args, **kwargs):
-        """Run one transport operation under the breaker + retry layers.
+    def _call(self, op: str, *args):
+        """Run the transport's ``op`` under the breaker + retry layers.
 
         Ordering matters: the breaker gates (and observes) the whole
         retried operation, so a server that dies mid-burst costs one
         breaker failure, not ``retries + 1``.
         """
+        fn = getattr(self.transport, op)
         if self.breaker is not None:
             self.breaker.before_call()
         try:
             if self.retry is None:
-                result = fn(*args, **kwargs)
+                result = fn(*args)
             else:
-                kind, value = self.retry.call(
-                    _classified, fn, args, kwargs, describe=op
-                )
+                kind, value = self.retry.call(_classified, fn, args, describe=op)
                 if kind == "app":
                     raise value
                 result = value
@@ -468,9 +417,7 @@ class NWSClient:
 
     def publish(self, series: str, *, time: float, value: float) -> int:
         """Append one measurement; returns the series' retained count."""
-        return self._call(
-            "publish", self.transport.publish, self.tenant, series, time, value
-        )
+        return self._call("publish", self.tenant, series, time, value)
 
     def fetch(
         self,
@@ -481,15 +428,7 @@ class NWSClient:
         limit: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) arrays for a series window (inclusive bounds)."""
-        return self._call(
-            "fetch",
-            self.transport.fetch,
-            self.tenant,
-            series,
-            start=start,
-            stop=stop,
-            limit=limit,
-        )
+        return self._call("fetch", self.tenant, series, start, stop, limit)
 
     def query(self, series: str, *, horizon: int = 1) -> ForecastReport:
         """One forecast with error bar, ``horizon`` measurement steps out.
@@ -501,23 +440,19 @@ class NWSClient:
         ValueError
             Empty series or bad horizon (HTTP 400).
         """
-        return self._call(
-            "query", self.transport.query, self.tenant, series, horizon=horizon
-        )
+        return self._call("query", self.tenant, series, horizon)
 
     def query_all(self) -> dict[str, ForecastReport]:
         """Forecasts for every non-empty series of this tenant."""
-        return self._call("query_all", self.transport.query_all, self.tenant)
+        return self._call("query_all", self.tenant)
 
     def series_names(self) -> list[str]:
         """Sorted names of every series this tenant holds."""
-        return self._call(
-            "series_names", self.transport.series_names, self.tenant
-        )
+        return self._call("series_names", self.tenant)
 
     def recover(self, series: str) -> int:
         """Reload a series' last run from the tenant log; returns samples."""
-        return self._call("recover", self.transport.recover, self.tenant, series)
+        return self._call("recover", self.tenant, series)
 
     # ------------------------------------------------------ discovery API
 
@@ -530,15 +465,7 @@ class NWSClient:
         ttl: float | None = None,
     ) -> Registration:
         """Register a component (TTL'd when ``ttl`` is given)."""
-        return self._call(
-            "register",
-            self.transport.register,
-            self.tenant,
-            name,
-            kind,
-            attributes,
-            ttl=ttl,
-        )
+        return self._call("register", self.tenant, name, kind, attributes, ttl)
 
     def refresh(self, name: str, *, ttl: float) -> Registration:
         """Extend a live registration's TTL.
@@ -548,17 +475,13 @@ class NWSClient:
         RegistrationLapsed
             The registration is unknown or expired (HTTP 410).
         """
-        return self._call(
-            "refresh", self.transport.refresh, self.tenant, name, ttl=ttl
-        )
+        return self._call("refresh", self.tenant, name, ttl)
 
     def lookup(
         self, kind: str | None = None, **attribute_filters: str
     ) -> list[Registration]:
         """Live components by kind and exact attribute matches."""
-        return self._call(
-            "lookup", self.transport.lookup, self.tenant, kind, **attribute_filters
-        )
+        return self._call("lookup", self.tenant, kind, attribute_filters)
 
     # ----------------------------------------------------------- lifecycle
 

@@ -14,7 +14,27 @@ __all__ = [
     "RegistrationLapsed",
     "UnknownTenant",
     "ServerOverloaded",
+    "coerce_field",
 ]
+
+
+def coerce_field(name: str, cast, value):
+    """``cast(value)``, or a ``ValueError`` naming the field.
+
+    The one check the HTTP client transport, the server and
+    :class:`~repro.nws.service.ServiceCore` run on a field, so a bad
+    value, one beyond float or int range (Python's ``OverflowError``)
+    too, is the same ``ValueError`` (wire ``bad_request``) in process
+    and over HTTP, never an ``internal`` error.  A cast to ``str``
+    converts nothing: a name must be a string already, since ``str(5)``
+    would name a series ``"5"`` on the wire and ``5`` in process.
+    """
+    try:
+        if cast is str and not isinstance(value, str):
+            raise TypeError(f"expected a string, got {type(value).__name__}")
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad value for field {name!r}: {exc}") from exc
 
 
 class SeriesUnavailable(LookupError):

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.nws.durable import TenantLog
-from repro.nws.errors import SeriesUnavailable
+from repro.nws.errors import SeriesUnavailable, coerce_field
 from repro.obs.metrics import get_registry
 from repro.trace.series import TraceSeries
 
@@ -138,7 +138,8 @@ class MemoryStore:
         Raises
         ------
         ValueError
-            A non-finite or out-of-order time.
+            A non-finite or out-of-order time, or a new series whose
+            name is not a string.
         ServerOverloaded
             The process is out of file descriptors to open the log
             (``reason="descriptors"``); retrying later may succeed.
@@ -147,7 +148,10 @@ class MemoryStore:
         _check_time(series, time)
         with self._lock:
             times = self._times.get(series)
-            if times and time < times[-1]:
+            if times is None:
+                # A name is checked once, when the series is created.
+                coerce_field("series", str, series)
+            elif times and time < times[-1]:
                 raise ValueError(
                     f"out-of-order measurement for {series!r}: "
                     f"{time} after {times[-1]}"
@@ -286,6 +290,7 @@ class MemoryStore:
         raises changes nothing.  The history starts a new run of
         sequence numbers.  Returns the new retained length.
         """
+        coerce_field("series", str, series)
         times = array("d", [float(t) for t in times])
         values = array("d", [float(v) for v in values])
         if len(times) != len(values):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.nws.errors import RegistrationLapsed
+from repro.nws.errors import RegistrationLapsed, coerce_field
 from repro.obs.metrics import get_registry
 
 __all__ = ["NameServer", "Registration"]
@@ -100,6 +100,7 @@ class NameServer:
         ttl:
             Seconds until expiry (None = never expires).
         """
+        coerce_field("name", str, name)
         if kind not in self.KINDS:
             raise ValueError(f"unknown component kind {kind!r}; use {self.KINDS}")
         if ttl is not None and ttl <= 0.0:
@@ -155,9 +156,12 @@ class NameServer:
         return entry
 
     def lookup(
-        self, kind: str | None = None, **attribute_filters: str
+        self, kind: str | None = None, /, **attribute_filters: str
     ) -> list[Registration]:
         """Find live components by kind and exact attribute matches.
+
+        ``kind`` is positional-only, so an attribute may be called
+        ``kind`` too.
 
         Expired entries are purged as a side effect (the NWS name server
         garbage-collects lapsed registrations on search).

@@ -25,14 +25,12 @@ Routes (see the README's HTTP API table)::
     GET  /v1/health                     liveness + per-tenant summary
     GET  /v1/metrics                    metrics-registry snapshot
     GET  /v1/<tenant>/series            series names
-    POST /v1/<tenant>/publish           {series, time, value}
-    POST /v1/<tenant>/fetch             {series, start?, stop?, limit?}
-    POST /v1/<tenant>/query             {series, horizon?}
-    POST /v1/<tenant>/query_all         {}
-    POST /v1/<tenant>/register          {name, kind, attributes?, ttl?}
-    POST /v1/<tenant>/refresh           {name, ttl}
-    POST /v1/<tenant>/lookup            {kind?, attributes?}
-    POST /v1/<tenant>/recover           {series}
+    POST /v1/<tenant>/<operation>       a row of repro.nws.wire.OPERATIONS
+
+A POST body is read by its row of the table, the fields go to the
+:class:`~repro.nws.service.ServiceCore` method of the same name, and the
+row encodes the result; a fetch is written from the tenant's
+:class:`~repro.nws.wire.SampleText` memo.
 
 Failures become typed error envelopes (``envelope_for_exception``), so a
 lapsed registration is an HTTP 410 here and a
@@ -71,20 +69,22 @@ import time
 from http import HTTPStatus
 
 from repro.nws.errors import RegistrationLapsed, ServerOverloaded
-from repro.nws.service import ServiceCore, coerce_field, set_request_deadline
+from repro.nws.service import ServiceCore, set_request_deadline
 from repro.nws.wire import (
     DEADLINE_HEADER,
     MAX_HEADERS,
     MAX_LINE,
+    OPERATIONS,
     WIRE_VERSION,
     SampleText,
     canonical,
     closes,
-    encode_fetch,
-    encode_registration,
-    encode_report,
     envelope_for_exception,
 )
+
+# Unused here (each operation's encoder is its row of OPERATIONS); kept
+# as names of this module because benchmarks/e2e/spans.py wraps them.
+from repro.nws.wire import encode_fetch, encode_registration, encode_report  # noqa: F401
 from repro.obs.metrics import get_registry
 
 __all__ = ["ForecastServer", "SERVER_REGISTRATION", "DEADLINE_HEADER"]
@@ -312,16 +312,6 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
 
-_MISSING = object()
-
-
-def _field(body: dict, name: str, cast, default=_MISSING):
-    value = body.get(name, default)
-    if value is _MISSING:
-        raise ValueError(f"missing required field {name!r}")
-    return coerce_field(name, cast, value)
-
-
 class ForecastServer:
     """Long-running multi-tenant forecast server.
 
@@ -425,13 +415,7 @@ class ForecastServer:
         if self._serve_thread is not None:
             raise RuntimeError("server already started")
         for tenant in self.core.tenant_names():
-            self.core.register(
-                tenant,
-                SERVER_REGISTRATION,
-                "forecaster",
-                {"url": self.url},
-                ttl=self.registration_ttl,
-            )
+            self._announce(tenant)
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -523,15 +507,15 @@ class ForecastServer:
                     tenant, SERVER_REGISTRATION, ttl=self.registration_ttl
                 )
             except RegistrationLapsed:
-                self.core.register(
-                    tenant,
-                    SERVER_REGISTRATION,
-                    "forecaster",
-                    {"url": self.url},
-                    ttl=self.registration_ttl,
-                )
+                self._announce(tenant)
         self._obs_maintenance.inc()
         return compacted
+
+    def _announce(self, tenant: str) -> None:
+        """Register this server in ``tenant``'s name server, with a TTL."""
+        self.core.register(
+            tenant, SERVER_REGISTRATION, "forecaster", {"url": self.url}, self.registration_ttl
+        )
 
     # ------------------------------------------------------------ admission
 
@@ -623,104 +607,17 @@ class ForecastServer:
                 "series": self.core.series_names(tenant),
             }
         self._require(method, "POST", path)
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
+        operation = OPERATIONS.get(op)
+        if operation is None:
             raise LookupError(f"no such operation {op!r}")
-        return 200, handler(tenant, body)
+        args = operation.read(body)
+        result = getattr(self.core, op)(tenant, *args.values())
+        payload = operation.encode(args, result)
+        if op == "fetch":
+            payload = self._fetch_memo[tenant].bind(payload, result.first_seq)
+        return 200, payload
 
     @staticmethod
     def _require(method: str, expected: str, path: str) -> None:
         if method != expected:
             raise ValueError(f"{path} expects {expected}, got {method}")
-
-    # ----------------------------------------------------- POST operations
-
-    def _op_publish(self, tenant: str, body: dict) -> dict:
-        count = self.core.publish(
-            tenant,
-            _field(body, "series", str),
-            _field(body, "time", float),
-            _field(body, "value", float),
-        )
-        return {
-            "version": WIRE_VERSION,
-            "kind": "published",
-            "series": body["series"],
-            "count": count,
-        }
-
-    def _op_fetch(self, tenant: str, body: dict) -> dict:
-        series = _field(body, "series", str)
-        window = self.core.fetch(
-            tenant,
-            series,
-            start=_field(body, "start", float, float("-inf")),
-            stop=_field(body, "stop", float, float("inf")),
-            limit=(
-                None if body.get("limit") is None else _field(body, "limit", int)
-            ),
-        )
-        times, values = window
-        return self._fetch_memo[tenant].bind(
-            encode_fetch(series, times, values), window.first_seq
-        )
-
-    def _op_query(self, tenant: str, body: dict) -> dict:
-        report = self.core.query(
-            tenant,
-            _field(body, "series", str),
-            horizon=_field(body, "horizon", int, 1),
-        )
-        return encode_report(report)
-
-    def _op_query_all(self, tenant: str, body: dict) -> dict:
-        reports = self.core.query_all(tenant)
-        return {
-            "version": WIRE_VERSION,
-            "kind": "forecasts",
-            "reports": {name: encode_report(r) for name, r in sorted(reports.items())},
-        }
-
-    def _op_register(self, tenant: str, body: dict) -> dict:
-        attributes = body.get("attributes") or {}
-        if not isinstance(attributes, dict):
-            raise ValueError("attributes must be a JSON object")
-        ttl = None if body.get("ttl") is None else _field(body, "ttl", float)
-        registration = self.core.register(
-            tenant,
-            _field(body, "name", str),
-            _field(body, "kind", str),
-            {str(k): str(v) for k, v in attributes.items()},
-            ttl=ttl,
-        )
-        return encode_registration(registration)
-
-    def _op_refresh(self, tenant: str, body: dict) -> dict:
-        registration = self.core.refresh(
-            tenant, _field(body, "name", str), ttl=_field(body, "ttl", float)
-        )
-        return encode_registration(registration)
-
-    def _op_lookup(self, tenant: str, body: dict) -> dict:
-        kind = None if body.get("kind") is None else _field(body, "kind", str)
-        filters = body.get("attributes") or {}
-        if not isinstance(filters, dict):
-            raise ValueError("attributes must be a JSON object")
-        registrations = self.core.lookup(
-            tenant, kind, **{str(k): str(v) for k, v in filters.items()}
-        )
-        return {
-            "version": WIRE_VERSION,
-            "kind": "registrations",
-            "registrations": [encode_registration(r) for r in registrations],
-        }
-
-    def _op_recover(self, tenant: str, body: dict) -> dict:
-        series = _field(body, "series", str)
-        count = self.core.recover(tenant, series)
-        return {
-            "version": WIRE_VERSION,
-            "kind": "recovered",
-            "series": series,
-            "count": count,
-        }

@@ -7,7 +7,8 @@ maintenance.  Every path executes *this* code -- an in-process
 :class:`~repro.nws.client.NWSClient` calls the core's methods as its
 transport and :class:`~repro.nws.server.ForecastServer` calls them from
 HTTP handlers -- so in-process and over-the-wire behaviour cannot
-diverge: same validation, same typed errors, same metrics.
+diverge: same validation, same typed errors, same metrics.  After the
+tenant, an operation takes its row of :data:`repro.nws.wire.OPERATIONS`.
 
 Tenancy is isolation, not namespacing: each tenant gets its own
 :class:`~repro.nws.memory.MemoryStore`,
@@ -48,7 +49,7 @@ from repro.nws.durable import (
     tenant_directory,
     write_manifest,
 )
-from repro.nws.errors import ServerOverloaded, UnknownTenant
+from repro.nws.errors import ServerOverloaded, UnknownTenant, coerce_field
 from repro.nws.forecaster import ForecastReport, ForecasterService
 from repro.nws.memory import MemoryStore
 from repro.nws.nameserver import NameServer, Registration
@@ -61,7 +62,6 @@ __all__ = [
     "RetentionPolicy",
     "ServiceCore",
     "TenantState",
-    "coerce_field",
     "request_deadline",
     "set_request_deadline",
 ]
@@ -92,22 +92,6 @@ def set_request_deadline(deadline_at: float | None) -> None:
 def request_deadline() -> float | None:
     """The calling thread's absolute monotonic deadline, if any."""
     return getattr(_request_state, "deadline_at", None)
-
-
-def coerce_field(name: str, cast, value):
-    """``cast(value)``, or a ``ValueError`` naming the field.
-
-    The one numeric check every path runs -- the HTTP client transport
-    before sending, the server on request fields, :class:`ServiceCore`
-    on its arguments -- so a bad value, including one beyond float or
-    int range (which Python reports as ``OverflowError``), is the same
-    ``ValueError`` (wire ``bad_request``) in process and over HTTP,
-    never an ``internal`` error.
-    """
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"bad value for field {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -412,7 +396,6 @@ class ServiceCore:
         self,
         tenant: str,
         series: str,
-        *,
         start: float = float("-inf"),
         stop: float = float("inf"),
         limit: int | None = None,
@@ -428,7 +411,7 @@ class ServiceCore:
                 limit=None if limit is None else coerce_field("limit", int, limit),
             )
 
-    def query(self, tenant: str, series: str, *, horizon: int = 1) -> ForecastReport:
+    def query(self, tenant: str, series: str, horizon: int = 1) -> ForecastReport:
         """One forecast with error bar, ``horizon`` steps ahead."""
         state = self.tenant(tenant)
         self._count("query")
@@ -466,7 +449,6 @@ class ServiceCore:
         name: str,
         kind: str,
         attributes: dict[str, str] | None = None,
-        *,
         ttl: float | None = None,
     ) -> Registration:
         state = self.tenant(tenant)
@@ -479,19 +461,20 @@ class ServiceCore:
                 ttl=None if ttl is None else coerce_field("ttl", float, ttl),
             )
 
-    def refresh(self, tenant: str, name: str, *, ttl: float) -> Registration:
+    def refresh(self, tenant: str, name: str, ttl: float) -> Registration:
         state = self.tenant(tenant)
         self._count("refresh")
         with get_tracer().span("server.refresh", tenant=tenant, component=name):
             return state.nameserver.refresh(name, ttl=coerce_field("ttl", float, ttl))
 
     def lookup(
-        self, tenant: str, kind: str | None = None, **attribute_filters: str
+        self, tenant: str, kind: str | None = None, attributes: dict | None = None
     ) -> list[Registration]:
+        """Live registrations of ``kind`` with all of ``attributes``."""
         state = self.tenant(tenant)
         self._count("lookup")
         with get_tracer().span("server.lookup", tenant=tenant):
-            return state.nameserver.lookup(kind, **attribute_filters)
+            return state.nameserver.lookup(kind, **(attributes or {}))
 
     # ---------------------------------------------------------- lifecycle
 

@@ -2,7 +2,15 @@
 
 One module owns the bytes: the HTTP server encodes responses with these
 functions and :class:`~repro.nws.client.HTTPTransport` decodes them with
-the inverse functions, so the two can never drift apart.  Every payload
+the inverse functions, so the two can never drift apart.
+
+Every ``POST /v1/<tenant>/<name>`` operation is one row of
+:data:`OPERATIONS`: its request fields (name, cast, default), the
+server's result encoder and the client's decoder.  The server reads a
+body with :meth:`Operation.read` and the client writes one with
+:meth:`Operation.write`, under one rule for defaults: the server reads
+an absent or ``null`` field as its default, and the client leaves off a
+value that is ``None`` or equal to its default.  Every payload
 carries ``"version": 1``; a major-version mismatch raises
 :class:`ProtocolError` instead of silently misreading fields.
 
@@ -55,6 +63,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +73,7 @@ from repro.nws.errors import (
     SeriesUnavailable,
     ServerOverloaded,
     UnknownTenant,
+    coerce_field,
 )
 from repro.nws.forecaster import ForecastReport
 from repro.nws.nameserver import Registration
@@ -72,7 +82,10 @@ __all__ = [
     "DEADLINE_HEADER",
     "MAX_HEADERS",
     "MAX_LINE",
+    "OPERATIONS",
     "WIRE_VERSION",
+    "Field",
+    "Operation",
     "ProtocolError",
     "SampleText",
     "canonical",
@@ -80,7 +93,9 @@ __all__ = [
     "code_for_exception",
     "decode_fetch",
     "decode_registration",
+    "decode_registrations",
     "decode_report",
+    "decode_reports",
     "encode_fetch",
     "encode_registration",
     "encode_report",
@@ -170,6 +185,14 @@ def decode_report(payload: dict) -> ForecastReport:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed forecast payload: {exc}") from exc
+
+
+def decode_reports(payload: dict) -> dict[str, ForecastReport]:
+    _check_version(payload)
+    reports = payload.get("reports")
+    if not isinstance(reports, dict):
+        raise ProtocolError("malformed forecasts payload: no reports map")
+    return {name: decode_report(r) for name, r in reports.items()}
 
 
 # ------------------------------------------------------------------ fetches
@@ -358,6 +381,145 @@ def decode_registration(payload: dict) -> Registration:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed registration payload: {exc}") from exc
+
+
+def decode_registrations(payload: dict) -> list[Registration]:
+    _check_version(payload)
+    entries = payload.get("registrations")
+    if not isinstance(entries, list):
+        raise ProtocolError("malformed registrations payload")
+    return [decode_registration(entry) for entry in entries]
+
+
+# ----------------------------------------------------------------- operations
+
+#: The default of a required :class:`Field`.
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """A request field: a value of type ``cast`` is taken as it is, any
+    other is cast by :func:`~repro.nws.errors.coerce_field`.  A field
+    with no ``default`` is required."""
+
+    name: str
+    cast: Callable
+    default: object = REQUIRED
+
+
+class Operation(NamedTuple):
+    """``POST /v1/<tenant>/<name>``: the fields of the
+    :class:`~repro.nws.service.ServiceCore` method ``name`` after the
+    tenant, the server's ``encode(fields, result) -> payload`` and the
+    client's ``decode(payload) -> result``."""
+
+    name: str
+    fields: tuple[Field, ...]
+    encode: Callable[[dict, object], dict]
+    decode: Callable[[dict], object]
+
+    def read(self, body: dict) -> dict:
+        """A request body's fields, cast, in table order.  An absent or
+        ``null`` field reads as its default; other keys are ignored."""
+        args = {}
+        for name, cast, default in self.fields:
+            value = body.get(name)
+            if value is None:
+                if default is REQUIRED:
+                    raise ValueError(f"missing required field {name!r}")
+                value = default
+            elif type(value) is not cast:
+                value = coerce_field(name, cast, value)
+            args[name] = value
+        return args
+
+    def write(self, args: tuple, kwargs: dict) -> dict:
+        """The request body of a call, its arguments bound to the fields
+        in table order and cast as :meth:`read` casts them.  A value that
+        is ``None`` or equal to its default is left off the wire; NaN
+        equals nothing, so a NaN bound is always sent."""
+        fields = self.fields
+        if kwargs or len(args) > len(fields):
+            kwargs = dict(kwargs)
+            args += tuple(kwargs.pop(f.name, None) for f in fields[len(args):])
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{self.name}() takes {[f.name for f in fields]}")
+        body = {}
+        for (name, cast, default), value in zip(fields, args):
+            if value is None:
+                continue
+            if type(value) is not cast:
+                value = coerce_field(name, cast, value)
+            if default is REQUIRED or value != default:
+                body[name] = value
+        return body
+
+
+def _attributes(value) -> dict[str, str]:
+    """An attributes field: a JSON object, its keys and values as text."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return {str(k): str(v) for k, v in value.items()}
+
+
+def _counted(kind: str):
+    return lambda args, count: {
+        "version": WIRE_VERSION, "kind": kind, "series": args["series"], "count": count
+    }
+
+
+def _decode_count(payload: dict) -> int:
+    return int(_check_version(payload)["count"])
+
+
+_SERIES = Field("series", str)
+_NAME = Field("name", str)
+_ATTRIBUTES = Field("attributes", _attributes, {})
+
+#: Every POST operation by name.
+OPERATIONS: dict[str, Operation] = {op.name: op for op in (
+    Operation(
+        "publish", (_SERIES, Field("time", float), Field("value", float)),
+        _counted("published"), _decode_count,
+    ),
+    Operation(
+        "fetch", (
+            _SERIES, Field("start", float, float("-inf")), Field("stop", float, float("inf")),
+            Field("limit", int, None),
+        ),
+        lambda args, window: encode_fetch(args["series"], *window),
+        lambda payload: tuple(np.asarray(a, dtype=np.float64) for a in decode_fetch(payload)),
+    ),
+    Operation(
+        "query", (_SERIES, Field("horizon", int, 1)),
+        lambda args, report: encode_report(report), decode_report,
+    ),
+    Operation(
+        "query_all", (),
+        lambda args, reports: {
+            "version": WIRE_VERSION, "kind": "forecasts",
+            "reports": {name: encode_report(r) for name, r in sorted(reports.items())},
+        },
+        decode_reports,
+    ),
+    Operation(
+        "register", (_NAME, Field("kind", str), _ATTRIBUTES, Field("ttl", float, None)),
+        lambda args, registration: encode_registration(registration), decode_registration,
+    ),
+    Operation(
+        "refresh", (_NAME, Field("ttl", float)),
+        lambda args, registration: encode_registration(registration), decode_registration,
+    ),
+    Operation(
+        "lookup", (Field("kind", str, None), _ATTRIBUTES),
+        lambda args, registrations: {
+            "version": WIRE_VERSION, "kind": "registrations",
+            "registrations": [encode_registration(r) for r in registrations],
+        },
+        decode_registrations,
+    ),
+    Operation("recover", (_SERIES,), _counted("recovered"), _decode_count),
+)}
 
 
 #: Request header carrying the client's remaining time budget (seconds).
