@@ -26,6 +26,13 @@ the service slower is for ``benchmarks/e2e/compare.py`` to say.
   each), and the bytes of one restored day-long (8,640-sample) series
   after its first query.  Python objects only: the tenant log's file
   descriptor and the interpreter itself are not counted.
+
+* **Start-up imports.**  A server restarts after every failure, so what
+  it loads before it serves is gated too: the modules a fresh
+  interpreter holds once ``nws-repro serve``'s imports have run and a
+  small state directory is restored (``tests/test_import_graph.py``'s
+  ``SERVE_PROGRAM``), a count that repeats exactly for one interpreter
+  build, against a budget (direction ``lower``).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from benchmarks.conftest import record, run_once
 from repro.nws import ForecastServer, NWSClient, ServiceCore
 from repro.nws.loadtest import LoadtestConfig, run_loadtest
 from repro.obs import MetricsRegistry, installed
+from tests.test_import_graph import serve_startup
 
 #: The ISSUE acceptance floor: >= 1000 concurrent series.
 ACCEPTANCE = LoadtestConfig(
@@ -66,6 +74,11 @@ DEEP_SAMPLES = 8640
 #: the same cases held 46,081 and 405,082 B.
 MAX_SHALLOW_BYTES_PER_SERIES = 15_300
 MAX_DEEP_SERIES_BYTES = 185_500
+
+#: Modules loaded once the server is restored and built: 152 on CPython
+#: 3.11.7 when the gate was added, and 302 while every package imported
+#: all of its exports (numpy and the simulator among them) eagerly.
+MAX_STARTUP_MODULES = 160
 
 
 def _run_in_process(config: LoadtestConfig):
@@ -183,4 +196,19 @@ def test_bench_server_series_footprint(tmp_path):
     assert deep_bytes <= MAX_DEEP_SERIES_BYTES, (
         f"a restored {DEEP_SAMPLES}-sample series holds {deep_bytes:,} B, "
         f"budget {MAX_DEEP_SERIES_BYTES:,} B"
+    )
+
+
+def test_bench_server_startup_modules(tmp_path):
+    modules = serve_startup(tmp_path / "state")["ready_modules"]
+    record(
+        "server_startup_modules",
+        modules,
+        metric="loaded_modules",
+        unit="modules",
+        budget=MAX_STARTUP_MODULES,
+        direction="lower",
+    )
+    assert modules <= MAX_STARTUP_MODULES, (
+        f"a restored server holds {modules} modules, budget {MAX_STARTUP_MODULES}"
     )

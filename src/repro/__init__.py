@@ -29,8 +29,7 @@ Quickstart::
     print(table1().render(with_paper=True))
 """
 
-from repro.core.mixture import AdaptiveForecaster, forecast_series
-from repro.core.predictor import NWSPredictor
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -40,3 +39,11 @@ __all__ = [
     "__version__",
     "forecast_series",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.mixture": ("AdaptiveForecaster", "forecast_series"),
+        "repro.core.predictor": ("NWSPredictor",),
+    },
+)

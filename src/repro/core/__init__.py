@@ -21,45 +21,7 @@ subpackage reimplements that design:
   aggregation and forecasting together.
 """
 
-from repro.core.batch import (
-    BatchUnsupported,
-    MixtureBacktest,
-    member_forecasts,
-    mixture_backtest,
-    supports_batch,
-)
-from repro.core.errors import (
-    ErrorSummary,
-    mean_absolute_error,
-    mean_squared_error,
-    measurement_errors,
-    one_step_prediction_errors,
-    root_mean_squared_error,
-    true_forecasting_errors,
-)
-from repro.core.extra_forecasters import (
-    AR1Forecaster,
-    MedianOfMeans,
-    TimeOfDayForecaster,
-    TrendForecaster,
-    extended_battery,
-)
-from repro.core.forecasters import (
-    AdaptiveWindowMean,
-    AdaptiveWindowMedian,
-    ExponentialSmoothing,
-    Forecaster,
-    GradientTracker,
-    LastValue,
-    RunningMean,
-    SlidingMean,
-    SlidingMedian,
-    TrimmedMeanWindow,
-    default_battery,
-)
-from repro.core.horizon import HorizonError, future_averages, horizon_error_profile
-from repro.core.mixture import AdaptiveForecaster, ForecasterBank, forecast_series
-from repro.core.predictor import NWSPredictor
+from repro._exports import lazy_exports
 
 __all__ = [
     "AR1Forecaster",
@@ -98,3 +60,48 @@ __all__ = [
     "root_mean_squared_error",
     "true_forecasting_errors",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.batch": (
+            "BatchUnsupported",
+            "MixtureBacktest",
+            "member_forecasts",
+            "mixture_backtest",
+            "supports_batch",
+        ),
+        "repro.core.errors": (
+            "ErrorSummary",
+            "mean_absolute_error",
+            "mean_squared_error",
+            "measurement_errors",
+            "one_step_prediction_errors",
+            "root_mean_squared_error",
+            "true_forecasting_errors",
+        ),
+        "repro.core.extra_forecasters": (
+            "AR1Forecaster",
+            "MedianOfMeans",
+            "TimeOfDayForecaster",
+            "TrendForecaster",
+            "extended_battery",
+        ),
+        "repro.core.forecasters": (
+            "AdaptiveWindowMean",
+            "AdaptiveWindowMedian",
+            "ExponentialSmoothing",
+            "Forecaster",
+            "GradientTracker",
+            "LastValue",
+            "RunningMean",
+            "SlidingMean",
+            "SlidingMedian",
+            "TrimmedMeanWindow",
+            "default_battery",
+        ),
+        "repro.core.horizon": ("HorizonError", "future_averages", "horizon_error_profile"),
+        "repro.core.mixture": ("AdaptiveForecaster", "ForecasterBank", "forecast_series"),
+        "repro.core.predictor": ("NWSPredictor",),
+    },
+)

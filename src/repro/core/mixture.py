@@ -15,18 +15,23 @@ of error rows (one row per scored measurement, at most ``error_window``
 rows), beside two per-member lists of prefix sums, rather than in one
 window object per member; and the winner changes are an exact count plus
 a bounded list of the most recent events (:data:`SWITCH_HISTORY`).
+
+The streaming mixture is plain Python.  numpy and the batch engine are
+imported by :func:`forecast_series` alone, so a forecast server, which
+only streams updates, never loads them.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.batch import mixture_backtest
 from repro.core.forecasters import Forecaster, default_battery
 from repro.obs.metrics import get_registry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_ERROR_WINDOW",
@@ -341,6 +346,8 @@ def _stream_gapped(model: Forecaster, arr: np.ndarray) -> np.ndarray:
     ``values[:t]``; NaN updates are skipped, and the output stays NaN
     until the model has absorbed at least one finite measurement.
     """
+    import numpy as np
+
     out = np.full(arr.size, np.nan)
     seen = 0
     for t in range(arr.size):
@@ -366,6 +373,10 @@ def _batch_gapped(arr: np.ndarray, finite: np.ndarray) -> np.ndarray:
     their last input, so one dummy value is appended; ``F[m]`` provably
     never depends on it (``F[j]`` is a function of ``values[:j]`` alone).
     """
+    import numpy as np
+
+    from repro.core.batch import mixture_backtest
+
     comp = arr[finite]
     if comp.size == 0:
         return np.full(arr.size, np.nan)
@@ -423,6 +434,8 @@ def forecast_series(values, forecaster: Forecaster | None = None) -> np.ndarray:
     numpy.ndarray
         Same length as ``values``.
     """
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a non-empty 1-D array")

@@ -34,20 +34,7 @@ With ``fault_plan=None`` (the default) none of the hooks are installed
 and the service layer runs its original fast path.
 """
 
-from repro.faults.plan import (
-    FaultPlan,
-    FaultSpec,
-    HostFaults,
-    named_plan,
-    named_plans,
-)
-from repro.faults.policy import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryError,
-    RetryPolicy,
-    seed_entropy,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "CircuitBreaker",
@@ -61,3 +48,17 @@ __all__ = [
     "named_plans",
     "seed_entropy",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.plan": ("FaultPlan", "FaultSpec", "HostFaults", "named_plan", "named_plans"),
+        "repro.faults.policy": (
+            "CircuitBreaker",
+            "CircuitOpenError",
+            "RetryError",
+            "RetryPolicy",
+            "seed_entropy",
+        ),
+    },
+)

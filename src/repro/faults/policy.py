@@ -24,8 +24,6 @@ import threading
 import time
 from typing import Callable
 
-import numpy as np
-
 from repro.obs.metrics import get_registry
 
 __all__ = [
@@ -46,6 +44,8 @@ _BREAKER_STREAM = 0x42524B52
 
 def seed_entropy(seed) -> tuple[int, ...]:
     """Normalise an int / int-sequence / SeedSequence seed to entropy ints."""
+    import numpy as np
+
     if isinstance(seed, np.random.SeedSequence):
         entropy = seed.entropy
         if isinstance(entropy, (int, np.integer)):
@@ -54,6 +54,15 @@ def seed_entropy(seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(x) for x in seed)
+
+
+def _stream_rng(seed, stream: int):
+    """The generator of ``seed``'s ``stream``; numpy is imported here, by
+    the policies that draw jitter, not by every importer of
+    :class:`RetryError`."""
+    import numpy as np
+
+    return np.random.default_rng(np.random.SeedSequence((*seed_entropy(seed), stream)))
 
 
 class RetryError(RuntimeError):
@@ -117,9 +126,7 @@ class RetryPolicy:
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
         self._sleep = sleep
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence((*seed_entropy(seed), _JITTER_STREAM))
-        )
+        self._rng = _stream_rng(seed, _JITTER_STREAM)
         self.attempts = 0
         self.failures = 0
         self.retries_used = 0
@@ -272,9 +279,7 @@ class CircuitBreaker:
         self.probe_budget = int(probe_budget)
         self.jitter = float(jitter)
         self._clock = clock if clock is not None else time.monotonic
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence((*seed_entropy(seed), _BREAKER_STREAM))
-        )
+        self._rng = _stream_rng(seed, _BREAKER_STREAM)
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._consecutive_failures = 0

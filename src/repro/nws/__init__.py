@@ -38,20 +38,7 @@ envelopes, TTL'd liveness -- without changing a single payload (both
 forms execute the same :class:`~repro.nws.service.ServiceCore`).
 """
 
-from repro.nws.client import HTTPTransport, NWSClient
-from repro.nws.errors import (
-    RegistrationLapsed,
-    SeriesUnavailable,
-    ServerOverloaded,
-    UnknownTenant,
-)
-from repro.nws.forecaster import ForecastReport, ForecasterService
-from repro.nws.memory import MemoryStore
-from repro.nws.nameserver import NameServer, Registration
-from repro.nws.sensorhost import SensorHost
-from repro.nws.server import ForecastServer
-from repro.nws.service import RetentionPolicy, ServiceCore
-from repro.nws.system import NWSSystem
+from repro._exports import lazy_exports
 
 __all__ = [
     "ForecastReport",
@@ -71,3 +58,23 @@ __all__ = [
     "ServiceCore",
     "UnknownTenant",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.nws.client": ("HTTPTransport", "NWSClient"),
+        "repro.nws.errors": (
+            "RegistrationLapsed",
+            "SeriesUnavailable",
+            "ServerOverloaded",
+            "UnknownTenant",
+        ),
+        "repro.nws.forecaster": ("ForecastReport", "ForecasterService"),
+        "repro.nws.memory": ("MemoryStore",),
+        "repro.nws.nameserver": ("NameServer", "Registration"),
+        "repro.nws.sensorhost": ("SensorHost",),
+        "repro.nws.server": ("ForecastServer",),
+        "repro.nws.service": ("RetentionPolicy", "ServiceCore"),
+        "repro.nws.system": ("NWSSystem",),
+    },
+)

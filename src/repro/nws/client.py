@@ -427,8 +427,11 @@ class NWSClient:
         stop: float = float("inf"),
         limit: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(times, values) arrays for a series window (inclusive bounds)."""
-        return self._call("fetch", self.tenant, series, start, stop, limit)
+        """(times, values) float64 ndarrays for a series window (inclusive
+        bounds), whichever transport answered: the core's ``array('d')``
+        window or the wire's float lists."""
+        times, values = self._call("fetch", self.tenant, series, start, stop, limit)
+        return np.asarray(times, dtype=np.float64), np.asarray(values, dtype=np.float64)
 
     def query(self, series: str, *, horizon: int = 1) -> ForecastReport:
         """One forecast with error bar, ``horizon`` measurement steps out.

@@ -35,12 +35,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
-import numpy as np
-
 from repro.nws.durable import TenantLog
 from repro.nws.errors import SeriesUnavailable, coerce_field
 from repro.obs.metrics import get_registry
-from repro.trace.series import TraceSeries
 
 __all__ = ["MemoryStore", "Window"]
 
@@ -50,13 +47,14 @@ _RUN_SPAN = 1 << 64
 
 
 class Window(tuple):
-    """One fetched window: the pair ``(times, values)`` of float64 arrays.
+    """One fetched window: the pair ``(times, values)`` of ``array('d')``
+    copies of the store's samples.
 
     ``first_seq`` is the sequence number of the window's first sample;
     the others follow it one by one.
     """
 
-    def __new__(cls, times: np.ndarray, values: np.ndarray, first_seq: int):
+    def __new__(cls, times: array, values: array, first_seq: int):
         window = super().__new__(cls, (times, values))
         window.first_seq = first_seq
         return window
@@ -198,8 +196,8 @@ class MemoryStore:
         self,
         series: str,
         *,
-        start: float = -np.inf,
-        stop: float = np.inf,
+        start: float = -math.inf,
+        stop: float = math.inf,
         limit: int | None = None,
     ) -> Window:
         """(times, values) for ``series``, newest-retained window.
@@ -241,16 +239,12 @@ class MemoryStore:
                 lo = hi = 0
             if limit is not None:
                 lo = max(lo, hi - limit)
-            # The slices are copies the returned arrays view, so the
-            # store's own buffers never export a view and stay resizable.
+            # Slices are copies: the caller owns them, and the store's
+            # own buffers never export a view and stay resizable.
             times, values = times[lo:hi], self._values[series][lo:hi]
             first = self._first[series] + lo
         self._obs_fetches.inc()
-        return Window(
-            np.frombuffer(times, dtype=np.float64),
-            np.frombuffer(values, dtype=np.float64),
-            first,
-        )
+        return Window(times, values, first)
 
     def tail(self, series: str, offset: int) -> tuple[int, float, list[float]]:
         """``(retained count, newest time, values[offset:])`` in one read.
@@ -274,11 +268,6 @@ class MemoryStore:
             count = len(times)
         self._obs_fetches.inc()
         return count, newest, fresh
-
-    def as_trace(self, series: str, host: str = "", method: str = "") -> TraceSeries:
-        """The retained history as a :class:`~repro.trace.series.TraceSeries`."""
-        times, values = self.fetch(series)
-        return TraceSeries(host or series, method or "memory", times, values)
 
     def replace(self, series: str, times, values) -> int:
         """Atomically replace a series' retained history.

@@ -15,7 +15,18 @@ from dataclasses import dataclass, field, replace
 from repro.nws.errors import RegistrationLapsed, coerce_field
 from repro.obs.metrics import get_registry
 
-__all__ = ["NameServer", "Registration"]
+__all__ = ["NameServer", "Registration", "text_attributes"]
+
+
+def text_attributes(value) -> dict[str, str]:
+    """Registration attributes: a mapping, its keys and values as text.
+
+    The cast of an ``attributes`` field, in the core and on the wire
+    alike, so ``{"port": 5}`` is ``{"port": "5"}`` on both paths.
+    """
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return {str(k): str(v) for k, v in value.items()}
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,7 @@ class NameServer:
         entry = Registration(
             name=name,
             kind=kind,
-            attributes={str(k): str(v) for k, v in (attributes or {}).items()},
+            attributes=text_attributes(attributes or {}),
             expires_at=expires,
         )
         with self._lock:

@@ -52,11 +52,9 @@ from repro.nws.durable import (
 from repro.nws.errors import ServerOverloaded, UnknownTenant, coerce_field
 from repro.nws.forecaster import ForecastReport, ForecasterService
 from repro.nws.memory import MemoryStore
-from repro.nws.nameserver import NameServer, Registration
+from repro.nws.nameserver import NameServer, Registration, text_attributes
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
-from repro.trace.resample import resample_mean
-from repro.trace.series import TraceSeries
 
 __all__ = [
     "RetentionPolicy",
@@ -384,6 +382,7 @@ class ServiceCore:
 
     def publish(self, tenant: str, series: str, time: float, value: float) -> int:
         """Append one measurement; returns the series' retained count."""
+        series = coerce_field("series", str, series)
         state = self.tenant(tenant)
         self._count("publish")
         with get_tracer().span("server.publish", tenant=tenant, series=series):
@@ -400,7 +399,9 @@ class ServiceCore:
         stop: float = float("inf"),
         limit: int | None = None,
     ):
-        """(times, values) arrays for a series window."""
+        """``(times, values)`` of a series window, as the memory's
+        ``array('d')`` copies (:class:`~repro.nws.memory.Window`)."""
+        series = coerce_field("series", str, series)
         state = self.tenant(tenant)
         self._count("fetch")
         with get_tracer().span("server.fetch", tenant=tenant, series=series):
@@ -413,6 +414,7 @@ class ServiceCore:
 
     def query(self, tenant: str, series: str, horizon: int = 1) -> ForecastReport:
         """One forecast with error bar, ``horizon`` steps ahead."""
+        series = coerce_field("series", str, series)
         state = self.tenant(tenant)
         self._count("query")
         with get_tracer().span("server.query", tenant=tenant, series=series):
@@ -435,6 +437,7 @@ class ServiceCore:
 
     def recover(self, tenant: str, series: str) -> int:
         """Reload a series' last run from the tenant's log."""
+        series = coerce_field("series", str, series)
         state = self.tenant(tenant)
         self._count("recover")
         with get_tracer().span("server.recover", tenant=tenant, series=series):
@@ -451,6 +454,9 @@ class ServiceCore:
         attributes: dict[str, str] | None = None,
         ttl: float | None = None,
     ) -> Registration:
+        name = coerce_field("name", str, name)
+        if attributes is not None:
+            attributes = coerce_field("attributes", text_attributes, attributes)
         state = self.tenant(tenant)
         self._count("register")
         with get_tracer().span("server.register", tenant=tenant, component=name):
@@ -462,6 +468,7 @@ class ServiceCore:
             )
 
     def refresh(self, tenant: str, name: str, ttl: float) -> Registration:
+        name = coerce_field("name", str, name)
         state = self.tenant(tenant)
         self._count("refresh")
         with get_tracer().span("server.refresh", tenant=tenant, component=name):
@@ -470,7 +477,12 @@ class ServiceCore:
     def lookup(
         self, tenant: str, kind: str | None = None, attributes: dict | None = None
     ) -> list[Registration]:
-        """Live registrations of ``kind`` with all of ``attributes``."""
+        """Live registrations of ``kind`` with all of ``attributes``,
+        whose values are matched as text, as the wire sends them."""
+        if kind is not None:
+            kind = coerce_field("kind", str, kind)
+        if attributes is not None:
+            attributes = coerce_field("attributes", text_attributes, attributes)
         state = self.tenant(tenant)
         self._count("lookup")
         with get_tracer().span("server.lookup", tenant=tenant):
@@ -531,6 +543,11 @@ class ServiceCore:
         count = state.memory.count(series)
         if count <= policy.compact_above:
             return 0
+        # Only compaction resamples, and resampling needs numpy: a
+        # server that never compacts never loads either.
+        from repro.trace.resample import resample_mean
+        from repro.trace.series import TraceSeries
+
         times, values = state.memory.fetch(series)
         split = len(times) - policy.keep_recent
         head = TraceSeries(series, "retention", times[:split], values[:split])

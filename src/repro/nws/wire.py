@@ -65,8 +65,6 @@ import math
 import threading
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from repro.faults.policy import RetryError
 from repro.nws.errors import (
     RegistrationLapsed,
@@ -76,7 +74,7 @@ from repro.nws.errors import (
     coerce_field,
 )
 from repro.nws.forecaster import ForecastReport
-from repro.nws.nameserver import Registration
+from repro.nws.nameserver import Registration, text_attributes
 
 __all__ = [
     "DEADLINE_HEADER",
@@ -198,21 +196,39 @@ def decode_reports(payload: dict) -> dict[str, ForecastReport]:
 # ------------------------------------------------------------------ fetches
 
 
+def _floats(samples) -> list[float]:
+    """``samples`` as a list of Python floats.
+
+    An ``array('d')`` (a memory window) or an ndarray converts in one
+    ``tolist()``; any other sequence is cast item by item.
+    """
+    if getattr(samples, "typecode", None) == "d":
+        return samples.tolist()
+    if hasattr(samples, "dtype"):
+        return samples.astype("float64", copy=False).tolist()
+    return [float(x) for x in samples]
+
+
 def encode_fetch(series: str, times, values) -> dict:
-    """A fetched (times, values) window as a versioned JSON-safe dict."""
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(values)
-    value_list = values.tolist()
-    if not finite.all():
-        for i in np.flatnonzero(~finite).tolist():
-            value_list[i] = None
+    """A fetched (times, values) window as a versioned JSON-safe dict.
+
+    ``times`` and ``values`` are float sequences: the ``array('d')``
+    copies of a :class:`~repro.nws.memory.Window`, float64 ndarrays or
+    lists.  A non-finite value is written as ``null``.
+    """
+    times = _floats(times)
+    values = _floats(values)
+    # A NaN or infinite item makes the sum non-finite, so the common
+    # all-finite window is checked in one C loop; an overflowing sum
+    # only costs the item scan, which then changes nothing.
+    if not math.isfinite(sum(values)):
+        values = [v if math.isfinite(v) else None for v in values]
     return {
         "version": WIRE_VERSION,
         "kind": "samples",
         "series": series,
-        "times": times.tolist(),
-        "values": value_list,
+        "times": times,
+        "values": values,
         "n": len(times),
     }
 
@@ -242,7 +258,7 @@ def _float_list(payload: dict, key: str, types: frozenset) -> list[float]:
         )
     try:
         # None becomes NaN: the wire's stand-in for a non-finite value.
-        return np.array(items, dtype=np.float64).tolist()
+        return [math.nan if x is None else float(x) for x in items]
     except OverflowError as exc:
         raise ProtocolError(f"malformed samples payload: {exc}") from exc
 
@@ -455,13 +471,6 @@ class Operation(NamedTuple):
         return body
 
 
-def _attributes(value) -> dict[str, str]:
-    """An attributes field: a JSON object, its keys and values as text."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return {str(k): str(v) for k, v in value.items()}
-
-
 def _counted(kind: str):
     return lambda args, count: {
         "version": WIRE_VERSION, "kind": kind, "series": args["series"], "count": count
@@ -474,7 +483,7 @@ def _decode_count(payload: dict) -> int:
 
 _SERIES = Field("series", str)
 _NAME = Field("name", str)
-_ATTRIBUTES = Field("attributes", _attributes, {})
+_ATTRIBUTES = Field("attributes", text_attributes, {})
 
 #: Every POST operation by name.
 OPERATIONS: dict[str, Operation] = {op.name: op for op in (
@@ -488,7 +497,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             Field("limit", int, None),
         ),
         lambda args, window: encode_fetch(args["series"], *window),
-        lambda payload: tuple(np.asarray(a, dtype=np.float64) for a in decode_fetch(payload)),
+        decode_fetch,
     ),
     Operation(
         "query", (_SERIES, Field("horizon", int, 1)),

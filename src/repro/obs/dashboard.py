@@ -84,7 +84,7 @@ def render_dashboard(
     if memory is not None and memory.series_names():
         series = memory.series_names()[0]
         times, values = memory.fetch(series)
-        if times.size >= 2:
+        if len(times) >= 2:
             lines.extend(_section(f"Availability trace: {series}"))
             lines.append(
                 line_plot(times, values, width=width - 12, height=8, y_range=(0.0, 1.0))

@@ -5,9 +5,7 @@ provides the equivalent: a timestamped series container, CSV/JSON-lines
 persistence, and resampling onto regular grids.
 """
 
-from repro.trace.io import load_trace_csv, load_trace_jsonl, save_trace_csv, save_trace_jsonl
-from repro.trace.resample import resample_mean, resample_nearest
-from repro.trace.series import TraceSeries
+from repro._exports import lazy_exports
 
 __all__ = [
     "TraceSeries",
@@ -18,3 +16,17 @@ __all__ = [
     "save_trace_csv",
     "save_trace_jsonl",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.io": (
+            "load_trace_csv",
+            "load_trace_jsonl",
+            "save_trace_csv",
+            "save_trace_jsonl",
+        ),
+        "repro.trace.resample": ("resample_mean", "resample_nearest"),
+        "repro.trace.series": ("TraceSeries",),
+    },
+)

@@ -198,7 +198,7 @@ class TestJournalFaults:
         assert faults.counts("absorbed") == {"journal_recovered": 1}
         # Recovery replayed the valid lines; garbage was skipped.
         times, _ = store.fetch("s")
-        assert times.size == 20
+        assert len(times) == 20
 
     def test_truncate_then_recover_loses_tail(self, tmp_path):
         store = self._store(tmp_path)
@@ -206,7 +206,7 @@ class TestJournalFaults:
         faults.tick(200.0, store)
         assert faults.counts("absorbed") == {"journal_recovered": 1}
         times, _ = store.fetch("s")
-        assert 0 < times.size < 20
+        assert 0 < len(times) < 20
 
     def test_event_is_one_shot(self, tmp_path):
         store = self._store(tmp_path)

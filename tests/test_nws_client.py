@@ -241,8 +241,9 @@ class TestTimeouts:
 
 
 #: Series names, stamps and values the generated operations draw from:
-#: out-of-order and non-finite stamps, NaN and out-of-range values.
-SERIES = ("cpu.a", "cpu.ü\"b", "cpu.ghost")
+#: a name that is not a string, out-of-order and non-finite stamps, NaN
+#: and out-of-range values.
+SERIES = ("cpu.a", "cpu.ü\"b", "cpu.ghost", ["cpu.a"])
 STAMPS = [-5.0, 0.0, 10.0, 10.0, 20.0, 35.0, 1e12, float("inf"), float("nan")]
 SAMPLES = [0.0, 0.25, 0.5, 0.93, 1.0, 1.5, float("nan")]
 BOUNDS = [float("-inf"), -1.0, 0.0, 10.0, 20.0, 1e13, float("inf"), float("nan")]
@@ -263,8 +264,11 @@ _op = st.one_of(
     st.tuples(st.just("series_names")),
     st.tuples(
         st.just("register"), st.sampled_from(COMPONENTS), st.sampled_from(["sensor", "memory"]),
-        st.dictionaries(
-            st.sampled_from(["host", "ü"]), st.sampled_from(["x", "y\"ü"]), max_size=2
+        st.one_of(
+            st.dictionaries(
+                st.sampled_from(["host", "ü"]), st.sampled_from(["x", "y\"ü", 5]), max_size=2
+            ),
+            st.just([1]),
         ),
         st.sampled_from([None, 0.0, 5.0, 60.0, float("nan")]),
     ),
@@ -274,7 +278,7 @@ _op = st.one_of(
     ),
     st.tuples(
         st.just("lookup"), st.sampled_from([None, "sensor", "memory", "forecaster"]),
-        st.dictionaries(st.sampled_from(["host"]), st.sampled_from(["x", "y\"ü"]), max_size=1),
+        st.dictionaries(st.sampled_from(["host"]), st.sampled_from(["x", "y\"ü", 5]), max_size=1),
     ),
     st.tuples(st.just("recover"), st.sampled_from(SERIES)),
     st.tuples(st.just("tick"), st.sampled_from([1.0, 10.0, 100.0])),
@@ -333,6 +337,16 @@ class TestGeneratedParity:
     @example(ops=[
         ("default", ("publish", "cpu.a", -5.0, 0.0)),
         ("default", ("fetch", "cpu.a", float("nan"), -1.0, None)),
+    ])
+    # In process, the core once answered these three `internal` or
+    # differently: attributes that are not a mapping, a series name that
+    # is not a string (unhashable), and a lookup by a number the wire
+    # sends as text.
+    @example(ops=[
+        ("default", ("register", "sensor.a", "sensor", [1], None)),
+        ("default", ("publish", ["cpu.a"], 0.0, 1.0)),
+        ("default", ("register", "sensor.a", "sensor", {"host": 5}, None)),
+        ("default", ("lookup", None, {"host": 5})),
     ])
     def test_every_answer_has_the_same_wire_bytes(self, ops):
         now = [0.0]

@@ -282,7 +282,7 @@ class TestSampleText:
             memo = SampleText()
             first = store.fetch("s")
             assert memo.render(memo.bind(encode_fetch("s", *first), first.first_seq))
-            store.replace("s", first[0], -first[1])
+            store.replace("s", first[0], [-v for v in first[1]])
             second = store.fetch("s")
             body = memo.render(memo.bind(encode_fetch("s", *second), second.first_seq))
         assert body == reference_body("s", [(float(t), -0.0) for t in range(4)])
@@ -357,5 +357,5 @@ class TestCrashRecoverRoundTrip:
             restored = MemoryStore(capacity=capacity, directory=Path(d))
             assert restored.recover() == len(want[0])
             got = restored.fetch("s")
-        assert got[0].dtype == np.float64 and got[1].dtype == np.float64
+        assert got[0].typecode == "d" and got[1].typecode == "d"
         assert bits(zip(*got)) == bits(zip(*want))

@@ -47,12 +47,12 @@ class WholeHistoryForecaster(ForecasterService):
             self._mixtures[series] = mixture
             self._consumed[series] = 0
         start = self._consumed[series]
-        missing = self.memory.count(series) - values.size
+        missing = self.memory.count(series) - len(values)
         start = max(start - missing, 0)
         for v in values[start:]:
             mixture.update(float(v))
-        self._consumed[series] = values.size
-        if times.size:
+        self._consumed[series] = len(values)
+        if times:
             self._last_time[series] = float(times[-1])
 
 
@@ -99,7 +99,7 @@ class TestWindowedFetch:
                 store.publish("s", t, float(i))
             times, values = store.fetch("s", start=start, stop=stop, limit=limit)
             want_times, want_values = oracle_fetch(store, "s", start, stop, limit)
-        assert times.dtype == np.float64 and values.dtype == np.float64
+        assert times.typecode == "d" and values.typecode == "d"
         np.testing.assert_array_equal(times, want_times)
         np.testing.assert_array_equal(values, want_values)
 

@@ -127,7 +127,7 @@ class TestMemoryStore:
         for i in range(5):
             mem.publish("cpu.a", 10.0 * i, 0.1 * i)
         times, values = mem.fetch("cpu.a")
-        assert times.size == 5
+        assert len(times) == 5
         assert values[-1] == pytest.approx(0.4)
 
     def test_bounded_retention(self):
@@ -165,7 +165,7 @@ class TestMemoryStore:
         fresh = MemoryStore(capacity=100, directory=tmp_path)
         assert fresh.recover("cpu.a") == 5
         times, values = fresh.fetch("cpu.a")
-        assert times.size == 5
+        assert len(times) == 5
 
     def test_recover_respects_capacity(self, tmp_path):
         mem = MemoryStore(capacity=100, directory=tmp_path)
@@ -177,13 +177,6 @@ class TestMemoryStore:
     def test_recover_without_directory_rejected(self):
         with pytest.raises(ValueError):
             MemoryStore().recover("s")
-
-    def test_as_trace(self):
-        mem = MemoryStore()
-        mem.publish("cpu.a", 0.0, 0.5)
-        mem.publish("cpu.a", 10.0, 0.6)
-        trace = mem.as_trace("cpu.a", host="a", method="load_average")
-        assert trace.host == "a" and len(trace) == 2
 
 
 class TestForecasterService:
